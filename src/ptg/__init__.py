@@ -30,7 +30,6 @@ from .harness import (
     load_config,
     read_results_csv,
     run_experiment,
-    run_leave_one_out,
     select_model,
     summarize,
     write_results_csv,

@@ -31,9 +31,15 @@ def _stable_mean(stack: np.ndarray) -> np.ndarray:
 
     Sorting each column before summation fixes the accumulation order, and
     columns where every row is identical return that value exactly (sum/N is
-    not an identity in float64, e.g. three copies of 0.1).
+    not an identity in float64, e.g. three copies of 0.1).  Three rows (the
+    shipped configs' domain count) take a min/max network with the same sum.
     """
-    total = np.sort(stack, axis=0).sum(axis=0)
+    if stack.shape[0] == 3:
+        a, b, c = stack
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        total = np.minimum(lo, c) + np.minimum(np.maximum(lo, c), hi) + np.maximum(hi, c)
+    else:
+        total = np.sort(stack, axis=0).sum(axis=0)
     mean = total / stack.shape[0]
     ties = np.all(stack == stack[0], axis=0)
     return np.where(ties, stack[0], mean)
@@ -80,7 +86,7 @@ def moment_match(posteriors: Sequence[GaussianVariational]) -> AggregateResult:
     ties = np.all(mu_stack == mu_stack[0], axis=0) & np.all(rho_stack == rho_stack[0], axis=0)
     rho = np.where(ties, rho_stack[0], softplus_inv(sigma))
     return AggregateResult(
-        q0=GaussianVariational(spec, mu, rho),
+        q0=GaussianVariational.wrap(spec, np.concatenate([mu, rho])),
         within_var=within,
         between_var=between,
     )
@@ -89,8 +95,8 @@ def moment_match(posteriors: Sequence[GaussianVariational]) -> AggregateResult:
 def map_mean(weight_sets: Sequence[WeightSet]) -> WeightSet:
     """Coordinate-wise mean of weight sets sharing one architecture."""
     spec = _check_common_spec([ws.spec for ws in weight_sets])
-    stack = np.stack([ws.flatten() for ws in weight_sets])
-    return WeightSet.from_flat(spec, _stable_mean(stack))
+    stack = np.stack([ws.flat for ws in weight_sets])
+    return WeightSet.wrap(spec, _stable_mean(stack))
 
 
 def coefficient_of_variation(
@@ -106,7 +112,7 @@ def coefficient_of_variation(
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     _check_common_spec([ws.spec for ws in weight_sets])
-    stack = np.stack([ws.flatten() for ws in weight_sets])
+    stack = np.stack([ws.flat for ws in weight_sets])
     mean = _stable_mean(stack)
     std = np.sqrt(_stable_mean((stack - mean) ** 2))
     return std / (np.abs(mean) + epsilon)
@@ -146,7 +152,7 @@ def cov_dropout(
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     cov = np.asarray(cov, dtype=np.float64)
-    flat = mean_weights.flatten()
+    flat = mean_weights.flat
     if cov.shape != flat.shape:
         raise ValueError(f"cov shape {cov.shape} does not match parameter count {flat.shape}")
     if not np.isfinite(cov).all() or np.any(cov < 0):
@@ -159,7 +165,7 @@ def cov_dropout(
         kept_mask=kept,
         dropped_count=int(np.count_nonzero(~kept)),
     )
-    return WeightSet.from_flat(mean_weights.spec, out), report
+    return WeightSet.wrap(mean_weights.spec, out), report
 
 
 def save_cov_report(path, report: CovReport) -> None:

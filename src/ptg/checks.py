@@ -109,7 +109,7 @@ def run_elbo_checks(seed: int = 0, n_instances: int = 20) -> dict:
         while True:
             feat, cls, x, y = _draw_instance(rng)
             q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
-            q.rho = q.rho + 0.1 * rng.standard_normal(q.rho.shape)
+            q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
             eps = rng.standard_normal(q.mu.shape)
             # the kink margin matters at the sampled weights, where FD runs
             ws = sample_weights(q, eps)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, oracles
-from .aggregate import save_cov_report
+from .aggregate import coefficient_of_variation, cov_dropout, map_mean, save_cov_report
 from .datasets import save_dataset_csv
 from .harness import (
     ExperimentConfig,
@@ -31,7 +31,7 @@ from .harness import (
 )
 from .nets import TrainingDiverged, save_weights
 from .seeding import derive_seed
-from .training import ptg_lite_train, train_algorithm
+from .training import erm_train, ptg_lite_train, train_algorithm
 from .variational import GaussianVariational, save_gaussian
 
 
@@ -79,23 +79,22 @@ def _cmd_train(args) -> int:
     trains = [by_id[i] for i in sorted(by_id) if i != test_domain]
     feat_spec, cls_spec = config.network_specs()
     cfg = replace(config.train, seed=seed)
-    feat, cls, history = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)
+    if algorithm == "ptg_lite":
+        # train_algorithm's ptg_lite path, keeping the bank for the mask report
+        erm_feat, erm_cls, _ = erm_train(trains, feat_spec, cls_spec, cfg)
+        bank, history = ptg_lite_train(trains, erm_feat, erm_cls, cfg)
+        feat, cls = bank.f0, bank.classifier
+        models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
+        _, report = cov_dropout(map_mean(models), coefficient_of_variation(models), cfg.beta)
+        save_cov_report(out / "cov_report.json", report)
+    else:
+        feat, cls, history = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)
     if isinstance(feat, GaussianVariational):
         save_gaussian(out / "featurizer.json", feat)
     else:
         save_weights(out / "featurizer.json", feat)
     save_weights(out / "classifier.json", cls)
     write_training_log(out / "training_log.csv", history)
-    if algorithm == "ptg_lite":
-        # rerun the final aggregation bookkeeping to export the mask report
-        from .aggregate import coefficient_of_variation, cov_dropout, map_mean
-        from .nets import WeightSet
-
-        erm_feat, erm_cls, _ = train_algorithm("erm", trains, feat_spec, cls_spec, cfg)
-        bank, _ = ptg_lite_train(trains, erm_feat, erm_cls, cfg)
-        models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
-        _, report = cov_dropout(map_mean(models), coefficient_of_variation(models), cfg.beta)
-        save_cov_report(out / "cov_report.json", report)
     print(f"trained {algorithm} on {len(trains)} domains; artifacts in {out}")
     return 0
 

@@ -324,11 +324,6 @@ def sort_rows(rows: Sequence[ResultRow]) -> list[ResultRow]:
     return sorted(rows, key=key)
 
 
-def run_leave_one_out(config: ExperimentConfig, progress=None) -> list[ResultRow]:
-    """The full protocol with every domain held out in turn."""
-    return run_experiment(replace(config, test_domain=None), progress=progress)
-
-
 @dataclass(frozen=True)
 class Selection:
     algorithm: str

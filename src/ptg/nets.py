@@ -8,7 +8,8 @@ featurizer with a deterministic classifier head.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +34,11 @@ class NetworkSpec:
             raise ValueError(f"unsupported activation {self.activation!r}")
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
 
-    @property
+    @cached_property  # asked for on every forward, backward and Adam step
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(self.n_layers))
@@ -50,13 +51,24 @@ class NetworkSpec:
         return NetworkSpec(tuple(obj["dims"]), obj.get("activation", "relu"))
 
 
+def finite_params(values) -> np.ndarray:
+    """values as a float64 array, after checking that every entry is finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite parameter values")
+    return values
+
+
 @dataclass
 class WeightSet:
     """Concrete weights for a NetworkSpec: per-layer (W, b) pairs.
 
     W has shape (d_in, d_out), b has shape (d_out,).  The flat order is
     W0.ravel(), b0, W1.ravel(), b1, ... which every consumer (sampling,
-    aggregation, checkpoints) relies on.
+    aggregation, checkpoints) relies on.  The set owns one float64 vector
+    ``flat`` in that order and every W and b is a view of it, so updating
+    ``flat`` in place updates the layers.  Values entering from outside are
+    checked; ``wrap`` adopts a vector this package computed itself.
     """
 
     spec: NetworkSpec
@@ -65,41 +77,42 @@ class WeightSet:
 
     def __post_init__(self):
         dims = self.spec.layer_dims
-        if len(self.weights) != self.spec.n_layers or len(self.biases) != self.spec.n_layers:
-            raise ValueError("layer count does not match spec")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ValueError(
-                    f"layer {i}: got W{w.shape}, b{b.shape}, "
-                    f"expected W{(dims[i], dims[i + 1])}, b{(dims[i + 1],)}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i}: non-finite parameter values")
+        want = [((dims[i], dims[i + 1]), (dims[i + 1],)) for i in range(self.spec.n_layers)]
+        got = [(np.shape(w), np.shape(b)) for w, b in zip(self.weights, self.biases)]
+        if len(self.weights) != len(self.biases) or got != want:
+            raise ValueError(f"layer (W, b) shapes {got} do not match the spec's {want}")
+        parts = [a for w, b in zip(self.weights, self.biases) for a in (np.ravel(w), b)]
+        self._bind(finite_params(np.concatenate(parts)))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat, self.weights, self.biases, k = flat, [], [], 0
+        for d_in, d_out in zip(self.spec.layer_dims, self.spec.layer_dims[1:]):
+            self.weights.append(flat[k : k + d_in * d_out].reshape(d_in, d_out))
+            self.biases.append(flat[k + d_in * d_out : k + (d_in + 1) * d_out])
+            k += (d_in + 1) * d_out
+
+    @classmethod
+    def wrap(cls, spec: NetworkSpec, flat: np.ndarray) -> "WeightSet":
+        """Layer views over a float64 ``flat`` without copying or checking it."""
+        ws = cls.__new__(cls)
+        ws.spec = spec
+        ws._bind(flat)
+        return ws
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """A copy of the flat parameter vector."""
+        return self.flat.copy()
 
     @staticmethod
     def from_flat(spec: NetworkSpec, flat: np.ndarray) -> "WeightSet":
-        flat = np.asarray(flat, dtype=np.float64)
+        """Checked construction from a flat vector; the values are copied."""
+        flat = np.array(flat, dtype=np.float64)
         if flat.shape != (spec.param_count,):
             raise ValueError(f"expected {spec.param_count} values, got shape {flat.shape}")
-        dims = spec.layer_dims
-        weights, biases, k = [], [], 0
-        for i in range(spec.n_layers):
-            n_w = dims[i] * dims[i + 1]
-            weights.append(flat[k : k + n_w].reshape(dims[i], dims[i + 1]).copy())
-            k += n_w
-            biases.append(flat[k : k + dims[i + 1]].copy())
-            k += dims[i + 1]
-        return WeightSet(spec, weights, biases)
+        return WeightSet.wrap(spec, finite_params(flat))
 
     def copy(self) -> "WeightSet":
-        return WeightSet(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return WeightSet.wrap(self.spec, self.flat.copy())
 
 
 def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
@@ -149,8 +162,9 @@ def backward(
 ) -> tuple[WeightSet, np.ndarray]:
     """Backpropagate d_out through the recorded tape.
 
-    Returns (gradient WeightSet, gradient w.r.t. the batch input).  The ReLU
-    subgradient at exactly zero is taken as zero.
+    Returns (gradient WeightSet, gradient w.r.t. the batch input).  The
+    gradient set is written layer by layer into one fresh flat vector.  The
+    ReLU subgradient at exactly zero is taken as zero.
     """
     if tape.spec != spec or ws.spec != spec:
         raise ValueError("tape, weights and spec must all match")
@@ -160,16 +174,15 @@ def backward(
             f"upstream gradient shape {d_out.shape} does not match outputs "
             f"{tape.preacts[-1].shape}; stale tape?"
         )
-    grad_w = [None] * spec.n_layers
-    grad_b = [None] * spec.n_layers
+    grad = WeightSet.wrap(spec, np.empty(spec.param_count))
     dz = d_out
     for i in range(spec.n_layers - 1, -1, -1):
         if i < spec.n_layers - 1:
             dz = dz * (tape.preacts[i] > 0.0)
-        grad_w[i] = tape.inputs[i].T @ dz
-        grad_b[i] = dz.sum(axis=0)
+        np.matmul(tape.inputs[i].T, dz, out=grad.weights[i])
+        dz.sum(axis=0, out=grad.biases[i])
         dz = dz @ ws.weights[i].T
-    return WeightSet(spec, grad_w, grad_b), dz
+    return grad, dz
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -222,22 +235,28 @@ class AdamState:
 def adam_step(
     flat: np.ndarray, grad: np.ndarray, state: AdamState, effective_lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update on a flat parameter vector.
+    """One bias-corrected Adam update of a flat float64 parameter vector.
 
-    Pure function of its inputs: returns the new vector and new state.  An
-    effective_lr of exactly zero leaves the parameters bitwise unchanged.
+    Updates ``flat`` and the moments of ``state`` in place and returns the
+    same two objects.  A non-finite gradient raises TrainingDiverged before
+    anything is touched.  An effective_lr of exactly zero leaves the
+    parameters bitwise unchanged.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad).all():
         bad = int(np.count_nonzero(~np.isfinite(grad)))
         raise TrainingDiverged(f"{bad} non-finite gradient entries at step {state.t + 1}")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new = flat - effective_lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new, AdamState(m, v, t, state.base_lr, state.beta1, state.beta2, state.eps)
+    state.t += 1
+    m, v = state.m, state.v
+    # in place, with the rounding of beta * m + (1 - beta) * grad [* grad]
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    step = effective_lr * (m / (1.0 - state.beta1**state.t))
+    step /= np.sqrt(v / (1.0 - state.beta2**state.t)) + state.eps
+    flat -= step
+    return flat, state
 
 
 def save_weights(path, ws: WeightSet) -> None:

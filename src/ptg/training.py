@@ -21,7 +21,7 @@ and leaves every network bitwise at its initialization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,12 +31,10 @@ from .datasets import DomainDataset
 from .nets import AdamState, NetworkSpec, WeightSet, adam_step, backward, cross_entropy, forward, init_weights, softmax
 from .seeding import stream
 from .variational import (
-    ElboResult,
     GaussianVariational,
     PriorSpec,
     elbo_loss,
     init_from_deterministic,
-    kl_to_prior,
     sample_weights,
 )
 
@@ -142,6 +140,16 @@ def _auto_kl_weight(config: TrainConfig, stream_: MinibatchStream) -> float:
     if config.kl_weight is not None:
         return config.kl_weight
     return 1.0 / stream_.batches_per_epoch
+
+
+def _merged_batch(drawn: list[tuple], n_total: int, config: TrainConfig) -> tuple[tuple, float]:
+    """One iteration's per-domain minibatches as the merged batch, with its KL
+    weight: one over the number of such batches in the pooled data."""
+    x = np.concatenate([b[0] for b in drawn], axis=0)
+    y = np.concatenate([b[1] for b in drawn], axis=0)
+    if config.kl_weight is not None:
+        return (x, y), config.kl_weight
+    return (x, y), 1.0 / max(1, n_total // x.shape[0])
 
 
 def _merged(domains: Sequence[DomainDataset]) -> tuple[np.ndarray, np.ndarray]:
@@ -261,11 +269,10 @@ def _map_loss(
     ce, d_logits = cross_entropy(logits, y)
     grad_cls, d_feats = backward(classifier.spec, classifier, tape_c, d_logits)
     grad_feat, _ = backward(feat.spec, feat, tape_f, d_feats)
-    flat = feat.flatten()
-    centered = flat - prior.mean
+    centered = feat.flat - prior.mean
     s2 = prior.std**2
     loss = ce + l2_weight * float((centered**2).sum()) / (2.0 * s2)
-    g = grad_feat.flatten() + l2_weight * centered / s2
+    g = grad_feat.flat + l2_weight * centered / s2
     return loss, g, grad_cls
 
 
@@ -298,10 +305,8 @@ def erm_train(
         ce, d_logits = cross_entropy(logits, by)
         grad_cls, d_feats = backward(cls_spec, cls, tape_c, d_logits)
         grad_feat, _ = backward(feat_spec, feat, tape_f, d_feats)
-        new_f, st_f = adam_step(feat.flatten(), grad_feat.flatten(), st_f, config.base_lr)
-        new_c, st_c = adam_step(cls.flatten(), grad_cls.flatten(), st_c, config.base_lr)
-        feat = WeightSet.from_flat(feat_spec, new_f)
-        cls = WeightSet.from_flat(cls_spec, new_c)
+        adam_step(feat.flat, grad_feat.flat, st_f, config.base_lr)
+        adam_step(cls.flat, grad_cls.flat, st_c, config.base_lr)
         history.append({"iteration": step, "merged_loss": ce})
     return feat, cls, history
 
@@ -333,12 +338,8 @@ def erm_bayesian_train(
         batch = batches.next_batch()
         eps = eps_rng.standard_normal(n_params)
         res = elbo_loss(q, cls, batch, klw, eps, config.prior)
-        packed = np.concatenate([q.mu, q.rho])
-        grad = np.concatenate([res.grad_mu, res.grad_rho])
-        packed, st_q = adam_step(packed, grad, st_q, config.base_lr)
-        q = GaussianVariational(q.spec, packed[:n_params], packed[n_params:])
-        new_c, st_c = adam_step(cls.flatten(), res.grad_classifier.flatten(), st_c, config.base_lr)
-        cls = WeightSet.from_flat(cls.spec, new_c)
+        adam_step(q.theta, res.grad_theta, st_q, config.base_lr)
+        adam_step(cls.flat, res.grad_classifier.flat, st_c, config.base_lr)
         history.append({"iteration": step, "merged_loss": res.loss, "kl": res.kl})
     return q, cls, history
 
@@ -381,7 +382,6 @@ def ptg_train(
     states = {i: AdamState.zeros(2 * n_params, config.base_lr) for i in ids}
     st_0 = AdamState.zeros(2 * n_params, config.base_lr)
     st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
-    q0 = init_q.copy()
     history = []
     for it in range(config.outer_iterations):
         row = {"iteration": it}
@@ -391,34 +391,19 @@ def ptg_train(
             drawn.append(batch)
             eps = eps_rngs[i].standard_normal(n_params)
             res = elbo_loss(per_q[i], cls, batch, klw[i], eps, config.prior)
-            packed = np.concatenate([per_q[i].mu, per_q[i].rho])
-            grad = np.concatenate([res.grad_mu, res.grad_rho])
-            packed, states[i] = adam_step(packed, grad, states[i], lr)
-            per_q[i] = GaussianVariational(init_q.spec, packed[:n_params], packed[n_params:])
+            adam_step(per_q[i].theta, res.grad_theta, states[i], lr)
             row[f"loss_{i}"] = res.loss
 
-        agg = moment_match([per_q[i] for i in ids])
-        q0 = agg.q0
+        q0 = moment_match([per_q[i] for i in ids]).q0
         if inspect is not None:
             inspect(it, q0.copy(), {i: per_q[i].copy() for i in ids})
 
-        mx = np.concatenate([b[0] for b in drawn], axis=0)
-        my = np.concatenate([b[1] for b in drawn], axis=0)
-        if config.kl_weight is not None:
-            klw_m = config.kl_weight
-        else:
-            klw_m = 1.0 / max(1, n_total // mx.shape[0])
+        merged, klw_m = _merged_batch(drawn, n_total, config)
         eps = merged_eps.standard_normal(n_params)
-        res = elbo_loss(q0, cls, (mx, my), klw_m, eps, config.prior)
-        packed = np.concatenate([q0.mu, q0.rho])
-        grad = np.concatenate([res.grad_mu, res.grad_rho])
-        packed, st_0 = adam_step(packed, grad, st_0, lr)
-        q0 = GaussianVariational(init_q.spec, packed[:n_params], packed[n_params:])
-        new_c, st_c = adam_step(cls.flatten(), res.grad_classifier.flatten(), st_c, lr)
-        cls = WeightSet.from_flat(cls.spec, new_c)
-        row["kl"] = res.kl
-        row["merged_loss"] = res.loss
-        row["dropped_count"] = 0
+        res = elbo_loss(q0, cls, merged, klw_m, eps, config.prior)
+        adam_step(q0.theta, res.grad_theta, st_0, lr)
+        adam_step(cls.flat, res.grad_classifier.flat, st_c, lr)
+        row.update(kl=res.kl, merged_loss=res.loss, dropped_count=0)
         history.append(row)
     return FeaturizerBank(q0, dict(per_q), cls), history
 
@@ -458,7 +443,6 @@ def ptg_lite_train(
     states = {i: AdamState.zeros(feat_spec.param_count, config.base_lr) for i in ids}
     st_0 = AdamState.zeros(feat_spec.param_count, config.base_lr)
     st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
-    f0 = init_feat.copy()
     history = []
     for it in range(config.outer_iterations):
         row = {"iteration": it}
@@ -467,8 +451,7 @@ def ptg_lite_train(
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
             loss, g_feat, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior)
-            new_f, states[i] = adam_step(per_w[i].flatten(), g_feat, states[i], lr)
-            per_w[i] = WeightSet.from_flat(feat_spec, new_f)
+            adam_step(per_w[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
         models = [per_w[i] for i in ids]
@@ -477,23 +460,15 @@ def ptg_lite_train(
         if inspect is not None:
             inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
 
-        mx = np.concatenate([b[0] for b in drawn], axis=0)
-        my = np.concatenate([b[1] for b in drawn], axis=0)
-        if config.kl_weight is not None:
-            klw_m = config.kl_weight
-        else:
-            klw_m = 1.0 / max(1, n_total // mx.shape[0])
-        loss, g_feat, g_cls = _map_loss(f0, cls, (mx, my), klw_m, config.prior)
+        merged, klw_m = _merged_batch(drawn, n_total, config)
+        loss, g_feat, g_cls = _map_loss(f0, cls, merged, klw_m, config.prior)
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
-        g_feat = np.where(report.kept_mask, g_feat, 0.0)
-        new_f, st_0 = adam_step(f0.flatten(), g_feat, st_0, lr)
-        f0 = WeightSet.from_flat(feat_spec, np.where(report.kept_mask, new_f, 0.0))
-        new_c, st_c = adam_step(cls.flatten(), g_cls.flatten(), st_c, lr)
-        cls = WeightSet.from_flat(cls.spec, new_c)
-        row["kl"] = 0.0
-        row["merged_loss"] = loss
-        row["dropped_count"] = report.dropped_count
+        g_feat[~report.kept_mask] = 0.0
+        adam_step(f0.flat, g_feat, st_0, lr)
+        f0.flat[~report.kept_mask] = 0.0
+        adam_step(cls.flat, g_cls.flat, st_c, lr)
+        row.update(kl=0.0, merged_loss=loss, dropped_count=report.dropped_count)
         history.append(row)
     return FeaturizerBank(f0, dict(per_w), cls), history
 

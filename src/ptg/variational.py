@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import NetworkSpec, WeightSet, backward, cross_entropy, forward
+from .nets import NetworkSpec, WeightSet, backward, cross_entropy, finite_params, forward
 
 
 def softplus(rho: np.ndarray) -> np.ndarray:
@@ -53,20 +53,24 @@ def softplus_inv(y) -> np.ndarray:
     x[~big] = np.log(np.expm1(y[~big]))
     for _ in range(2):
         x = x - (softplus(x) - y) / sigmoid(x)
+    # nextafter polish, run only on the coordinates that are not yet exact
     cur = softplus(x)
-    best_x = x.copy()
-    best_err = np.abs(cur - y)
+    live = np.flatnonzero(cur != y)
+    xs, ys, cur = x[live], y[live], cur[live]
+    best = xs.copy()
+    best_err = np.abs(cur - ys)
     for _ in range(4):
-        if not (cur != y).any():
+        if not (cur != ys).any():
             break
-        target = np.where(cur < y, np.inf, -np.inf)
-        x = np.where(cur == y, x, np.nextafter(x, target))
-        cur = softplus(x)
-        err = np.abs(cur - y)
+        target = np.where(cur < ys, np.inf, -np.inf)
+        xs = np.where(cur == ys, xs, np.nextafter(xs, target))
+        cur = softplus(xs)
+        err = np.abs(cur - ys)
         better = err < best_err
-        best_x = np.where(better, x, best_x)
+        best = np.where(better, xs, best)
         best_err = np.where(better, err, best_err)
-    return best_x[0] if scalar else best_x
+    x[live] = best
+    return x[0] if scalar else x
 
 
 @dataclass(frozen=True)
@@ -83,36 +87,48 @@ class PriorSpec:
 
 @dataclass
 class GaussianVariational:
-    """Factorized Gaussian over the flat weight vector of a NetworkSpec."""
+    """Factorized Gaussian over the flat weight vector of a NetworkSpec.
+
+    One packed float64 vector ``theta = [mu | rho]`` holds the parameters and
+    mu, rho are views of its halves: step theta in place, never rebind them.
+    """
 
     spec: NetworkSpec
     mu: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.rho = np.asarray(self.rho, dtype=np.float64)
         n = self.spec.param_count
-        if self.mu.shape != (n,) or self.rho.shape != (n,):
+        if np.shape(self.mu) != (n,) or np.shape(self.rho) != (n,):
             raise ValueError(f"mu/rho must have shape ({n},)")
-        if not (np.isfinite(self.mu).all() and np.isfinite(self.rho).all()):
-            raise ValueError("non-finite variational parameters")
+        self._bind(finite_params(np.concatenate([self.mu, self.rho])))
+
+    def _bind(self, theta: np.ndarray) -> None:
+        n = self.spec.param_count
+        self.theta, self.mu, self.rho = theta, theta[:n], theta[n:]
+
+    @classmethod
+    def wrap(cls, spec: NetworkSpec, theta: np.ndarray) -> "GaussianVariational":
+        """Adopt a packed [mu | rho] vector without copying or checking it."""
+        q = cls.__new__(cls)
+        q.spec = spec
+        q._bind(theta)
+        return q
 
     @property
     def sigma(self) -> np.ndarray:
         return softplus(self.rho)
 
     def copy(self) -> "GaussianVariational":
-        return GaussianVariational(self.spec, self.mu.copy(), self.rho.copy())
+        return GaussianVariational.wrap(self.spec, self.theta.copy())
 
 
 def init_from_deterministic(ws: WeightSet, sigma0: float = 0.01) -> GaussianVariational:
     """Posterior centered on an existing weight set with constant std sigma0."""
     if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    mu = ws.flatten()
-    rho = np.full(mu.shape, softplus_inv(float(sigma0)))
-    return GaussianVariational(ws.spec, mu, rho)
+    rho = np.full(ws.flat.shape, softplus_inv(float(sigma0)))
+    return GaussianVariational(ws.spec, ws.flat, rho)
 
 
 def sample_weights(q: GaussianVariational, eps: np.ndarray) -> WeightSet:
@@ -120,7 +136,7 @@ def sample_weights(q: GaussianVariational, eps: np.ndarray) -> WeightSet:
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != q.mu.shape:
         raise ValueError(f"eps must have shape {q.mu.shape}, got {eps.shape}")
-    return WeightSet.from_flat(q.spec, q.mu + q.sigma * eps)
+    return WeightSet.wrap(q.spec, q.mu + q.sigma * eps)
 
 
 def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float:
@@ -149,9 +165,16 @@ class ElboResult:
     loss: float
     cross_entropy: float
     kl: float
-    grad_mu: np.ndarray
-    grad_rho: np.ndarray
+    grad_theta: np.ndarray  # packed [d/d mu | d/d rho], the layout of q.theta
     grad_classifier: WeightSet
+
+    @property
+    def grad_mu(self) -> np.ndarray:
+        return self.grad_theta[: self.grad_theta.size // 2]
+
+    @property
+    def grad_rho(self) -> np.ndarray:
+        return self.grad_theta[self.grad_theta.size // 2 :]
 
 
 def elbo_loss(
@@ -174,37 +197,21 @@ def elbo_loss(
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
     feat_ws = sample_weights(q, eps)
     kl = kl_to_prior(q, prior)
-    kl_mu, kl_rho = kl_gradients(q, prior)
-    zero_cls = WeightSet(
-        classifier.spec,
-        [np.zeros_like(w) for w in classifier.weights],
-        [np.zeros_like(b) for b in classifier.biases],
-    )
+    kl_grad = kl_weight * np.concatenate(kl_gradients(q, prior))
     if batch is None:
-        return ElboResult(
-            loss=kl_weight * kl,
-            cross_entropy=0.0,
-            kl=kl,
-            grad_mu=kl_weight * kl_mu,
-            grad_rho=kl_weight * kl_rho,
-            grad_classifier=zero_cls,
-        )
+        zero_cls = WeightSet.wrap(classifier.spec, np.zeros(classifier.spec.param_count))
+        return ElboResult(kl_weight * kl, 0.0, kl, kl_grad, zero_cls)
     x, y = batch
     feats, tape_f = forward(q.spec, feat_ws, x)
     logits, tape_c = forward(classifier.spec, classifier, feats)
     ce, d_logits = cross_entropy(logits, y)
     grad_cls, d_feats = backward(classifier.spec, classifier, tape_c, d_logits)
     grad_feat, _ = backward(q.spec, feat_ws, tape_f, d_feats)
-    g_omega = grad_feat.flatten()
+    g_omega = grad_feat.flat
     eps = np.asarray(eps, dtype=np.float64)
-    return ElboResult(
-        loss=ce + kl_weight * kl,
-        cross_entropy=ce,
-        kl=kl,
-        grad_mu=g_omega + kl_weight * kl_mu,
-        grad_rho=g_omega * eps * sigmoid(q.rho) + kl_weight * kl_rho,
-        grad_classifier=grad_cls,
-    )
+    grad_theta = np.concatenate([g_omega, g_omega * eps * sigmoid(q.rho)])
+    grad_theta += kl_grad
+    return ElboResult(ce + kl_weight * kl, ce, kl, grad_theta, grad_cls)
 
 
 def save_gaussian(path, q: GaussianVariational) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ptg.aggregate import (
+    _stable_mean,
     coefficient_of_variation,
     cov_dropout,
     map_mean,
@@ -101,6 +102,43 @@ class TestMomentMatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             moment_match([])
+
+
+def sorted_stable_mean(stack):
+    """_stable_mean by sort-then-sum for every row count, the reference the
+    three-row min/max network must reproduce."""
+    mean = np.sort(stack, axis=0).sum(axis=0) / stack.shape[0]
+    ties = np.all(stack == stack[0], axis=0)
+    return np.where(ties, stack[0], mean)
+
+
+class TestStableMean:
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_three_rows_match_sort_bitwise(self):
+        rng = np.random.default_rng(21)
+        values = np.array([0.0, -0.0, 0.1, -0.1, 1.0, 3.0, 1e-300, -1e300, 5e-324])
+        cases = [
+            rng.standard_normal((3, 4000)),
+            # mixed magnitudes, where the summation order changes the rounding
+            rng.standard_normal((3, 4000)) * 10.0 ** rng.integers(-12, 13, size=(3, 4000)),
+            # ties, two-way and three-way, and signed zeros, in every arrangement
+            rng.choice(values, size=(3, 4000)),
+            np.array([[-0.0, 0.0, 0.0, -0.0, 1.0], [0.0, -0.0, 0.0, 0.0, -0.0],
+                      [0.0, 0.0, -0.0, -0.0, 0.0]]),
+        ]
+        for stack in cases:
+            for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0]):
+                rows = stack[order]
+                self.assert_bitwise(_stable_mean(rows), sorted_stable_mean(rows))
+
+    def test_other_row_counts_keep_the_sort(self):
+        rng = np.random.default_rng(22)
+        for rows in (1, 2, 4, 5):
+            stack = rng.standard_normal((rows, 300))
+            self.assert_bitwise(_stable_mean(stack), sorted_stable_mean(stack))
 
 
 class TestMapMean:

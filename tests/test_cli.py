@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
+import ptg.cli
+import ptg.training
 from ptg.cli import main
 from ptg.datasets import DomainSpec, load_dataset_csv
 from ptg.harness import ExperimentConfig, read_results_csv, save_config
-from ptg.training import TrainConfig
+from ptg.training import TrainConfig, ptg_lite_train
 
 
 @pytest.fixture()
@@ -65,12 +67,24 @@ class TestTrain:
         payload = json.loads((out / "featurizer.json").read_text())
         assert {"mu", "rho"} <= set(payload)
 
-    def test_ptg_lite_exports_mask_report(self, config_path, tmp_path):
+    def test_ptg_lite_exports_mask_report(self, config_path, tmp_path, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return ptg_lite_train(*args, **kwargs)
+
+        # every binding a train command could reach
+        monkeypatch.setattr(ptg.cli, "ptg_lite_train", counted)
+        monkeypatch.setattr(ptg.training, "ptg_lite_train", counted)
         out = tmp_path / "run"
         code = main(["train", "--config", config_path, "--algorithm", "ptg_lite", "--out", str(out)])
         assert code == 0
+        assert len(runs) == 1  # the mask report comes from the same run
         report = json.loads((out / "cov_report.json").read_text())
         assert {"beta", "dropped_count", "cov_histogram"} <= set(report)
+        for name in ("featurizer.json", "classifier.json", "training_log.csv"):
+            assert (out / name).exists()
 
 
 class TestRunSweepSummarize:

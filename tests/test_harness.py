@@ -19,7 +19,6 @@ from ptg.harness import (
     load_config,
     read_results_csv,
     run_experiment,
-    run_leave_one_out,
     save_config,
     select_model,
     selections_to_json,
@@ -170,7 +169,7 @@ class TestRunExperiment:
 class TestLeaveOneOut:
     def test_every_domain_held_out(self):
         cfg = tiny_config(algorithms=("erm",), n_seeds=1, test_domain=None)
-        rows = run_leave_one_out(cfg)
+        rows = run_experiment(dataclasses.replace(cfg, test_domain=None))
         assert sorted(r.test_domain for r in rows) == ["a", "b", "c"]
 
     def test_inner_holdout_selection_scores(self):

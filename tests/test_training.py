@@ -379,3 +379,36 @@ class TestTrainAlgorithm:
         bad_cls = init_pair(NetworkSpec((4, 6)), NetworkSpec((6, 2)), seed=0)[1]
         with pytest.raises(ValueError):
             FeaturizerBank(feat, {}, bad_cls)
+
+
+class TestFlatCore:
+    """The loops build their models once and then update them in place."""
+
+    @staticmethod
+    def count_checked_constructions(monkeypatch):
+        counts = {"WeightSet": 0, "GaussianVariational": 0}
+        for cls in (WeightSet, GaussianVariational):
+            original = cls.__post_init__
+
+            def counted(self, _original=original, _name=cls.__name__):
+                counts[_name] += 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        return counts
+
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    def test_checked_constructions_do_not_grow_with_iterations(self, monkeypatch, algorithm):
+        domains, q_init, cls0 = ptg_setup(seed=17)
+        feat0 = WeightSet.from_flat(FEAT_SPEC, q_init.mu)
+        counts = self.count_checked_constructions(monkeypatch)
+        seen = []
+        for outer in (2, 6):
+            before = dict(counts)
+            cfg = replace(TestPtg.CFG, outer_iterations=outer)
+            if algorithm == "ptg":
+                ptg_train(domains, q_init, cls0, cfg)
+            else:
+                ptg_lite_train(domains, feat0, cls0, cfg)
+            seen.append({k: counts[k] - before[k] for k in counts})
+        assert seen[0] == seen[1]
