@@ -11,6 +11,7 @@ from .aggregate import (
     coefficient_of_variation,
     cov_dropout,
     map_mean,
+    mean_and_cov,
     moment_match,
 )
 from .datasets import (
@@ -45,6 +46,7 @@ from .nets import (
     forward,
     init_weights,
     load_weights,
+    loss_and_gradients,
     save_weights,
     softmax,
 )

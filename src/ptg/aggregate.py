@@ -37,12 +37,14 @@ def _stable_mean(stack: np.ndarray) -> np.ndarray:
     if stack.shape[0] == 3:
         a, b, c = stack
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        total = np.minimum(lo, c) + np.minimum(np.maximum(lo, c), hi) + np.maximum(hi, c)
+        mean = np.minimum(lo, c)
+        mean += np.minimum(np.maximum(lo, c), hi)
+        mean += np.maximum(hi, c)
     else:
-        total = np.sort(stack, axis=0).sum(axis=0)
-    mean = total / stack.shape[0]
-    ties = np.all(stack == stack[0], axis=0)
-    return np.where(ties, stack[0], mean)
+        mean = np.sort(stack, axis=0).sum(axis=0)
+    mean /= stack.shape[0]
+    np.copyto(mean, stack[0], where=np.logical_and.reduce(stack == stack[0], axis=0))
+    return mean
 
 
 def _check_common_spec(specs: Sequence[NetworkSpec]) -> NetworkSpec:
@@ -99,6 +101,22 @@ def map_mean(weight_sets: Sequence[WeightSet]) -> WeightSet:
     return WeightSet.wrap(spec, _stable_mean(stack))
 
 
+def mean_and_cov(
+    weight_sets: Sequence[WeightSet], epsilon: float = COV_EPSILON
+) -> tuple[WeightSet, np.ndarray]:
+    """map_mean and coefficient_of_variation of the same weight sets, from one
+    stack and one mean."""
+    if len(weight_sets) < 2:
+        raise ValueError("coefficient of variation needs at least two models")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    spec = _check_common_spec([ws.spec for ws in weight_sets])
+    stack = np.stack([ws.flat for ws in weight_sets])
+    mean = _stable_mean(stack)
+    std = np.sqrt(_stable_mean((stack - mean) ** 2))
+    return WeightSet.wrap(spec, mean), std / (np.abs(mean) + epsilon)
+
+
 def coefficient_of_variation(
     weight_sets: Sequence[WeightSet], epsilon: float = COV_EPSILON
 ) -> np.ndarray:
@@ -107,15 +125,7 @@ def coefficient_of_variation(
     Dimensionless: scaling every weight set by the same positive constant
     leaves it unchanged (up to rounding) when epsilon is zero.
     """
-    if len(weight_sets) < 2:
-        raise ValueError("coefficient of variation needs at least two models")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    _check_common_spec([ws.spec for ws in weight_sets])
-    stack = np.stack([ws.flat for ws in weight_sets])
-    mean = _stable_mean(stack)
-    std = np.sqrt(_stable_mean((stack - mean) ** 2))
-    return std / (np.abs(mean) + epsilon)
+    return mean_and_cov(weight_sets, epsilon)[1]
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import NetworkSpec, WeightSet, backward, cross_entropy, forward, init_weights
+from .nets import NetworkSpec, WeightSet, cross_entropy, forward, init_weights, loss_and_gradients
 from .variational import (
     GaussianVariational,
     PriorSpec,
@@ -74,18 +74,15 @@ def run_backward_checks(seed: int = 0, n_instances: int = 20) -> dict:
     for _ in range(n_instances):
         feat, cls, x, y = _draw_instance(rng)
 
+        # the perturbed vectors are fresh copies made by central_difference
         def loss_of(feat_flat, cls_flat, xin):
-            fw = WeightSet.from_flat(feat.spec, feat_flat)
-            cw = WeightSet.from_flat(cls.spec, cls_flat)
+            fw = WeightSet.wrap(feat.spec, feat_flat)
+            cw = WeightSet.wrap(cls.spec, cls_flat)
             feats, _ = forward(feat.spec, fw, xin)
             logits, _ = forward(cls.spec, cw, feats)
             return cross_entropy(logits, y)[0]
 
-        feats, tape_f = forward(feat.spec, feat, x)
-        logits, tape_c = forward(cls.spec, cls, feats)
-        _, d_logits = cross_entropy(logits, y)
-        g_cls, d_feats = backward(cls.spec, cls, tape_c, d_logits)
-        g_feat, d_x = backward(feat.spec, feat, tape_f, d_feats)
+        _, g_feat, g_cls, d_x = loss_and_gradients(feat, cls, x, y)
 
         f0, c0 = feat.flatten(), cls.flatten()
         fd_feat = central_difference(lambda v: loss_of(v, c0, x), f0)
@@ -120,8 +117,8 @@ def run_elbo_checks(seed: int = 0, n_instances: int = 20) -> dict:
         prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
 
         def loss_of(mu, rho, cls_flat):
-            qq = GaussianVariational(q.spec, mu, rho)
-            cw = WeightSet.from_flat(cls.spec, cls_flat)
+            qq = GaussianVariational.wrap(q.spec, np.concatenate([mu, rho]))
+            cw = WeightSet.wrap(cls.spec, cls_flat)
             return elbo_loss(qq, cw, (x, y), klw, eps, prior).loss
 
         res = elbo_loss(q, cls, (x, y), klw, eps, prior)

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, oracles
-from .aggregate import coefficient_of_variation, cov_dropout, map_mean, save_cov_report
+from .aggregate import cov_dropout, mean_and_cov, save_cov_report
 from .datasets import save_dataset_csv
 from .harness import (
     ExperimentConfig,
+    _prepare_split,
     default_benchmark_config,
     generate_domains,
     load_config,
@@ -30,7 +31,6 @@ from .harness import (
     write_training_log,
 )
 from .nets import TrainingDiverged, save_weights
-from .seeding import derive_seed
 from .training import erm_train, ptg_lite_train, train_algorithm
 from .variational import GaussianVariational, save_gaussian
 
@@ -74,9 +74,13 @@ def _cmd_train(args) -> int:
     algorithm = args.algorithm or config.algorithms[0]
     test_domain = args.test_domain if args.test_domain is not None else config.test_domain
     seed = args.seed if args.seed is not None else config.train.seed
+    ids = [d.domain_id for d in config.domains]
+    if test_domain not in ids:
+        raise ValueError(f"train needs a held-out domain, one of {ids}; got {test_domain!r}")
     out = _outdir(args.out)
-    by_id = generate_domains(config, derive_seed(config.base_seed, "data", str(test_domain), 0))
-    trains = [by_id[i] for i in sorted(by_id) if i != test_domain]
+    # the data a `ptg run` row trains on: repetition 0's training splits,
+    # standardized by their pooled statistics
+    trains, _, _ = _prepare_split(config, test_domain, 0)
     feat_spec, cls_spec = config.network_specs()
     cfg = replace(config.train, seed=seed)
     if algorithm == "ptg_lite":
@@ -85,7 +89,7 @@ def _cmd_train(args) -> int:
         bank, history = ptg_lite_train(trains, erm_feat, erm_cls, cfg)
         feat, cls = bank.f0, bank.classifier
         models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
-        _, report = cov_dropout(map_mean(models), coefficient_of_variation(models), cfg.beta)
+        _, report = cov_dropout(*mean_and_cov(models), cfg.beta)
         save_cov_report(out / "cov_report.json", report)
     else:
         feat, cls, history = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)

@@ -4,12 +4,21 @@ Everything here is float64 and deterministic: the same spec, weights and
 inputs always produce bitwise-identical outputs.  Networks are ReLU in the
 hidden layers and identity at the output; downstream code composes a sampled
 featurizer with a deterministic classifier head.
+
+The gradient step is the hot path, so three rules hold here.  Values are
+checked where they enter the package (constructors, ``from_flat``,
+checkpoints, the labels of ``cross_entropy``, the gradient of ``adam_step``).
+Values the package computed itself are adopted without a copy or a check
+(``WeightSet.wrap``), and a spec is compared field by field only when it is
+not the very object the weights were built with.  There is one implementation
+of the forward and backward pass: ``loss_and_gradients`` composes the public
+``forward``, ``cross_entropy`` and ``backward`` for every training loss.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -42,6 +51,16 @@ class NetworkSpec:
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(self.n_layers))
+
+    @cached_property  # read by every WeightSet.wrap
+    def layer_slices(self) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
+        """Per layer: the flat slices of W and b, and the shape of W."""
+        out, k = [], 0
+        for d_in, d_out in zip(self.layer_dims, self.layer_dims[1:]):
+            w_end = k + d_in * d_out
+            out.append((slice(k, w_end), slice(w_end, w_end + d_out), (d_in, d_out)))
+            k = w_end + d_out
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"dims": list(self.layer_dims), "activation": self.activation}
@@ -85,11 +104,10 @@ class WeightSet:
         self._bind(finite_params(np.concatenate(parts)))
 
     def _bind(self, flat: np.ndarray) -> None:
-        self.flat, self.weights, self.biases, k = flat, [], [], 0
-        for d_in, d_out in zip(self.spec.layer_dims, self.spec.layer_dims[1:]):
-            self.weights.append(flat[k : k + d_in * d_out].reshape(d_in, d_out))
-            self.biases.append(flat[k + d_in * d_out : k + (d_in + 1) * d_out])
-            k += (d_in + 1) * d_out
+        layers = self.spec.layer_slices
+        self.flat = flat
+        self.weights = [flat[w].reshape(shape) for w, _, shape in layers]
+        self.biases = [flat[b] for _, b, _ in layers]
 
     @classmethod
     def wrap(cls, spec: NetworkSpec, flat: np.ndarray) -> "WeightSet":
@@ -143,7 +161,7 @@ def forward(spec: NetworkSpec, ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray
     ReLU, the last layer is linear.
     """
     x = np.asarray(x, dtype=np.float64)
-    if ws.spec != spec:
+    if ws.spec is not spec and ws.spec != spec:
         raise ValueError("weights were built for a different spec")
     if x.ndim != 2 or x.shape[1] != spec.layer_dims[0]:
         raise ValueError(f"expected input shape (n, {spec.layer_dims[0]}), got {x.shape}")
@@ -151,7 +169,8 @@ def forward(spec: NetworkSpec, ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray
     h = x
     for i in range(spec.n_layers):
         inputs.append(h)
-        z = h @ ws.weights[i] + ws.biases[i]
+        z = h @ ws.weights[i]
+        z += ws.biases[i]
         preacts.append(z)
         h = np.maximum(z, 0.0) if i < spec.n_layers - 1 else z
     return h, ForwardTape(spec, inputs, preacts)
@@ -166,8 +185,9 @@ def backward(
     gradient set is written layer by layer into one fresh flat vector.  The
     ReLU subgradient at exactly zero is taken as zero.
     """
-    if tape.spec != spec or ws.spec != spec:
-        raise ValueError("tape, weights and spec must all match")
+    for other in (tape.spec, ws.spec):
+        if other is not spec and other != spec:
+            raise ValueError("tape, weights and spec must all match")
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != tape.preacts[-1].shape:
         raise ValueError(
@@ -178,11 +198,27 @@ def backward(
     dz = d_out
     for i in range(spec.n_layers - 1, -1, -1):
         if i < spec.n_layers - 1:
-            dz = dz * (tape.preacts[i] > 0.0)
+            dz *= tape.preacts[i] > 0.0  # dz is the fresh product of the layer above
         np.matmul(tape.inputs[i].T, dz, out=grad.weights[i])
-        dz.sum(axis=0, out=grad.biases[i])
+        np.add.reduce(dz, axis=0, out=grad.biases[i])
         dz = dz @ ws.weights[i].T
     return grad, dz
+
+
+def loss_and_gradients(
+    feat: WeightSet, classifier: WeightSet, x: np.ndarray, y: np.ndarray
+) -> tuple[float, WeightSet, WeightSet, np.ndarray]:
+    """Cross-entropy of classifier(feat(x)) against labels y, with gradients.
+
+    Returns (loss, featurizer gradient, classifier gradient, gradient w.r.t.
+    the batch input x).
+    """
+    feats, tape_f = forward(feat.spec, feat, x)
+    logits, tape_c = forward(classifier.spec, classifier, feats)
+    loss, d_logits = cross_entropy(logits, y)
+    grad_cls, d_feats = backward(classifier.spec, classifier, tape_c, d_logits)
+    grad_feat, d_x = backward(feat.spec, feat, tape_f, d_feats)
+    return loss, grad_feat, grad_cls, d_x
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -203,14 +239,21 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n, c = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise ValueError(f"labels must lie in [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    loss = float(-log_probs[np.arange(n), labels].mean())
+    # Row reductions column by column.  A row max is exact in any order, and
+    # numpy sums fewer than 8 values per row left to right, as this does.
+    if c < 8:
+        shifted = logits - reduce(np.maximum, logits.T)[:, None]
+        total = reduce(np.add, np.exp(shifted).T)
+    else:
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        total = np.exp(shifted).sum(axis=1)
+    log_probs = shifted - np.log(total)[:, None]
+    rows = np.arange(n)
+    loss = -float(np.add.reduce(log_probs[rows, labels]) / n)  # .mean(), without its wrapper
     d_logits = np.exp(log_probs)
-    d_logits[np.arange(n), labels] -= 1.0
+    d_logits[rows, labels] -= 1.0
     d_logits /= n
     return loss, d_logits
 
@@ -243,18 +286,28 @@ def adam_step(
     parameters bitwise unchanged.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    if not np.isfinite(grad).all():
+    # a finite sum rules out non-finite entries; an overflowing one does not
+    # prove them, so only then scan every entry
+    if not np.isfinite(np.add.reduce(grad)) and not np.isfinite(grad).all():
         bad = int(np.count_nonzero(~np.isfinite(grad)))
         raise TrainingDiverged(f"{bad} non-finite gradient entries at step {state.t + 1}")
     state.t += 1
     m, v = state.m, state.v
-    # in place, with the rounding of beta * m + (1 - beta) * grad [* grad]
+    # in place through one scratch buffer, with the rounding of
+    # beta * m + (1 - beta) * grad [* grad] and lr * m_hat / (sqrt(v_hat) + eps)
+    buf = np.multiply(grad, 1.0 - state.beta1)
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    m += buf
+    np.multiply(grad, 1.0 - state.beta2, out=buf)
+    buf *= grad
     v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    step = effective_lr * (m / (1.0 - state.beta1**state.t))
-    step /= np.sqrt(v / (1.0 - state.beta2**state.t)) + state.eps
+    v += buf
+    step = m / (1.0 - state.beta1**state.t)
+    step *= effective_lr
+    np.divide(v, 1.0 - state.beta2**state.t, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += state.eps
+    step /= buf
     flat -= step
     return flat, state
 

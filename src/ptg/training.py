@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import cov_dropout, coefficient_of_variation, map_mean, moment_match
+from .aggregate import cov_dropout, mean_and_cov, moment_match
 from .datasets import DomainDataset
-from .nets import AdamState, NetworkSpec, WeightSet, adam_step, backward, cross_entropy, forward, init_weights, softmax
+from .nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
 from .seeding import stream
 from .variational import (
     GaussianVariational,
@@ -263,16 +263,13 @@ def _map_loss(
 ) -> tuple[float, np.ndarray, WeightSet]:
     """Cross-entropy plus l2_weight * ||w - prior.mean||^2 / (2 prior.std^2)
     on the featurizer; returns (loss, flat featurizer grad, classifier grad)."""
-    x, y = batch
-    feats, tape_f = forward(feat.spec, feat, x)
-    logits, tape_c = forward(classifier.spec, classifier, feats)
-    ce, d_logits = cross_entropy(logits, y)
-    grad_cls, d_feats = backward(classifier.spec, classifier, tape_c, d_logits)
-    grad_feat, _ = backward(feat.spec, feat, tape_f, d_feats)
+    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, classifier, *batch)
     centered = feat.flat - prior.mean
     s2 = prior.std**2
-    loss = ce + l2_weight * float((centered**2).sum()) / (2.0 * s2)
-    g = grad_feat.flat + l2_weight * centered / s2
+    loss = ce + l2_weight * float(np.add.reduce(centered * centered)) / (2.0 * s2)
+    g = np.multiply(centered, l2_weight, out=centered)
+    g /= s2
+    g += grad_feat.flat
     return loss, g, grad_cls
 
 
@@ -291,6 +288,8 @@ def erm_train(
     domains = _check_domains(domains, minimum=1)
     if init is None:
         feat, cls = init_pair(feat_spec, cls_spec, config.seed)
+    elif init[0].spec != feat_spec or init[1].spec != cls_spec:
+        raise ValueError("init weights were built for a different spec")
     else:
         feat, cls = init[0].copy(), init[1].copy()
     x, y = _merged(domains)
@@ -299,12 +298,7 @@ def erm_train(
     st_c = AdamState.zeros(cls_spec.param_count, config.base_lr)
     history = []
     for step in range(config.erm_steps):
-        bx, by = batches.next_batch()
-        feats, tape_f = forward(feat_spec, feat, bx)
-        logits, tape_c = forward(cls_spec, cls, feats)
-        ce, d_logits = cross_entropy(logits, by)
-        grad_cls, d_feats = backward(cls_spec, cls, tape_c, d_logits)
-        grad_feat, _ = backward(feat_spec, feat, tape_f, d_feats)
+        ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batches.next_batch())
         adam_step(feat.flat, grad_feat.flat, st_f, config.base_lr)
         adam_step(cls.flat, grad_cls.flat, st_c, config.base_lr)
         history.append({"iteration": step, "merged_loss": ce})
@@ -454,9 +448,7 @@ def ptg_lite_train(
             adam_step(per_w[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
-        models = [per_w[i] for i in ids]
-        cov = coefficient_of_variation(models)
-        f0, report = cov_dropout(map_mean(models), cov, config.beta)
+        f0, report = cov_dropout(*mean_and_cov([per_w[i] for i in ids]), config.beta)
         if inspect is not None:
             inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import NetworkSpec, WeightSet, backward, cross_entropy, finite_params, forward
+from .nets import NetworkSpec, WeightSet, finite_params, loss_and_gradients
 
 
 def softplus(rho: np.ndarray) -> np.ndarray:
@@ -21,13 +21,11 @@ def softplus(rho: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), through e^-|x| so neither sign overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softplus_inv(y) -> np.ndarray:
@@ -131,12 +129,33 @@ def init_from_deterministic(ws: WeightSet, sigma0: float = 0.01) -> GaussianVari
     return GaussianVariational(ws.spec, ws.flat, rho)
 
 
-def sample_weights(q: GaussianVariational, eps: np.ndarray) -> WeightSet:
-    """Reparameterized draw omega = mu + sigma * eps as a WeightSet."""
+def _checked_eps(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != q.mu.shape:
         raise ValueError(f"eps must have shape {q.mu.shape}, got {eps.shape}")
-    return WeightSet.wrap(q.spec, q.mu + q.sigma * eps)
+    return eps
+
+
+def sample_weights(q: GaussianVariational, eps: np.ndarray) -> WeightSet:
+    """Reparameterized draw omega = mu + sigma * eps as a WeightSet."""
+    return WeightSet.wrap(q.spec, q.mu + q.sigma * _checked_eps(q, eps))
+
+
+def _kl(mu: np.ndarray, sigma: np.ndarray, prior: PriorSpec) -> float:
+    s = prior.std
+    terms = np.log(s / sigma) + (sigma**2 + (mu - prior.mean) ** 2) / (2.0 * s**2) - 0.5
+    return float(terms.sum())
+
+
+def _kl_grad(mu: np.ndarray, sigma: np.ndarray, sig_rho: np.ndarray, prior: PriorSpec) -> np.ndarray:
+    """Packed [d KL / d mu | d KL / d rho]; sig_rho is sigmoid(rho)."""
+    n = mu.size
+    s2 = prior.std**2
+    out = np.empty(2 * n)
+    np.divide(mu - prior.mean, s2, out=out[:n])
+    d_sigma = sigma / s2 - 1.0 / sigma
+    np.multiply(d_sigma, sig_rho, out=out[n:])
+    return out
 
 
 def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float:
@@ -145,19 +164,14 @@ def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float
     Per coordinate: log(s/sigma) + (sigma^2 + (mu - m)^2) / (2 s^2) - 1/2.
     Exactly zero when q equals the prior.
     """
-    sigma = q.sigma
-    s = prior.std
-    terms = np.log(s / sigma) + (sigma**2 + (q.mu - prior.mean) ** 2) / (2.0 * s**2) - 0.5
-    return float(terms.sum())
+    return _kl(q.mu, q.sigma, prior)
 
 
 def kl_gradients(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> tuple[np.ndarray, np.ndarray]:
     """d KL / d mu and d KL / d rho (the rho chain rule carries sigmoid(rho))."""
-    sigma = q.sigma
-    s2 = prior.std**2
-    d_mu = (q.mu - prior.mean) / s2
-    d_sigma = sigma / s2 - 1.0 / sigma
-    return d_mu, d_sigma * sigmoid(q.rho)
+    g = _kl_grad(q.mu, q.sigma, sigmoid(q.rho), prior)
+    n = q.mu.size
+    return g[:n], g[n:]
 
 
 @dataclass
@@ -191,26 +205,30 @@ def elbo_loss(
     classifier; gradients flow to (mu, rho) through the reparameterization
     (d omega / d mu = 1, d omega / d rho = eps * sigmoid(rho)) and to the
     classifier weights directly.  batch=None drops the likelihood term, in
-    which case the loss is kl_weight * KL alone.
+    which case the loss is kl_weight * KL alone.  softplus(rho) and
+    sigmoid(rho) are computed once and shared by the sample, the KL and both
+    gradients.
     """
     if kl_weight < 0:
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
-    feat_ws = sample_weights(q, eps)
-    kl = kl_to_prior(q, prior)
-    kl_grad = kl_weight * np.concatenate(kl_gradients(q, prior))
+    eps = _checked_eps(q, eps)
+    sigma = softplus(q.rho)
+    sig_rho = sigmoid(q.rho)
+    kl = _kl(q.mu, sigma, prior)
+    grad_theta = _kl_grad(q.mu, sigma, sig_rho, prior)
+    grad_theta *= kl_weight
     if batch is None:
         zero_cls = WeightSet.wrap(classifier.spec, np.zeros(classifier.spec.param_count))
-        return ElboResult(kl_weight * kl, 0.0, kl, kl_grad, zero_cls)
+        return ElboResult(kl_weight * kl, 0.0, kl, grad_theta, zero_cls)
     x, y = batch
-    feats, tape_f = forward(q.spec, feat_ws, x)
-    logits, tape_c = forward(classifier.spec, classifier, feats)
-    ce, d_logits = cross_entropy(logits, y)
-    grad_cls, d_feats = backward(classifier.spec, classifier, tape_c, d_logits)
-    grad_feat, _ = backward(q.spec, feat_ws, tape_f, d_feats)
+    feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
+    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y)
     g_omega = grad_feat.flat
-    eps = np.asarray(eps, dtype=np.float64)
-    grad_theta = np.concatenate([g_omega, g_omega * eps * sigmoid(q.rho)])
-    grad_theta += kl_grad
+    n = g_omega.size
+    grad_theta[:n] += g_omega
+    g_rho = g_omega * eps
+    g_rho *= sig_rho
+    grad_theta[n:] += g_rho
     return ElboResult(ce + kl_weight * kl, ce, kl, grad_theta, grad_cls)
 
 

@@ -5,15 +5,18 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ptg.cli
 import ptg.training
 from ptg.cli import main
 from ptg.datasets import DomainSpec, load_dataset_csv
-from ptg.harness import ExperimentConfig, read_results_csv, save_config
-from ptg.training import TrainConfig, ptg_lite_train
+from ptg.harness import ExperimentConfig, _prepare_split, load_config, read_results_csv, save_config
+from ptg.nets import load_weights
+from ptg.training import TrainConfig, ptg_lite_train, train_algorithm
 
 
 @pytest.fixture()
@@ -59,6 +62,28 @@ class TestTrain:
         assert "layers" in payload
         assert (out / "classifier.json").exists()
         assert (out / "training_log.csv").read_text().startswith("iteration,")
+
+    def test_erm_trains_on_the_benchmark_split(self, config_path, tmp_path):
+        # the model `ptg run` scores: repetition 0's standardized training splits
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_path, "--algorithm", "erm", "--out", str(out)]) == 0
+        config = load_config(config_path)
+        trains, _, _ = _prepare_split(config, "c", 0)
+        feat, cls, _ = train_algorithm("erm", trains, *config.network_specs(), config.train)
+        saved = load_weights(out / "featurizer.json")
+        np.testing.assert_array_equal(saved.flat.view(np.uint64), feat.flat.view(np.uint64))
+        saved = load_weights(out / "classifier.json")
+        np.testing.assert_array_equal(saved.flat.view(np.uint64), cls.flat.view(np.uint64))
+
+    @pytest.mark.parametrize("held_out", ["nope", None])
+    def test_needs_a_held_out_domain(self, config_path, tmp_path, held_out):
+        if held_out is None:
+            config = replace(load_config(config_path), test_domain=None)
+            save_config(tmp_path / "l1o.json", config)
+            argv = ["train", "--config", str(tmp_path / "l1o.json")]
+        else:
+            argv = ["train", "--config", config_path, "--test-domain", held_out]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
 
     def test_ptg_saves_posterior(self, config_path, tmp_path):
         out = tmp_path / "run"

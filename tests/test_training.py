@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ptg.training
 from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, moment_match
 from ptg.datasets import DomainSpec, gen_spurious_blobs
 from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, softmax
@@ -412,3 +413,43 @@ class TestFlatCore:
                 ptg_lite_train(domains, feat0, cls0, cfg)
             seen.append({k: counts[k] - before[k] for k in counts})
         assert seen[0] == seen[1]
+
+
+class TestHotPathCallCounts:
+    """One train_algorithm call makes its hot-path calls in closed form.
+
+    With e, b and o the erm, bayes and outer step counts and D training
+    domains: elbo_loss = b + o(D+1) and adam_step = 2e + 2b + o(D+2) for ptg,
+    one moment_match (ptg) or cov_dropout (ptg_lite) per outer iteration.  A
+    refactor that batches domains or adds a step changes these counts.
+    """
+
+    NAMES = ("elbo_loss", "adam_step", "moment_match", "cov_dropout")
+
+    @staticmethod
+    def expected(algorithm, d, cfg):
+        e, b, o = cfg.erm_steps, cfg.bayes_steps, cfg.outer_iterations
+        bayes = algorithm in ("erm_bayesian", "ptg")
+        return {
+            "elbo_loss": (b if bayes else 0) + (o * (d + 1) if algorithm == "ptg" else 0),
+            "adam_step": 2 * e + (2 * b if bayes else 0)
+            + (o * (d + 2) if algorithm in ("ptg", "ptg_lite") else 0),
+            "moment_match": o if algorithm == "ptg" else 0,
+            "cov_dropout": o if algorithm == "ptg_lite" else 0,
+        }
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_counts_match_closed_form(self, monkeypatch, algorithm):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            original = getattr(ptg.training, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ptg.training, name, counted)
+        domains = make_domains(n_per=60, seed=3)
+        cfg = TrainConfig(outer_iterations=4, erm_steps=3, bayes_steps=5, batch_size=16, seed=3)
+        train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, cfg)
+        assert counts == self.expected(algorithm, len(domains), cfg)
