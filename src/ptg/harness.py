@@ -288,18 +288,21 @@ def _inner_holdout_score(
     return float(np.mean(scores))
 
 
+def _held_out(config: ExperimentConfig) -> list[str]:
+    """Every domain in turn for leave-one-out, else the one named test domain."""
+    if config.test_domain is None:
+        return [d.domain_id for d in config.domains]
+    return [config.test_domain]
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> list[ResultRow]:
     """All rows for the configured protocol, sorted canonically.
 
     Full leave-one-out when test_domain is None, otherwise the single named
     held-out domain.  progress, if given, is called with each finished row.
     """
-    if config.test_domain is None:
-        held_out = [d.domain_id for d in config.domains]
-    else:
-        held_out = [config.test_domain]
     rows = []
-    for test_domain in held_out:
+    for test_domain in _held_out(config):
         for rep in range(config.n_seeds):
             trains, vals, test = _prepare_split(config, test_domain, rep)
             for algorithm in config.algorithms:
@@ -356,12 +359,9 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
         if k in table:
             raise ValueError(f"duplicate result row for {k}")
         table[k] = r
-    held_out = (
-        [d.domain_id for d in config.domains] if config.test_domain is None else [config.test_domain]
-    )
     out = []
     for algorithm in config.algorithms:
-        for test_domain in held_out:
+        for test_domain in _held_out(config):
             best = None
             for alpha, beta in grid_for(algorithm, config):
                 vals, tests = [], []

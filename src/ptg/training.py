@@ -136,29 +136,14 @@ class MinibatchStream:
         return self.x[idx], self.y[idx]
 
 
-def _auto_kl_weight(config: TrainConfig, stream_: MinibatchStream) -> float:
+def _auto_kl_weight(config: TrainConfig, *streams: MinibatchStream) -> float:
+    """config.kl_weight, or one over the number of minibatches per epoch of the
+    data a step sees.  Several streams describe a merged step: their pooled rows
+    over the rows of one batch drawn from each."""
     if config.kl_weight is not None:
         return config.kl_weight
-    return 1.0 / stream_.batches_per_epoch
-
-
-def _merged_batch(drawn: list[tuple], n_total: int, config: TrainConfig) -> tuple[tuple, float]:
-    """One iteration's per-domain minibatches as the merged batch, with its KL
-    weight: one over the number of such batches in the pooled data."""
-    x = np.concatenate([b[0] for b in drawn], axis=0)
-    y = np.concatenate([b[1] for b in drawn], axis=0)
-    if config.kl_weight is not None:
-        return (x, y), config.kl_weight
-    return (x, y), 1.0 / max(1, n_total // x.shape[0])
-
-
-def _merged(domains: Sequence[DomainDataset]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate in sorted-domain_id order so the result ignores input order."""
-    ordered = sorted(domains, key=lambda d: d.domain_id)
-    return (
-        np.concatenate([d.x for d in ordered], axis=0),
-        np.concatenate([d.y for d in ordered], axis=0),
-    )
+    rows = sum(s.n for s in streams)
+    return 1.0 / max(1, rows // sum(s.batch_size for s in streams))
 
 
 def _check_domains(domains: Sequence[DomainDataset], minimum: int) -> list[DomainDataset]:
@@ -273,6 +258,68 @@ def _map_loss(
     return loss, g, grad_cls
 
 
+def _params(model: GaussianVariational | WeightSet) -> np.ndarray:
+    """The flat vector Adam steps in place: theta of a posterior, flat of a
+    point estimate."""
+    return model.theta if isinstance(model, GaussianVariational) else model.flat
+
+
+def _ce_step(config: TrainConfig, key: str) -> Callable:
+    """Plain cross-entropy; no KL term, so kl is None and no kl column."""
+    def step(feat, cls, batch, kl_weight):
+        ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
+        return ce, grad_feat.flat, grad_cls.flat, None
+    return step
+
+
+def _elbo_step(config: TrainConfig, key: str) -> Callable:
+    """One reparameterized ELBO evaluation per call, eps drawn from the
+    (seed, "eps", key) stream; key is a domain id or "merged"."""
+    eps_rng = stream(config.seed, "eps", key)
+    def step(q, cls, batch, kl_weight):
+        eps = eps_rng.standard_normal(q.mu.shape[0])
+        res = elbo_loss(q, cls, batch, kl_weight, eps, config.prior)
+        return res.loss, res.grad_theta, res.grad_classifier.flat, res.kl
+    return step
+
+
+def _map_step(config: TrainConfig, key: str) -> Callable:
+    """_map_loss with the KL weight as its L2 weight; deterministic."""
+    def step(feat, cls, batch, l2_weight):
+        loss, g_feat, g_cls = _map_loss(feat, cls, batch, l2_weight, config.prior)
+        return loss, g_feat, g_cls.flat, 0.0
+    return step
+
+
+def _pooled_loop(domains, feat, cls, config, steps: int, make_step):
+    """steps Adam steps at base_lr on (feat, cls), in place, over minibatches
+    of the pooled domains; returns (feat, cls, history).
+
+    make_step(config, key) returns step(model, classifier, batch, kl_weight)
+    -> (loss, model grad, classifier grad, kl); key names the stream a
+    stochastic step draws from, "merged" here and a domain id per domain.
+    """
+    domains = _check_domains(domains, minimum=1)  # sorted by id: input order is irrelevant
+    x = np.concatenate([d.x for d in domains], axis=0)
+    y = np.concatenate([d.y for d in domains], axis=0)
+    batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
+    step_fn = make_step(config, "merged")
+    klw = _auto_kl_weight(config, batches)
+    theta = _params(feat)
+    st_f = AdamState.zeros(theta.size, config.base_lr)
+    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    history = []
+    for it in range(steps):
+        loss, g_feat, g_cls, kl = step_fn(feat, cls, batches.next_batch(), klw)
+        adam_step(theta, g_feat, st_f, config.base_lr)
+        adam_step(cls.flat, g_cls, st_c, config.base_lr)
+        row = {"iteration": it, "merged_loss": loss}
+        if kl is not None:
+            row["kl"] = kl
+        history.append(row)
+    return feat, cls, history
+
+
 def erm_train(
     domains: Sequence[DomainDataset],
     feat_spec: NetworkSpec,
@@ -285,24 +332,13 @@ def erm_train(
     erm_steps = 0 returns the initialization unchanged (useful both as a
     contract and to produce a shared init for the other procedures).
     """
-    domains = _check_domains(domains, minimum=1)
     if init is None:
         feat, cls = init_pair(feat_spec, cls_spec, config.seed)
     elif init[0].spec != feat_spec or init[1].spec != cls_spec:
         raise ValueError("init weights were built for a different spec")
     else:
         feat, cls = init[0].copy(), init[1].copy()
-    x, y = _merged(domains)
-    batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
-    st_f = AdamState.zeros(feat_spec.param_count, config.base_lr)
-    st_c = AdamState.zeros(cls_spec.param_count, config.base_lr)
-    history = []
-    for step in range(config.erm_steps):
-        ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batches.next_batch())
-        adam_step(feat.flat, grad_feat.flat, st_f, config.base_lr)
-        adam_step(cls.flat, grad_cls.flat, st_c, config.base_lr)
-        history.append({"iteration": step, "merged_loss": ce})
-    return feat, cls, history
+    return _pooled_loop(domains, feat, cls, config, config.erm_steps, _ce_step)
 
 
 def erm_bayesian_train(
@@ -317,25 +353,72 @@ def erm_bayesian_train(
     takes the reparameterized gradient of kl_weight * KL + cross-entropy, and
     updates (mu, rho) and the classifier with Adam at base_lr.
     """
-    domains = _check_domains(domains, minimum=1)
     q = init_from_deterministic(init_feat, config.sigma0)
+    return _pooled_loop(domains, q, init_cls.copy(), config, config.bayes_steps, _elbo_step)
+
+
+def _match_posteriors(models: list[GaussianVariational], config: TrainConfig):
+    """ptg's aggregate: the moment-matched posterior, nothing dropped."""
+    return moment_match(models).q0, None, 0
+
+
+def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
+    """ptg_lite's aggregate: the coordinate mean with high-CoV coordinates
+    zeroed, the dropped mask and its count."""
+    f0, report = cov_dropout(*mean_and_cov(models), config.beta)
+    return f0, ~report.kept_mask, report.dropped_count
+
+
+def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate, inspect):
+    """The outer loop of ptg and ptg_lite (see ptg_train); make_step is as in
+    _pooled_loop, and aggregate(models, config) returns (shared model, mask of
+    the coordinates it dropped or None, their count)."""
+    domains = _check_domains(domains, minimum=2)
+    ids = [d.domain_id for d in domains]
+    per = {i: init_feat.copy() for i in ids}
     cls = init_cls.copy()
-    x, y = _merged(domains)
-    batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
-    eps_rng = stream(config.seed, "eps", "merged")
-    klw = _auto_kl_weight(config, batches)
-    n_params = q.mu.shape[0]
-    st_q = AdamState.zeros(2 * n_params, config.base_lr)
+    lr = config.alpha * config.base_lr
+    batch_streams = {
+        i: MinibatchStream(d.x, d.y, config.batch_size, stream(config.seed, "batches", i))
+        for i, d in zip(ids, domains)
+    }
+    steps = {i: make_step(config, i) for i in ids}
+    klw = {i: _auto_kl_weight(config, batch_streams[i]) for i in ids}
+    merged_step = make_step(config, "merged")
+    klw_m = _auto_kl_weight(config, *batch_streams.values())
+    size = _params(init_feat).size
+    states = {i: AdamState.zeros(size, config.base_lr) for i in ids}
+    st_0 = AdamState.zeros(size, config.base_lr)
     st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
     history = []
-    for step in range(config.bayes_steps):
-        batch = batches.next_batch()
-        eps = eps_rng.standard_normal(n_params)
-        res = elbo_loss(q, cls, batch, klw, eps, config.prior)
-        adam_step(q.theta, res.grad_theta, st_q, config.base_lr)
-        adam_step(cls.flat, res.grad_classifier.flat, st_c, config.base_lr)
-        history.append({"iteration": step, "merged_loss": res.loss, "kl": res.kl})
-    return q, cls, history
+    for it in range(config.outer_iterations):
+        row = {"iteration": it}
+        drawn = []
+        for i in ids:
+            batch = batch_streams[i].next_batch()
+            drawn.append(batch)
+            loss, g_feat, _, _ = steps[i](per[i], cls, batch, klw[i])
+            adam_step(_params(per[i]), g_feat, states[i], lr)
+            row[f"loss_{i}"] = loss
+
+        f0, dropped, dropped_count = aggregate([per[i] for i in ids], config)
+        if inspect is not None:
+            inspect(it, f0.copy(), {i: per[i].copy() for i in ids})
+
+        merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
+        loss, g_feat, g_cls, kl = merged_step(f0, cls, merged, klw_m)
+        theta = _params(f0)
+        # dropped stays dropped this iteration: no gradient, and no drift from
+        # stale Adam momentum either
+        if dropped is not None:
+            g_feat[dropped] = 0.0
+        adam_step(theta, g_feat, st_0, lr)
+        if dropped is not None:
+            theta[dropped] = 0.0
+        adam_step(cls.flat, g_cls, st_c, lr)
+        row.update(kl=kl, merged_loss=loss, dropped_count=dropped_count)
+        history.append(row)
+    return FeaturizerBank(f0, per, cls), history
 
 
 def ptg_train(
@@ -356,50 +439,7 @@ def ptg_train(
     per-domain posteriors) right after (b), before the merged step touches
     anything.
     """
-    domains = _check_domains(domains, minimum=2)
-    ids = [d.domain_id for d in domains]
-    per_q = {i: init_q.copy() for i in ids}
-    cls = init_cls.copy()
-    n_params = init_q.mu.shape[0]
-    lr = config.alpha * config.base_lr
-
-    batch_streams, eps_rngs, klw = {}, {}, {}
-    for d in domains:
-        batch_streams[d.domain_id] = MinibatchStream(
-            d.x, d.y, config.batch_size, stream(config.seed, "batches", d.domain_id)
-        )
-        eps_rngs[d.domain_id] = stream(config.seed, "eps", d.domain_id)
-        klw[d.domain_id] = _auto_kl_weight(config, batch_streams[d.domain_id])
-    merged_eps = stream(config.seed, "eps", "merged")
-    n_total = sum(d.n_samples for d in domains)
-
-    states = {i: AdamState.zeros(2 * n_params, config.base_lr) for i in ids}
-    st_0 = AdamState.zeros(2 * n_params, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
-    history = []
-    for it in range(config.outer_iterations):
-        row = {"iteration": it}
-        drawn = []
-        for i in ids:
-            batch = batch_streams[i].next_batch()
-            drawn.append(batch)
-            eps = eps_rngs[i].standard_normal(n_params)
-            res = elbo_loss(per_q[i], cls, batch, klw[i], eps, config.prior)
-            adam_step(per_q[i].theta, res.grad_theta, states[i], lr)
-            row[f"loss_{i}"] = res.loss
-
-        q0 = moment_match([per_q[i] for i in ids]).q0
-        if inspect is not None:
-            inspect(it, q0.copy(), {i: per_q[i].copy() for i in ids})
-
-        merged, klw_m = _merged_batch(drawn, n_total, config)
-        eps = merged_eps.standard_normal(n_params)
-        res = elbo_loss(q0, cls, merged, klw_m, eps, config.prior)
-        adam_step(q0.theta, res.grad_theta, st_0, lr)
-        adam_step(cls.flat, res.grad_classifier.flat, st_c, lr)
-        row.update(kl=res.kl, merged_loss=res.loss, dropped_count=0)
-        history.append(row)
-    return FeaturizerBank(q0, dict(per_q), cls), history
+    return _aggregation_loop(domains, init_q, init_cls, config, _elbo_step, _match_posteriors, inspect)
 
 
 def ptg_lite_train(
@@ -419,50 +459,8 @@ def ptg_lite_train(
     on (shared featurizer, classifier) cannot resurrect it; the mask is
     recomputed at the next aggregation.
     """
-    domains = _check_domains(domains, minimum=2)
-    ids = [d.domain_id for d in domains]
-    feat_spec = init_feat.spec
-    per_w = {i: init_feat.copy() for i in ids}
-    cls = init_cls.copy()
-    lr = config.alpha * config.base_lr
-
-    batch_streams, klw = {}, {}
-    for d in domains:
-        batch_streams[d.domain_id] = MinibatchStream(
-            d.x, d.y, config.batch_size, stream(config.seed, "batches", d.domain_id)
-        )
-        klw[d.domain_id] = _auto_kl_weight(config, batch_streams[d.domain_id])
-    n_total = sum(d.n_samples for d in domains)
-
-    states = {i: AdamState.zeros(feat_spec.param_count, config.base_lr) for i in ids}
-    st_0 = AdamState.zeros(feat_spec.param_count, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
-    history = []
-    for it in range(config.outer_iterations):
-        row = {"iteration": it}
-        drawn = []
-        for i in ids:
-            batch = batch_streams[i].next_batch()
-            drawn.append(batch)
-            loss, g_feat, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior)
-            adam_step(per_w[i].flat, g_feat, states[i], lr)
-            row[f"loss_{i}"] = loss
-
-        f0, report = cov_dropout(*mean_and_cov([per_w[i] for i in ids]), config.beta)
-        if inspect is not None:
-            inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
-
-        merged, klw_m = _merged_batch(drawn, n_total, config)
-        loss, g_feat, g_cls = _map_loss(f0, cls, merged, klw_m, config.prior)
-        # dropped stays dropped this iteration: no gradient, and no drift from
-        # stale Adam momentum either
-        g_feat[~report.kept_mask] = 0.0
-        adam_step(f0.flat, g_feat, st_0, lr)
-        f0.flat[~report.kept_mask] = 0.0
-        adam_step(cls.flat, g_cls.flat, st_c, lr)
-        row.update(kl=0.0, merged_loss=loss, dropped_count=report.dropped_count)
-        history.append(row)
-    return FeaturizerBank(f0, dict(per_w), cls), history
+    return _aggregation_loop(domains, init_feat, init_cls, config, _map_step,
+                             _mask_point_estimates, inspect)
 
 
 ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from ptg.harness import (
     write_training_log,
 )
 from ptg.training import TrainConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -94,6 +97,9 @@ class TestExperimentConfig:
         assert len(cfg.domains) == 4
         assert cfg.alpha_grid == DEFAULT_ALPHA_GRID
         assert cfg.beta_grid == DEFAULT_BETA_GRID
+
+    def test_shipped_config_is_the_default_benchmark(self):
+        assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()
 
 
 class TestGrid:

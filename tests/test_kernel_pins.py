@@ -1,15 +1,16 @@
-"""Bitwise pins of the hot-path kernels against copies of their earlier code.
+"""Bitwise pins of the hot-path kernels and training loops against copies of
+their earlier code.
 
-Each rewritten kernel must give the same bits as the plain composition it
-replaced: results, checkpoints and benchmark fingerprints all rest on that.
-The references below are the earlier implementations, kept verbatim.
+Each rewritten kernel or loop must give the same bits as the code it replaced:
+results, checkpoints and benchmark fingerprints all rest on that.  The
+references below are the earlier implementations, kept verbatim.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ptg.aggregate import coefficient_of_variation, map_mean, mean_and_cov
+from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
 from ptg.nets import (
     AdamState,
     ForwardTape,
@@ -23,7 +24,28 @@ from ptg.nets import (
     init_weights,
     loss_and_gradients,
 )
-from ptg.variational import GaussianVariational, PriorSpec, elbo_loss, sigmoid, softplus
+from ptg.datasets import DomainSpec, gen_spurious_blobs
+from ptg.seeding import stream
+from ptg.training import (
+    FeaturizerBank,
+    MinibatchStream,
+    TrainConfig,
+    _check_domains,
+    _map_loss,
+    erm_bayesian_train,
+    erm_train,
+    init_pair,
+    ptg_lite_train,
+    ptg_train,
+)
+from ptg.variational import (
+    GaussianVariational,
+    PriorSpec,
+    elbo_loss,
+    init_from_deterministic,
+    sigmoid,
+    softplus,
+)
 
 
 def ref_sigmoid(x):
@@ -298,3 +320,248 @@ class TestMeanAndCov:
             assert_bits(mean.flat, map_mean(models).flat)
             assert_bits(cov, ref_cov(stack))
             assert_bits(cov, coefficient_of_variation(models))
+
+
+# The four training procedures as they were before erm/erm_bayesian and
+# ptg/ptg_lite were each merged into one loop: bodies verbatim, with the
+# private helpers they called copied alongside under ref_ names.
+
+
+def ref_auto_kl_weight(config, stream_):
+    if config.kl_weight is not None:
+        return config.kl_weight
+    return 1.0 / stream_.batches_per_epoch
+
+
+def ref_merged_batch(drawn, n_total, config):
+    x = np.concatenate([b[0] for b in drawn], axis=0)
+    y = np.concatenate([b[1] for b in drawn], axis=0)
+    if config.kl_weight is not None:
+        return (x, y), config.kl_weight
+    return (x, y), 1.0 / max(1, n_total // x.shape[0])
+
+
+def ref_merged(domains):
+    ordered = sorted(domains, key=lambda d: d.domain_id)
+    return (
+        np.concatenate([d.x for d in ordered], axis=0),
+        np.concatenate([d.y for d in ordered], axis=0),
+    )
+
+
+def ref_erm_train(domains, feat_spec, cls_spec, config, init=None):
+    domains = _check_domains(domains, minimum=1)
+    if init is None:
+        feat, cls = init_pair(feat_spec, cls_spec, config.seed)
+    elif init[0].spec != feat_spec or init[1].spec != cls_spec:
+        raise ValueError("init weights were built for a different spec")
+    else:
+        feat, cls = init[0].copy(), init[1].copy()
+    x, y = ref_merged(domains)
+    batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
+    st_f = AdamState.zeros(feat_spec.param_count, config.base_lr)
+    st_c = AdamState.zeros(cls_spec.param_count, config.base_lr)
+    history = []
+    for step in range(config.erm_steps):
+        ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batches.next_batch())
+        adam_step(feat.flat, grad_feat.flat, st_f, config.base_lr)
+        adam_step(cls.flat, grad_cls.flat, st_c, config.base_lr)
+        history.append({"iteration": step, "merged_loss": ce})
+    return feat, cls, history
+
+
+def ref_erm_bayesian_train(domains, init_feat, init_cls, config):
+    domains = _check_domains(domains, minimum=1)
+    q = init_from_deterministic(init_feat, config.sigma0)
+    cls = init_cls.copy()
+    x, y = ref_merged(domains)
+    batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
+    eps_rng = stream(config.seed, "eps", "merged")
+    klw = ref_auto_kl_weight(config, batches)
+    n_params = q.mu.shape[0]
+    st_q = AdamState.zeros(2 * n_params, config.base_lr)
+    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    history = []
+    for step in range(config.bayes_steps):
+        batch = batches.next_batch()
+        eps = eps_rng.standard_normal(n_params)
+        res = elbo_loss(q, cls, batch, klw, eps, config.prior)
+        adam_step(q.theta, res.grad_theta, st_q, config.base_lr)
+        adam_step(cls.flat, res.grad_classifier.flat, st_c, config.base_lr)
+        history.append({"iteration": step, "merged_loss": res.loss, "kl": res.kl})
+    return q, cls, history
+
+
+def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
+    domains = _check_domains(domains, minimum=2)
+    ids = [d.domain_id for d in domains]
+    per_q = {i: init_q.copy() for i in ids}
+    cls = init_cls.copy()
+    n_params = init_q.mu.shape[0]
+    lr = config.alpha * config.base_lr
+
+    batch_streams, eps_rngs, klw = {}, {}, {}
+    for d in domains:
+        batch_streams[d.domain_id] = MinibatchStream(
+            d.x, d.y, config.batch_size, stream(config.seed, "batches", d.domain_id)
+        )
+        eps_rngs[d.domain_id] = stream(config.seed, "eps", d.domain_id)
+        klw[d.domain_id] = ref_auto_kl_weight(config, batch_streams[d.domain_id])
+    merged_eps = stream(config.seed, "eps", "merged")
+    n_total = sum(d.n_samples for d in domains)
+
+    states = {i: AdamState.zeros(2 * n_params, config.base_lr) for i in ids}
+    st_0 = AdamState.zeros(2 * n_params, config.base_lr)
+    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    history = []
+    for it in range(config.outer_iterations):
+        row = {"iteration": it}
+        drawn = []
+        for i in ids:
+            batch = batch_streams[i].next_batch()
+            drawn.append(batch)
+            eps = eps_rngs[i].standard_normal(n_params)
+            res = elbo_loss(per_q[i], cls, batch, klw[i], eps, config.prior)
+            adam_step(per_q[i].theta, res.grad_theta, states[i], lr)
+            row[f"loss_{i}"] = res.loss
+
+        q0 = moment_match([per_q[i] for i in ids]).q0
+        if inspect is not None:
+            inspect(it, q0.copy(), {i: per_q[i].copy() for i in ids})
+
+        merged, klw_m = ref_merged_batch(drawn, n_total, config)
+        eps = merged_eps.standard_normal(n_params)
+        res = elbo_loss(q0, cls, merged, klw_m, eps, config.prior)
+        adam_step(q0.theta, res.grad_theta, st_0, lr)
+        adam_step(cls.flat, res.grad_classifier.flat, st_c, lr)
+        row.update(kl=res.kl, merged_loss=res.loss, dropped_count=0)
+        history.append(row)
+    return FeaturizerBank(q0, dict(per_q), cls), history
+
+
+def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
+    domains = _check_domains(domains, minimum=2)
+    ids = [d.domain_id for d in domains]
+    feat_spec = init_feat.spec
+    per_w = {i: init_feat.copy() for i in ids}
+    cls = init_cls.copy()
+    lr = config.alpha * config.base_lr
+
+    batch_streams, klw = {}, {}
+    for d in domains:
+        batch_streams[d.domain_id] = MinibatchStream(
+            d.x, d.y, config.batch_size, stream(config.seed, "batches", d.domain_id)
+        )
+        klw[d.domain_id] = ref_auto_kl_weight(config, batch_streams[d.domain_id])
+    n_total = sum(d.n_samples for d in domains)
+
+    states = {i: AdamState.zeros(feat_spec.param_count, config.base_lr) for i in ids}
+    st_0 = AdamState.zeros(feat_spec.param_count, config.base_lr)
+    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    history = []
+    for it in range(config.outer_iterations):
+        row = {"iteration": it}
+        drawn = []
+        for i in ids:
+            batch = batch_streams[i].next_batch()
+            drawn.append(batch)
+            loss, g_feat, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior)
+            adam_step(per_w[i].flat, g_feat, states[i], lr)
+            row[f"loss_{i}"] = loss
+
+        f0, report = cov_dropout(*mean_and_cov([per_w[i] for i in ids]), config.beta)
+        if inspect is not None:
+            inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
+
+        merged, klw_m = ref_merged_batch(drawn, n_total, config)
+        loss, g_feat, g_cls = _map_loss(f0, cls, merged, klw_m, config.prior)
+        # dropped stays dropped this iteration: no gradient, and no drift from
+        # stale Adam momentum either
+        g_feat[~report.kept_mask] = 0.0
+        adam_step(f0.flat, g_feat, st_0, lr)
+        f0.flat[~report.kept_mask] = 0.0
+        adam_step(cls.flat, g_cls.flat, st_c, lr)
+        row.update(kl=0.0, merged_loss=loss, dropped_count=report.dropped_count)
+        history.append(row)
+    return FeaturizerBank(f0, dict(per_w), cls), history
+
+
+LOOP_FEAT, LOOP_CLS = NetworkSpec((4, 8, 4)), NetworkSpec((4, 2))
+
+
+def model_bits(model):
+    flat = model.theta if isinstance(model, GaussianVariational) else model.flat
+    return type(model), flat.tobytes()
+
+
+def history_bits(history):
+    """Keys in order, and each value's type and exact repr."""
+    return [[(k, type(v), repr(v)) for k, v in row.items()] for row in history]
+
+
+def bank_bits(bank):
+    return (
+        model_bits(bank.f0),
+        [(i, model_bits(m)) for i, m in bank.per_domain.items()],
+        model_bits(bank.classifier),
+    )
+
+
+def recorder(seen):
+    def inspect(it, f0, per):
+        seen.append((it, model_bits(f0), [(i, model_bits(m)) for i, m in per.items()]))
+    return inspect
+
+
+@pytest.mark.parametrize("kl_weight", [0.1, None])
+@pytest.mark.parametrize("n_domains", [2, 3])
+class TestMergedLoops:
+    """erm/erm_bayesian and ptg/ptg_lite against the pre-merge loops, bitwise.
+
+    Uneven domain sizes, one smaller than a batch, make the automatic KL
+    weights differ between domains and from the merged one; the domains
+    arrive out of id order.
+    """
+
+    @staticmethod
+    def setup_case(n_domains, kl_weight):
+        specs = [
+            DomainSpec(f"d{i}", n, spurious_correlation=r, noise_std=0.3)
+            for i, (n, r) in enumerate([(70, 0.9), (20, 0.7), (130, 0.8)][:n_domains])
+        ]
+        domains = gen_spurious_blobs(specs, d_inv=2, d_spur=2, seed=n_domains)[::-1]
+        cfg = TrainConfig(
+            outer_iterations=6, alpha=0.5, beta=0.05, base_lr=1e-2, batch_size=32,
+            kl_weight=kl_weight, sigma0=0.05, seed=4, erm_steps=9, bayes_steps=7,
+        )
+        return domains, cfg
+
+    def test_pooled_loops(self, n_domains, kl_weight):
+        domains, cfg = self.setup_case(n_domains, kl_weight)
+        got = erm_train(domains, LOOP_FEAT, LOOP_CLS, cfg)
+        want = ref_erm_train(domains, LOOP_FEAT, LOOP_CLS, cfg)
+        assert [model_bits(m) for m in got[:2]] == [model_bits(m) for m in want[:2]]
+        assert history_bits(got[2]) == history_bits(want[2])
+
+        got = erm_bayesian_train(domains, want[0], want[1], cfg)
+        want = ref_erm_bayesian_train(domains, want[0], want[1], cfg)
+        assert [model_bits(m) for m in got[:2]] == [model_bits(m) for m in want[:2]]
+        assert history_bits(got[2]) == history_bits(want[2])
+
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    def test_aggregation_loops(self, n_domains, kl_weight, algorithm):
+        domains, cfg = self.setup_case(n_domains, kl_weight)
+        feat, cls, _ = ref_erm_train(domains, LOOP_FEAT, LOOP_CLS, cfg)
+        if algorithm == "ptg":
+            new, ref = ptg_train, ref_ptg_train
+            feat, cls, _ = ref_erm_bayesian_train(domains, feat, cls, cfg)
+        else:
+            new, ref = ptg_lite_train, ref_ptg_lite_train
+        seen_new, seen_ref = [], []
+        bank, history = new(domains, feat, cls, cfg, inspect=recorder(seen_new))
+        ref_bank, ref_history = ref(domains, feat, cls, cfg, inspect=recorder(seen_ref))
+        assert bank_bits(bank) == bank_bits(ref_bank)
+        assert history_bits(history) == history_bits(ref_history)
+        assert seen_new == seen_ref and len(seen_new) == cfg.outer_iterations
+        if algorithm == "ptg_lite":  # the mask path is exercised
+            assert any(row["dropped_count"] > 0 for row in history)

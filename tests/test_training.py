@@ -92,6 +92,10 @@ class TestMinibatchStream:
         s = MinibatchStream(x, y, 32, np.random.default_rng(0))
         assert _auto_kl_weight(TrainConfig(), s) == pytest.approx(1 / 3)
         assert _auto_kl_weight(TrainConfig(kl_weight=0.25), s) == 0.25
+        # a merged step: 100 + 50 pooled rows over batches of 32 + 32 rows
+        other = MinibatchStream(x[:50], y[:50], 32, np.random.default_rng(1))
+        assert _auto_kl_weight(TrainConfig(), s, other) == 1 / 2
+        assert _auto_kl_weight(TrainConfig(kl_weight=0.25), s, other) == 0.25
 
 
 class TestPredict:
@@ -168,6 +172,14 @@ class TestErm:
         d = make_domains(n_per=20)[0]
         with pytest.raises(ValueError):
             erm_train([d, d], FEAT_SPEC, CLS_SPEC, TrainConfig(erm_steps=1))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_rejects_init_for_another_spec(self, which):
+        init = list(init_pair(FEAT_SPEC, CLS_SPEC, seed=0))
+        init[which] = init_pair(NetworkSpec((4, 6, 4)), NetworkSpec((4, 3)), seed=0)[which]
+        with pytest.raises(ValueError, match="different spec"):
+            erm_train(make_domains(n_per=20), FEAT_SPEC, CLS_SPEC, TrainConfig(erm_steps=1),
+                      init=tuple(init))
 
 
 class TestBayesianReduction:
