@@ -103,46 +103,39 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _rows_with_outputs(config: ExperimentConfig, out: Path, write_summary: bool) -> int:
+def _write_selection(out: Path, selections) -> str:
+    """Write selection.json and summary.md; returns the summary table."""
+    with open(out / "selection.json", "w") as fh:
+        json.dump(selections_to_json(selections), fh, indent=2)
+    table = summarize(selections)
+    (out / "summary.md").write_text(table)
+    return table
+
+
+def _cmd_rows(args) -> int:
+    """run and sweep: the grid's rows, then the selection and summary when
+    args.write_summary is set."""
+    config = _load(args.config)
+    if args.seed is not None:
+        config = replace(config, base_seed=args.seed)
+    out = _outdir(args.out)
     rows = run_experiment(config, progress=lambda r: print(
         f"  {r.algorithm} test={r.test_domain} seed={r.seed} "
         f"alpha={r.alpha} beta={r.beta} val={r.val_acc} test={r.test_acc}"
     ))
     write_results_csv(out / "results.csv", rows)
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
-    if write_summary:
-        selections = select_model(rows, config)
-        with open(out / "selection.json", "w") as fh:
-            json.dump(selections_to_json(selections), fh, indent=2)
-        (out / "summary.md").write_text(summarize(selections))
+    if args.write_summary:
+        _write_selection(out, select_model(rows, config))
         print(f"wrote {out / 'selection.json'} and {out / 'summary.md'}")
     return 0
-
-
-def _cmd_run(args) -> int:
-    config = _load(args.config)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    return _rows_with_outputs(config, _outdir(args.out), write_summary=True)
-
-
-def _cmd_sweep(args) -> int:
-    config = _load(args.config)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    return _rows_with_outputs(config, _outdir(args.out), write_summary=False)
 
 
 def _cmd_summarize(args) -> int:
     config = _load(args.config)
     rows = read_results_csv(args.results)
     selections = select_model(rows, config)
-    out = _outdir(args.out)
-    with open(out / "selection.json", "w") as fh:
-        json.dump(selections_to_json(selections), fh, indent=2)
-    table = summarize(selections)
-    (out / "summary.md").write_text(table)
-    print(table, end="")
+    print(_write_selection(_outdir(args.out), selections), end="")
     return 0
 
 
@@ -212,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full protocol: sweep, selection, summary")
     common(p, "results")
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_cmd_rows, write_summary=True)
 
     p = sub.add_parser("sweep", help="grid sweep only; writes the raw rows CSV")
     common(p, "results")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_rows, write_summary=False)
 
     p = sub.add_parser("summarize", help="selection and summary table from a rows CSV")
     common(p, "results")

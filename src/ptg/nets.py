@@ -13,6 +13,9 @@ Values the package computed itself are adopted without a copy or a check
 not the very object the weights were built with.  There is one implementation
 of the forward and backward pass: ``loss_and_gradients`` composes the public
 ``forward``, ``cross_entropy`` and ``backward`` for every training loss.
+Gradients are flat float64 vectors in the ``WeightSet`` flat order.  The
+gradient w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``,
+formed only where something reads it.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ class NetworkSpec:
         dims = self.layer_dims
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(self.n_layers))
 
-    @cached_property  # read by every WeightSet.wrap
+    @cached_property  # read by every WeightSet.wrap and backward
     def layer_slices(self) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
         """Per layer: the flat slices of W and b, and the shape of W."""
         out, k = [], 0
@@ -178,11 +181,13 @@ def forward(spec: NetworkSpec, ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray
 
 def backward(
     spec: NetworkSpec, ws: WeightSet, tape: ForwardTape, d_out: np.ndarray
-) -> tuple[WeightSet, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d_out through the recorded tape.
 
-    Returns (gradient WeightSet, gradient w.r.t. the batch input).  The
-    gradient set is written layer by layer into one fresh flat vector.  The
+    Returns (flat parameter gradient, gradient at the first layer's
+    pre-activation).  The parameter gradient is written layer by layer into
+    one fresh vector.  The gradient w.r.t. the batch input is
+    ``dz0 @ ws.weights[0].T``; for a one-layer net dz0 is d_out itself.  The
     ReLU subgradient at exactly zero is taken as zero.
     """
     for other in (tape.spec, ws.spec):
@@ -194,31 +199,33 @@ def backward(
             f"upstream gradient shape {d_out.shape} does not match outputs "
             f"{tape.preacts[-1].shape}; stale tape?"
         )
-    grad = WeightSet.wrap(spec, np.empty(spec.param_count))
+    grad = np.empty(spec.param_count)
     dz = d_out
     for i in range(spec.n_layers - 1, -1, -1):
-        if i < spec.n_layers - 1:
-            dz *= tape.preacts[i] > 0.0  # dz is the fresh product of the layer above
-        np.matmul(tape.inputs[i].T, dz, out=grad.weights[i])
-        np.add.reduce(dz, axis=0, out=grad.biases[i])
-        dz = dz @ ws.weights[i].T
+        w, b, shape = spec.layer_slices[i]
+        np.matmul(tape.inputs[i].T, dz, out=grad[w].reshape(shape))
+        np.add.reduce(dz, axis=0, out=grad[b])
+        if i:
+            dz = dz @ ws.weights[i].T
+            dz *= tape.preacts[i - 1] > 0.0  # dz is the fresh product, never d_out
     return grad, dz
 
 
 def loss_and_gradients(
     feat: WeightSet, classifier: WeightSet, x: np.ndarray, y: np.ndarray
-) -> tuple[float, WeightSet, WeightSet, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Cross-entropy of classifier(feat(x)) against labels y, with gradients.
 
-    Returns (loss, featurizer gradient, classifier gradient, gradient w.r.t.
-    the batch input x).
+    Returns (loss, flat featurizer gradient, flat classifier gradient,
+    gradient at the featurizer's first pre-activation).  The gradient w.r.t.
+    the batch input x is the last times ``feat.weights[0].T``.
     """
     feats, tape_f = forward(feat.spec, feat, x)
     logits, tape_c = forward(classifier.spec, classifier, feats)
     loss, d_logits = cross_entropy(logits, y)
-    grad_cls, d_feats = backward(classifier.spec, classifier, tape_c, d_logits)
-    grad_feat, d_x = backward(feat.spec, feat, tape_f, d_feats)
-    return loss, grad_feat, grad_cls, d_x
+    grad_cls, dz0_cls = backward(classifier.spec, classifier, tape_c, d_logits)
+    grad_feat, dz0_feat = backward(feat.spec, feat, tape_f, dz0_cls @ classifier.weights[0].T)
+    return loss, grad_feat, grad_cls, dz0_feat
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -245,17 +245,19 @@ def _map_loss(
     batch: tuple[np.ndarray, np.ndarray],
     l2_weight: float,
     prior: PriorSpec,
-) -> tuple[float, np.ndarray, WeightSet]:
+) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Cross-entropy plus l2_weight * ||w - prior.mean||^2 / (2 prior.std^2)
-    on the featurizer; returns (loss, flat featurizer grad, classifier grad)."""
+    on the featurizer; returns (loss, featurizer grad, classifier grad, the
+    unweighted L2 term), the last being the MAP analogue of the ELBO's KL."""
     ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, classifier, *batch)
     centered = feat.flat - prior.mean
     s2 = prior.std**2
-    loss = ce + l2_weight * float(np.add.reduce(centered * centered)) / (2.0 * s2)
+    sq = float(np.add.reduce(centered * centered))
+    loss = ce + l2_weight * sq / (2.0 * s2)
     g = np.multiply(centered, l2_weight, out=centered)
     g /= s2
-    g += grad_feat.flat
-    return loss, g, grad_cls
+    g += grad_feat
+    return loss, g, grad_cls, sq / (2.0 * s2)
 
 
 def _params(model: GaussianVariational | WeightSet) -> np.ndarray:
@@ -268,7 +270,7 @@ def _ce_step(config: TrainConfig, key: str) -> Callable:
     """Plain cross-entropy; no KL term, so kl is None and no kl column."""
     def step(feat, cls, batch, kl_weight):
         ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
-        return ce, grad_feat.flat, grad_cls.flat, None
+        return ce, grad_feat, grad_cls, None
     return step
 
 
@@ -279,15 +281,15 @@ def _elbo_step(config: TrainConfig, key: str) -> Callable:
     def step(q, cls, batch, kl_weight):
         eps = eps_rng.standard_normal(q.mu.shape[0])
         res = elbo_loss(q, cls, batch, kl_weight, eps, config.prior)
-        return res.loss, res.grad_theta, res.grad_classifier.flat, res.kl
+        return res.loss, res.grad_theta, res.grad_classifier, res.kl
     return step
 
 
 def _map_step(config: TrainConfig, key: str) -> Callable:
-    """_map_loss with the KL weight as its L2 weight; deterministic."""
+    """_map_loss with the KL weight as its L2 weight; deterministic.  Its kl is
+    the unweighted L2 term."""
     def step(feat, cls, batch, l2_weight):
-        loss, g_feat, g_cls = _map_loss(feat, cls, batch, l2_weight, config.prior)
-        return loss, g_feat, g_cls.flat, 0.0
+        return _map_loss(feat, cls, batch, l2_weight, config.prior)
     return step
 
 

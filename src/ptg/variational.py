@@ -167,20 +167,13 @@ def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float
     return _kl(q.mu, q.sigma, prior)
 
 
-def kl_gradients(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """d KL / d mu and d KL / d rho (the rho chain rule carries sigmoid(rho))."""
-    g = _kl_grad(q.mu, q.sigma, sigmoid(q.rho), prior)
-    n = q.mu.size
-    return g[:n], g[n:]
-
-
 @dataclass
 class ElboResult:
     loss: float
     cross_entropy: float
     kl: float
     grad_theta: np.ndarray  # packed [d/d mu | d/d rho], the layout of q.theta
-    grad_classifier: WeightSet
+    grad_classifier: np.ndarray  # flat, the layout of classifier.flat
 
     @property
     def grad_mu(self) -> np.ndarray:
@@ -218,12 +211,10 @@ def elbo_loss(
     grad_theta = _kl_grad(q.mu, sigma, sig_rho, prior)
     grad_theta *= kl_weight
     if batch is None:
-        zero_cls = WeightSet.wrap(classifier.spec, np.zeros(classifier.spec.param_count))
-        return ElboResult(kl_weight * kl, 0.0, kl, grad_theta, zero_cls)
+        return ElboResult(kl_weight * kl, 0.0, kl, grad_theta, np.zeros(classifier.spec.param_count))
     x, y = batch
     feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
-    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y)
-    g_omega = grad_feat.flat
+    ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y)
     n = g_omega.size
     grad_theta[:n] += g_omega
     g_rho = g_omega * eps

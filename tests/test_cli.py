@@ -196,9 +196,9 @@ class TestExitCodes:
 
 
 class TestEntryPoint:
-    def test_installed_script_help(self):
+    def test_installed_script_help(self, src_env):
         proc = subprocess.run(
-            [sys.executable, "-m", "ptg.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "ptg.cli", "--help"], capture_output=True, text=True, env=src_env
         )
         assert proc.returncode == 0
         for command in ("gen-data", "train", "run", "sweep", "summarize", "oracle-check", "grad-check"):

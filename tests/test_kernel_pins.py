@@ -217,10 +217,11 @@ class TestForwardBackward:
             x = rng.standard_normal((64, dims[0]))
             _, tape = forward(spec, ws, x)
             d_out = rng.standard_normal((64, dims[-1]))
-            grad, d_x = backward(spec, ws, tape, d_out.copy())
+            grad, dz0 = backward(spec, ws, tape, d_out.copy())
             ref_grad, ref_dx = ref_backward(spec, ws, tape, d_out)
-            assert_bits(grad.flat, ref_grad)
-            assert_bits(d_x, ref_dx)
+            assert type(grad) is np.ndarray
+            assert_bits(grad, ref_grad)
+            assert_bits(dz0 @ ws.weights[0].T, ref_dx)
 
     def test_leaves_upstream_gradient_alone(self):
         spec = NetworkSpec((3, 4, 2))
@@ -237,16 +238,17 @@ class TestForwardBackward:
         feat = init_weights(NetworkSpec((4, 6, 3)), rng)
         cls = init_weights(NetworkSpec((3, 5, 3)), rng)
         x, y = rng.standard_normal((7, 4)), rng.integers(0, 3, 7)
-        loss, g_feat, g_cls, d_x = loss_and_gradients(feat, cls, x, y)
+        loss, g_feat, g_cls, dz0 = loss_and_gradients(feat, cls, x, y)
         feats, tape_f = ref_forward(feat.spec, feat, x)
         logits, tape_c = ref_forward(cls.spec, cls, feats)
         ref_loss, d_logits = ref_cross_entropy(logits, y)
         ref_cls, d_feats = ref_backward(cls.spec, cls, tape_c, d_logits)
         ref_feat, ref_dx = ref_backward(feat.spec, feat, tape_f, d_feats)
+        assert type(g_feat) is np.ndarray and type(g_cls) is np.ndarray
         assert_bits(loss, ref_loss)
-        assert_bits(g_feat.flat, ref_feat)
-        assert_bits(g_cls.flat, ref_cls)
-        assert_bits(d_x, ref_dx)
+        assert_bits(g_feat, ref_feat)
+        assert_bits(g_cls, ref_cls)
+        assert_bits(dz0 @ feat.weights[0].T, ref_dx)
 
 
 class TestAdam:
@@ -302,7 +304,7 @@ class TestElbo:
             assert_bits(res.loss, loss)
             assert_bits(res.kl, kl)
             assert_bits(res.grad_theta, grad_theta)
-            assert_bits(res.grad_classifier.flat, grad_cls)
+            assert_bits(res.grad_classifier, grad_cls)
 
 
 class TestMeanAndCov:
@@ -364,8 +366,8 @@ def ref_erm_train(domains, feat_spec, cls_spec, config, init=None):
     history = []
     for step in range(config.erm_steps):
         ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batches.next_batch())
-        adam_step(feat.flat, grad_feat.flat, st_f, config.base_lr)
-        adam_step(cls.flat, grad_cls.flat, st_c, config.base_lr)
+        adam_step(feat.flat, grad_feat, st_f, config.base_lr)
+        adam_step(cls.flat, grad_cls, st_c, config.base_lr)
         history.append({"iteration": step, "merged_loss": ce})
     return feat, cls, history
 
@@ -387,7 +389,7 @@ def ref_erm_bayesian_train(domains, init_feat, init_cls, config):
         eps = eps_rng.standard_normal(n_params)
         res = elbo_loss(q, cls, batch, klw, eps, config.prior)
         adam_step(q.theta, res.grad_theta, st_q, config.base_lr)
-        adam_step(cls.flat, res.grad_classifier.flat, st_c, config.base_lr)
+        adam_step(cls.flat, res.grad_classifier, st_c, config.base_lr)
         history.append({"iteration": step, "merged_loss": res.loss, "kl": res.kl})
     return q, cls, history
 
@@ -433,7 +435,7 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
         eps = merged_eps.standard_normal(n_params)
         res = elbo_loss(q0, cls, merged, klw_m, eps, config.prior)
         adam_step(q0.theta, res.grad_theta, st_0, lr)
-        adam_step(cls.flat, res.grad_classifier.flat, st_c, lr)
+        adam_step(cls.flat, res.grad_classifier, st_c, lr)
         row.update(kl=res.kl, merged_loss=res.loss, dropped_count=0)
         history.append(row)
     return FeaturizerBank(q0, dict(per_q), cls), history
@@ -465,7 +467,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
         for i in ids:
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
-            loss, g_feat, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior)
+            loss, g_feat, _, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior)
             adam_step(per_w[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
@@ -474,13 +476,13 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
             inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
 
         merged, klw_m = ref_merged_batch(drawn, n_total, config)
-        loss, g_feat, g_cls = _map_loss(f0, cls, merged, klw_m, config.prior)
+        loss, g_feat, g_cls, _ = _map_loss(f0, cls, merged, klw_m, config.prior)
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
         g_feat[~report.kept_mask] = 0.0
         adam_step(f0.flat, g_feat, st_0, lr)
         f0.flat[~report.kept_mask] = 0.0
-        adam_step(cls.flat, g_cls.flat, st_c, lr)
+        adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=0.0, merged_loss=loss, dropped_count=report.dropped_count)
         history.append(row)
     return FeaturizerBank(f0, dict(per_w), cls), history
@@ -561,6 +563,15 @@ class TestMergedLoops:
         bank, history = new(domains, feat, cls, cfg, inspect=recorder(seen_new))
         ref_bank, ref_history = ref(domains, feat, cls, cfg, inspect=recorder(seen_ref))
         assert bank_bits(bank) == bank_bits(ref_bank)
+        if algorithm == "ptg_lite":
+            # kl now logs the merged MAP step's unweighted L2 term at the
+            # aggregate the hook saw; the earlier loop logged 0.0
+            s2 = cfg.prior.std**2
+            for row, (_, (_, f0_bytes), _) in zip(history, seen_new, strict=True):
+                centered = np.frombuffer(f0_bytes) - cfg.prior.mean
+                assert_bits(row["kl"], float(np.add.reduce(centered * centered)) / (2.0 * s2))
+                assert type(row["kl"]) is float and row["kl"] > 0.0
+            history = [{**row, "kl": 0.0} for row in history]
         assert history_bits(history) == history_bits(ref_history)
         assert seen_new == seen_ref and len(seen_new) == cfg.outer_iterations
         if algorithm == "ptg_lite":  # the mask path is exercised

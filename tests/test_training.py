@@ -310,7 +310,7 @@ class TestPtgLite:
             batch = MinibatchStream(
                 d.x, d.y, 32, stream(21, "batches", d.domain_id)
             ).next_batch()
-            _, g, _ = _map_loss(feat0, cls0, batch, 0.1, self.CFG.prior)
+            _, g, _, _ = _map_loss(feat0, cls0, batch, 0.1, self.CFG.prior)
             new_f, _ = adam_step(
                 feat0.flatten(), g, AdamState.zeros(g.size, 1e-3), 0.5 * 1e-3
             )
