@@ -43,8 +43,8 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> flo
     return float((np.abs(a - b) / denom).max())
 
 
-def _kink_margin(spec: NetworkSpec, ws: WeightSet, x: np.ndarray) -> float:
-    _, tape = forward(spec, ws, x)
+def _kink_margin(ws: WeightSet, x: np.ndarray) -> float:
+    _, tape = forward(ws, x)
     margins = [np.abs(z).min() for z in tape.preacts[:-1]]
     return min(margins) if margins else np.inf
 
@@ -59,8 +59,8 @@ def _draw_instance(rng: np.random.Generator):
         n = int(rng.integers(3, 8))
         x = rng.standard_normal((n, feat_spec.layer_dims[0]))
         y = rng.integers(0, cls_spec.layer_dims[-1], size=n)
-        feats, _ = forward(feat_spec, feat, x)
-        margin = min(_kink_margin(feat_spec, feat, x), _kink_margin(cls_spec, cls, feats))
+        feats, _ = forward(feat, x)
+        margin = min(_kink_margin(feat, x), _kink_margin(cls, feats))
         if margin > 1e-3:  # far beyond the FD step
             return feat, cls, x, y
 
@@ -78,8 +78,8 @@ def run_backward_checks(seed: int = 0, n_instances: int = 20) -> dict:
         def loss_of(feat_flat, cls_flat, xin):
             fw = WeightSet.wrap(feat.spec, feat_flat)
             cw = WeightSet.wrap(cls.spec, cls_flat)
-            feats, _ = forward(feat.spec, fw, xin)
-            logits, _ = forward(cls.spec, cw, feats)
+            feats, _ = forward(fw, xin)
+            logits, _ = forward(cw, feats)
             return cross_entropy(logits, y)[0]
 
         _, g_feat, g_cls, dz0 = loss_and_gradients(feat, cls, x, y)
@@ -111,8 +111,8 @@ def run_elbo_checks(seed: int = 0, n_instances: int = 20) -> dict:
             eps = rng.standard_normal(q.mu.shape)
             # the kink margin matters at the sampled weights, where FD runs
             ws = sample_weights(q, eps)
-            feats, _ = forward(q.spec, ws, x)
-            if min(_kink_margin(q.spec, ws, x), _kink_margin(cls.spec, cls, feats)) > 1e-3:
+            feats, _ = forward(ws, x)
+            if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
                 break
         klw = float(rng.uniform(0.1, 1.0))
         prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))

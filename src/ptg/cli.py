@@ -190,25 +190,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_default="out"):
         p.add_argument("--config", help="experiment config JSON (default: built-in benchmark)")
-        p.add_argument("--seed", type=int, help="override the base seed")
         p.add_argument("--out", default=out_default, help="output directory")
+        return p
 
     p = sub.add_parser("gen-data", help="write each domain as CSV plus metadata sidecar")
-    common(p, "data")
+    common(p, "data").add_argument("--seed", type=int, help="override the config's base seed")
     p.set_defaults(fn=_cmd_gen_data)
 
     p = sub.add_parser("train", help="one training run; writes checkpoints and a log")
-    common(p)
+    common(p).add_argument("--seed", type=int,
+                           help="training seed (default: train.seed); the data keep the base seed")
     p.add_argument("--algorithm", choices=("erm", "erm_bayesian", "ptg", "ptg_lite"))
     p.add_argument("--test-domain", help="domain to hold out (default from config)")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("run", help="full protocol: sweep, selection, summary")
-    common(p, "results")
+    common(p, "results").add_argument("--seed", type=int, help="override the config's base seed")
     p.set_defaults(fn=_cmd_rows, write_summary=True)
 
     p = sub.add_parser("sweep", help="grid sweep only; writes the raw rows CSV")
-    common(p, "results")
+    common(p, "results").add_argument("--seed", type=int, help="override the config's base seed")
     p.set_defaults(fn=_cmd_rows, write_summary=False)
 
     p = sub.add_parser("summarize", help="selection and summary table from a rows CSV")

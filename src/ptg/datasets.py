@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .seeding import derive_seed, stable_hash64
+
+N_CLASSES = 2  # both families are binary; sets the classifier head's width
 
 # Spurious-blob geometry.  The invariant block alone supports a good but
 # imperfect classifier; the spurious block is cleaner in-domain (larger
@@ -26,6 +28,13 @@ from .seeding import derive_seed, stable_hash64
 INV_SEPARATION = 0.8
 SPUR_SEPARATION = 2.0
 DIRECTION_MIX = 1.0  # weight of the per-domain offset vs the common direction
+
+
+def check_keys(obj: dict, known: Iterable[str], what: str) -> None:
+    """Raise ValueError naming every key of a config object that is not known."""
+    unknown = sorted(set(obj).difference(known))
+    if unknown:
+        raise ValueError(f"unknown {what} config keys {unknown}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,7 @@ class DomainSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
+        check_keys(obj, (f.name for f in fields(DomainSpec)), "domain")
         return DomainSpec(
             domain_id=obj["domain_id"],
             n_samples=int(obj["n_samples"]),
@@ -125,7 +135,6 @@ def gen_spurious_blobs(
     d_inv: int,
     d_spur: int,
     seed: int,
-    n_classes: int = 2,
 ) -> list[DomainDataset]:
     """Invariant Gaussian blobs plus a per-domain spurious block.
 
@@ -136,8 +145,6 @@ def gen_spurious_blobs(
     rho_d < 0 anti-aligned.  Each domain's RNG stream is keyed by its
     domain_id, so reordering specs reorders only the output list.
     """
-    if n_classes != 2:
-        raise ValueError("spurious blobs are a binary family")
     if d_inv < 1 or d_spur < 1:
         raise ValueError("d_inv and d_spur must be >= 1")
     if len({s.domain_id for s in specs}) != len(specs):

@@ -13,15 +13,17 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .datasets import (
     DomainDataset,
+    N_CLASSES,
     DomainSpec,
     apply_stats,
+    check_keys,
     feature_stats,
     gen_rotated_moons,
     gen_spurious_blobs,
@@ -64,7 +66,6 @@ class ExperimentConfig:
     d_spur: int = 5
     feat_hidden: tuple[int, ...] = (16, 8)
     cls_hidden: tuple[int, ...] = (16,)
-    n_classes: int = 2
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
@@ -97,7 +98,7 @@ class ExperimentConfig:
 
     def network_specs(self) -> tuple[NetworkSpec, NetworkSpec]:
         feat = NetworkSpec((self.feature_dim,) + tuple(self.feat_hidden))
-        cls = NetworkSpec((self.feat_hidden[-1],) + tuple(self.cls_hidden) + (self.n_classes,))
+        cls = NetworkSpec((self.feat_hidden[-1],) + tuple(self.cls_hidden) + (N_CLASSES,))
         return feat, cls
 
     def to_json(self) -> dict:
@@ -116,12 +117,12 @@ class ExperimentConfig:
             "d_spur": self.d_spur,
             "feat_hidden": list(self.feat_hidden),
             "cls_hidden": list(self.cls_hidden),
-            "n_classes": self.n_classes,
             "train": self.train.to_json(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
+        check_keys(obj, (f.name for f in fields(ExperimentConfig)), "experiment")
         obj = dict(obj)
         domains = tuple(DomainSpec.from_json(d) for d in obj.pop("domains"))
         train = TrainConfig.from_json(obj.pop("train", {}))
@@ -193,7 +194,7 @@ def grid_for(algorithm: str, config: ExperimentConfig) -> list[tuple[float | Non
 
 def generate_domains(config: ExperimentConfig, seed: int) -> dict[str, DomainDataset]:
     if config.family == "spurious_blobs":
-        data = gen_spurious_blobs(config.domains, config.d_inv, config.d_spur, seed, config.n_classes)
+        data = gen_spurious_blobs(config.domains, config.d_inv, config.d_spur, seed)
     else:
         data = gen_rotated_moons(config.domains, seed)
     return {d.domain_id: d for d in data}
@@ -249,9 +250,7 @@ def _run_one(
         return ResultRow(algorithm, test_domain, rep, alpha, beta, None, None, wall)
     eval_rng = np.random.default_rng(derive_seed(run_seed, "eval"))
     if config.selection == "leave_one_out" and len(trains) >= 2:
-        val_acc = _inner_holdout_score(
-            config, algorithm, trains, vals, feat_spec, cls_spec, cfg, run_seed
-        )
+        val_acc = _inner_holdout_score(algorithm, trains, vals, feat_spec, cls_spec, cfg)
     else:
         val_x = np.concatenate([v.x for v in vals], axis=0)
         val_y = np.concatenate([v.y for v in vals], axis=0)
@@ -262,21 +261,19 @@ def _run_one(
 
 
 def _inner_holdout_score(
-    config: ExperimentConfig,
     algorithm: str,
     trains: list[DomainDataset],
     vals: list[DomainDataset],
     feat_spec: NetworkSpec,
     cls_spec: NetworkSpec,
     cfg: TrainConfig,
-    run_seed: int,
 ) -> float | None:
     """Leave-one-out selection score: retrain without each training domain in
     turn and average accuracy on the withheld one (train and val rows)."""
     scores = []
     for j, held in enumerate(trains):
         inner = [t for k, t in enumerate(trains) if k != j]
-        inner_cfg = replace(cfg, seed=derive_seed(run_seed, "inner", held.domain_id))
+        inner_cfg = replace(cfg, seed=derive_seed(cfg.seed, "inner", held.domain_id))
         try:
             feat, cls, _ = train_algorithm(algorithm, inner, feat_spec, cls_spec, inner_cfg)
         except TrainingDiverged:

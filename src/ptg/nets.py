@@ -5,13 +5,14 @@ inputs always produce bitwise-identical outputs.  Networks are ReLU in the
 hidden layers and identity at the output; downstream code composes a sampled
 featurizer with a deterministic classifier head.
 
-The gradient step is the hot path, so three rules hold here.  Values are
+The gradient step is the hot path, so four rules hold here.  Values are
 checked where they enter the package (constructors, ``from_flat``,
 checkpoints, the labels of ``cross_entropy``, the gradient of ``adam_step``).
 Values the package computed itself are adopted without a copy or a check
-(``WeightSet.wrap``), and a spec is compared field by field only when it is
-not the very object the weights were built with.  There is one implementation
-of the forward and backward pass: ``loss_and_gradients`` composes the public
+(``WeightSet.wrap``).  Each fact is passed once: weights carry their spec, and
+the tape ``forward`` records holds the weights it ran, so ``backward`` needs
+only the tape and the upstream gradient.  There is one implementation of the
+forward and backward pass: ``loss_and_gradients`` composes the public
 ``forward``, ``cross_entropy`` and ``backward`` for every training loss.
 Gradients are flat float64 vectors in the ``WeightSet`` flat order.  The
 gradient w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``,
@@ -35,15 +36,12 @@ class NetworkSpec:
     """Architecture of a dense net: layer widths input -> ... -> output."""
 
     layer_dims: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ValueError("need at least an input and an output dimension")
         if any(int(d) < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be positive, got {self.layer_dims}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
 
     @cached_property  # asked for on every forward, backward and Adam step
@@ -66,11 +64,13 @@ class NetworkSpec:
         return tuple(out)
 
     def to_json(self) -> dict:
-        return {"dims": list(self.layer_dims), "activation": self.activation}
+        return {"dims": list(self.layer_dims), "activation": "relu"}
 
     @staticmethod
     def from_json(obj: dict) -> "NetworkSpec":
-        return NetworkSpec(tuple(obj["dims"]), obj.get("activation", "relu"))
+        if obj.get("activation", "relu") != "relu":  # the only activation there is
+            raise ValueError(f"unsupported activation {obj['activation']!r}")
+        return NetworkSpec(tuple(obj["dims"]))
 
 
 def finite_params(values) -> np.ndarray:
@@ -152,20 +152,19 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
 class ForwardTape:
     """Intermediates recorded by forward() so backward() can replay them."""
 
-    spec: NetworkSpec
+    ws: WeightSet                 # the weights the forward pass ran
     inputs: list[np.ndarray]      # input to each layer, length n_layers
     preacts: list[np.ndarray]     # pre-activation of each layer
 
 
-def forward(spec: NetworkSpec, ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+def forward(ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     """Run the net on a batch; returns (outputs, tape).
 
     x has shape (n, d_in); outputs have shape (n, d_out).  Hidden layers are
     ReLU, the last layer is linear.
     """
+    spec = ws.spec
     x = np.asarray(x, dtype=np.float64)
-    if ws.spec is not spec and ws.spec != spec:
-        raise ValueError("weights were built for a different spec")
     if x.ndim != 2 or x.shape[1] != spec.layer_dims[0]:
         raise ValueError(f"expected input shape (n, {spec.layer_dims[0]}), got {x.shape}")
     inputs, preacts = [], []
@@ -176,23 +175,20 @@ def forward(spec: NetworkSpec, ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray
         z += ws.biases[i]
         preacts.append(z)
         h = np.maximum(z, 0.0) if i < spec.n_layers - 1 else z
-    return h, ForwardTape(spec, inputs, preacts)
+    return h, ForwardTape(ws, inputs, preacts)
 
 
-def backward(
-    spec: NetworkSpec, ws: WeightSet, tape: ForwardTape, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate d_out through the recorded tape.
+def backward(tape: ForwardTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate d_out through the recorded tape and the weights it holds.
 
     Returns (flat parameter gradient, gradient at the first layer's
     pre-activation).  The parameter gradient is written layer by layer into
     one fresh vector.  The gradient w.r.t. the batch input is
-    ``dz0 @ ws.weights[0].T``; for a one-layer net dz0 is d_out itself.  The
-    ReLU subgradient at exactly zero is taken as zero.
+    ``dz0 @ tape.ws.weights[0].T``; for a one-layer net dz0 is d_out itself.
+    The ReLU subgradient at exactly zero is taken as zero.
     """
-    for other in (tape.spec, ws.spec):
-        if other is not spec and other != spec:
-            raise ValueError("tape, weights and spec must all match")
+    ws = tape.ws
+    spec = ws.spec
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != tape.preacts[-1].shape:
         raise ValueError(
@@ -220,11 +216,11 @@ def loss_and_gradients(
     gradient at the featurizer's first pre-activation).  The gradient w.r.t.
     the batch input x is the last times ``feat.weights[0].T``.
     """
-    feats, tape_f = forward(feat.spec, feat, x)
-    logits, tape_c = forward(classifier.spec, classifier, feats)
+    feats, tape_f = forward(feat, x)
+    logits, tape_c = forward(classifier, feats)
     loss, d_logits = cross_entropy(logits, y)
-    grad_cls, dz0_cls = backward(classifier.spec, classifier, tape_c, d_logits)
-    grad_feat, dz0_feat = backward(feat.spec, feat, tape_f, dz0_cls @ classifier.weights[0].T)
+    grad_cls, dz0_cls = backward(tape_c, d_logits)
+    grad_feat, dz0_feat = backward(tape_f, dz0_cls @ classifier.weights[0].T)
     return loss, grad_feat, grad_cls, dz0_feat
 
 
@@ -272,14 +268,13 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    base_lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @staticmethod
-    def zeros(n: int, base_lr: float = 1e-3) -> "AdamState":
-        return AdamState(m=np.zeros(n), v=np.zeros(n), base_lr=base_lr)
+    def zeros(n: int) -> "AdamState":
+        return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(

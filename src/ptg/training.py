@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregate import cov_dropout, mean_and_cov, moment_match
-from .datasets import DomainDataset
+from .datasets import DomainDataset, check_keys
 from .nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
 from .seeding import stream
 from .variational import (
@@ -83,7 +83,7 @@ class TrainConfig:
             raise ValueError("step counts must be >= 0")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "outer_iterations": self.outer_iterations,
             "alpha": self.alpha,
             "beta": self.beta,
@@ -98,10 +98,10 @@ class TrainConfig:
             "prior_mean": self.prior.mean,
             "prior_std": self.prior.std,
         }
-        return out
 
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":
+        check_keys(obj, TrainConfig().to_json(), "train")
         obj = dict(obj)
         prior = PriorSpec(obj.pop("prior_mean", 0.0), obj.pop("prior_std", 1.0))
         return TrainConfig(prior=prior, **obj)
@@ -192,8 +192,8 @@ def predict(
     draw them, or neither to predict at the posterior mean (eps = 0).
     """
     if isinstance(featurizer, WeightSet):
-        feats, _ = forward(featurizer.spec, featurizer, x)
-        logits, _ = forward(classifier.spec, classifier, feats)
+        feats, _ = forward(featurizer, x)
+        logits, _ = forward(classifier, feats)
         return softmax(logits)
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
@@ -209,8 +209,8 @@ def predict(
     total = None
     for k in range(mc_samples):
         ws = sample_weights(featurizer, eps[k])
-        feats, _ = forward(featurizer.spec, ws, x)
-        logits, _ = forward(classifier.spec, classifier, feats)
+        feats, _ = forward(ws, x)
+        logits, _ = forward(classifier, feats)
         probs = softmax(logits)
         total = probs if total is None else total + probs
     return total / mc_samples
@@ -308,8 +308,8 @@ def _pooled_loop(domains, feat, cls, config, steps: int, make_step):
     step_fn = make_step(config, "merged")
     klw = _auto_kl_weight(config, batches)
     theta = _params(feat)
-    st_f = AdamState.zeros(theta.size, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    st_f = AdamState.zeros(theta.size)
+    st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(steps):
         loss, g_feat, g_cls, kl = step_fn(feat, cls, batches.next_batch(), klw)
@@ -389,9 +389,9 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
     merged_step = make_step(config, "merged")
     klw_m = _auto_kl_weight(config, *batch_streams.values())
     size = _params(init_feat).size
-    states = {i: AdamState.zeros(size, config.base_lr) for i in ids}
-    st_0 = AdamState.zeros(size, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    states = {i: AdamState.zeros(size) for i in ids}
+    st_0 = AdamState.zeros(size)
+    st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(config.outer_iterations):
         row = {"iteration": it}

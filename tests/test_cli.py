@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"family": "images", "domains": []}))
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("where, key", [
+        ("top", "n_clases"), ("top", "n_classes"), ("train", "lr"), ("domain", "spurious_corelation"),
+    ])
+    def test_unknown_config_key_is_named(self, config_path, tmp_path, capsys, where, key):
+        obj = json.loads(Path(config_path).read_text())
+        {"top": obj, "train": obj["train"], "domain": obj["domains"][0]}[where][key] = 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["summarize", "--config", str(bad), str(tmp_path / "rows.csv")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_summarize_has_no_seed(self, config_path, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            main(["summarize", "--config", config_path, "--seed", "3", str(tmp_path / "rows.csv")])
+        assert ei.value.code == 1
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as ei:

@@ -99,8 +99,6 @@ class TestSpuriousBlobs:
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            gen_spurious_blobs(self.SPECS, 3, 3, seed=0, n_classes=3)
-        with pytest.raises(ValueError):
             gen_spurious_blobs([self.SPECS[0], self.SPECS[0]], 3, 3, seed=0)
         with pytest.raises(ValueError):
             gen_spurious_blobs(self.SPECS, 0, 3, seed=0)

@@ -101,6 +101,13 @@ class TestExperimentConfig:
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()
 
+    @pytest.mark.parametrize("name", ["default.json", "moons_l1o.json"])
+    def test_shipped_config_bytes_survive_a_round_trip(self, name, tmp_path):
+        # a stale key, or drift between a shipped file and to_json, fails here
+        shipped = REPO / "configs" / name
+        save_config(tmp_path / name, load_config(shipped))
+        assert (tmp_path / name).read_bytes() == shipped.read_bytes()
+
 
 class TestGrid:
     def test_baselines_have_single_point(self):

@@ -80,7 +80,7 @@ def ref_forward(spec, ws, x):
         z = h @ ws.weights[i] + ws.biases[i]
         preacts.append(z)
         h = np.maximum(z, 0.0) if i < spec.n_layers - 1 else z
-    return h, ForwardTape(spec, inputs, preacts)
+    return h, ForwardTape(ws, inputs, preacts)
 
 
 def ref_backward(spec, ws, tape, d_out):
@@ -203,7 +203,7 @@ class TestForwardBackward:
             ws = init_weights(spec, rng)
             ws.flat[:] = rng.standard_normal(spec.param_count)
             x = rng.standard_normal((64, dims[0]))
-            out, tape = forward(spec, ws, x)
+            out, tape = forward(ws, x)
             ref_out, ref_tape = ref_forward(spec, ws, x)
             assert_bits(out, ref_out)
             for a, b in zip(tape.preacts + tape.inputs, ref_tape.preacts + ref_tape.inputs):
@@ -215,9 +215,9 @@ class TestForwardBackward:
             spec = NetworkSpec(dims)
             ws = init_weights(spec, rng)
             x = rng.standard_normal((64, dims[0]))
-            _, tape = forward(spec, ws, x)
+            _, tape = forward(ws, x)
             d_out = rng.standard_normal((64, dims[-1]))
-            grad, dz0 = backward(spec, ws, tape, d_out.copy())
+            grad, dz0 = backward(tape, d_out.copy())
             ref_grad, ref_dx = ref_backward(spec, ws, tape, d_out)
             assert type(grad) is np.ndarray
             assert_bits(grad, ref_grad)
@@ -227,10 +227,10 @@ class TestForwardBackward:
         spec = NetworkSpec((3, 4, 2))
         rng = np.random.default_rng(2)
         ws = init_weights(spec, rng)
-        _, tape = forward(spec, ws, rng.standard_normal((5, 3)))
+        _, tape = forward(ws, rng.standard_normal((5, 3)))
         d_out = rng.standard_normal((5, 2))
         before = d_out.copy()
-        backward(spec, ws, tape, d_out)
+        backward(tape, d_out)
         assert_bits(d_out, before)
 
     def test_loss_and_gradients_is_the_composition(self):
@@ -361,8 +361,8 @@ def ref_erm_train(domains, feat_spec, cls_spec, config, init=None):
         feat, cls = init[0].copy(), init[1].copy()
     x, y = ref_merged(domains)
     batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
-    st_f = AdamState.zeros(feat_spec.param_count, config.base_lr)
-    st_c = AdamState.zeros(cls_spec.param_count, config.base_lr)
+    st_f = AdamState.zeros(feat_spec.param_count)
+    st_c = AdamState.zeros(cls_spec.param_count)
     history = []
     for step in range(config.erm_steps):
         ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batches.next_batch())
@@ -381,8 +381,8 @@ def ref_erm_bayesian_train(domains, init_feat, init_cls, config):
     eps_rng = stream(config.seed, "eps", "merged")
     klw = ref_auto_kl_weight(config, batches)
     n_params = q.mu.shape[0]
-    st_q = AdamState.zeros(2 * n_params, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    st_q = AdamState.zeros(2 * n_params)
+    st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for step in range(config.bayes_steps):
         batch = batches.next_batch()
@@ -412,9 +412,9 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
     merged_eps = stream(config.seed, "eps", "merged")
     n_total = sum(d.n_samples for d in domains)
 
-    states = {i: AdamState.zeros(2 * n_params, config.base_lr) for i in ids}
-    st_0 = AdamState.zeros(2 * n_params, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    states = {i: AdamState.zeros(2 * n_params) for i in ids}
+    st_0 = AdamState.zeros(2 * n_params)
+    st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(config.outer_iterations):
         row = {"iteration": it}
@@ -457,9 +457,9 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
         klw[d.domain_id] = ref_auto_kl_weight(config, batch_streams[d.domain_id])
     n_total = sum(d.n_samples for d in domains)
 
-    states = {i: AdamState.zeros(feat_spec.param_count, config.base_lr) for i in ids}
-    st_0 = AdamState.zeros(feat_spec.param_count, config.base_lr)
-    st_c = AdamState.zeros(cls.spec.param_count, config.base_lr)
+    states = {i: AdamState.zeros(feat_spec.param_count) for i in ids}
+    st_0 = AdamState.zeros(feat_spec.param_count)
+    st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(config.outer_iterations):
         row = {"iteration": it}

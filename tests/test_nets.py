@@ -39,6 +39,13 @@ class TestSpecAndWeights:
         with pytest.raises(ValueError):
             NetworkSpec((3, 0, 2))
 
+    def test_json_is_relu_only(self):
+        spec = NetworkSpec((3, 4, 2))
+        assert spec.to_json() == {"dims": [3, 4, 2], "activation": "relu"}
+        assert NetworkSpec.from_json(spec.to_json()) == spec
+        with pytest.raises(ValueError, match="tanh"):
+            NetworkSpec.from_json({"dims": [3, 4, 2], "activation": "tanh"})
+
     def test_flatten_roundtrip(self):
         spec, ws = small_net()
         again = WeightSet.from_flat(spec, ws.flatten())
@@ -84,7 +91,7 @@ class TestForward:
     def test_single_linear_layer_by_hand(self):
         spec = NetworkSpec((2, 2))
         ws = WeightSet(spec, [np.array([[1.0, 0.0], [0.0, 1.0]])], [np.array([1.0, -1.0])])
-        out, _ = forward(spec, ws, np.array([[2.0, 3.0]]))
+        out, _ = forward(ws, np.array([[2.0, 3.0]]))
         np.testing.assert_array_equal(out, [[3.0, 2.0]])
 
     def test_hidden_relu_clamps(self):
@@ -94,28 +101,22 @@ class TestForward:
             [np.array([[1.0]]), np.array([[1.0]])],
             [np.array([0.0]), np.array([0.0])],
         )
-        out_neg, _ = forward(spec, ws, np.array([[-5.0]]))
-        out_pos, _ = forward(spec, ws, np.array([[5.0]]))
+        out_neg, _ = forward(ws, np.array([[-5.0]]))
+        out_pos, _ = forward(ws, np.array([[5.0]]))
         assert out_neg[0, 0] == 0.0
         assert out_pos[0, 0] == 5.0
 
     def test_deterministic(self):
         spec, ws = small_net(1)
         x = np.random.default_rng(2).standard_normal((8, 3))
-        a, _ = forward(spec, ws, x)
-        b, _ = forward(spec, ws, x)
+        a, _ = forward(ws, x)
+        b, _ = forward(ws, x)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_wrong_width(self):
         spec, ws = small_net()
         with pytest.raises(ValueError):
-            forward(spec, ws, np.zeros((4, 5)))
-
-    def test_rejects_foreign_weights(self):
-        spec, _ = small_net()
-        other_spec, other_ws = small_net(dims=(4, 4, 2))
-        with pytest.raises(ValueError):
-            forward(spec, other_ws, np.zeros((1, 3)))
+            forward(ws, np.zeros((4, 5)))
 
 
 class TestCrossEntropy:
@@ -163,18 +164,18 @@ class TestBackward:
             ws = init_weights(spec, rng)
             x = rng.standard_normal((6, 3))
             y = rng.integers(0, 2, size=6)
-            _, tape_probe = forward(spec, ws, x)
+            _, tape_probe = forward(ws, x)
             if min(np.abs(z).min() for z in tape_probe.preacts[:-1]) < 1e-3:
                 continue
             done += 1
 
             def loss_of(flat):
-                out, _ = forward(spec, WeightSet.from_flat(spec, flat), x)
+                out, _ = forward(WeightSet.from_flat(spec, flat), x)
                 return cross_entropy(out, y)[0]
 
-            out, tape = forward(spec, ws, x)
+            out, tape = forward(ws, x)
             _, d_logits = cross_entropy(out, y)
-            grad, _ = backward(spec, ws, tape, d_logits)
+            grad, _ = backward(tape, d_logits)
             assert isinstance(grad, np.ndarray) and grad.shape == (spec.param_count,)
             fd = central_difference(loss_of, ws.flatten())
             assert max_relative_error(fd, grad) < 1e-6
@@ -187,12 +188,12 @@ class TestBackward:
         y = rng.integers(0, 2, size=4)
 
         def loss_of(flat_x):
-            out, _ = forward(spec, ws, flat_x.reshape(4, 3))
+            out, _ = forward(ws, flat_x.reshape(4, 3))
             return cross_entropy(out, y)[0]
 
-        out, tape = forward(spec, ws, x)
+        out, tape = forward(ws, x)
         _, d_logits = cross_entropy(out, y)
-        _, dz0 = backward(spec, ws, tape, d_logits)
+        _, dz0 = backward(tape, d_logits)
         d_x = dz0 @ ws.weights[0].T
         fd = central_difference(loss_of, x.ravel())
         assert max_relative_error(fd, d_x.ravel()) < 1e-6
@@ -200,9 +201,9 @@ class TestBackward:
     def test_rejects_mismatched_tape(self):
         spec, ws = small_net()
         x = np.zeros((2, 3))
-        _, tape = forward(spec, ws, x)
+        _, tape = forward(ws, x)
         with pytest.raises(ValueError):
-            backward(spec, ws, tape, np.zeros((3, 2)))  # wrong batch size
+            backward(tape, np.zeros((3, 2)))  # wrong batch size
 
 
 class TestAdam:
@@ -217,7 +218,7 @@ class TestAdam:
             w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             trace.append(w)
 
-        state = AdamState.zeros(1, base_lr=lr)
+        state = AdamState.zeros(1)
         flat = np.array([1.0])
         flat, state = adam_step(flat, np.array([1.0]), state, lr)
         assert flat[0] == pytest.approx(trace[0], abs=1e-15)

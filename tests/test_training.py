@@ -103,8 +103,8 @@ class TestPredict:
         feat, cls = init_pair(FEAT_SPEC, CLS_SPEC, seed=0)
         x = np.random.default_rng(1).standard_normal((7, 4))
         probs = predict(feat, cls, x)
-        h, _ = forward(FEAT_SPEC, feat, x)
-        logits, _ = forward(CLS_SPEC, cls, h)
+        h, _ = forward(feat, x)
+        logits, _ = forward(cls, h)
         np.testing.assert_array_equal(probs, softmax(logits))
 
     def test_posterior_default_predicts_at_mean(self):
@@ -242,7 +242,7 @@ class TestPtg:
             packed = np.concatenate([q_init.mu, q_init.rho])
             grad = np.concatenate([res.grad_mu, res.grad_rho])
             packed, _ = adam_step(
-                packed, grad, AdamState.zeros(2 * n, 1e-3), 0.5 * 1e-3
+                packed, grad, AdamState.zeros(2 * n), 0.5 * 1e-3
             )
             manual[d.domain_id] = GaussianVariational(q_init.spec, packed[:n], packed[n:])
 
@@ -312,7 +312,7 @@ class TestPtgLite:
             ).next_batch()
             _, g, _, _ = _map_loss(feat0, cls0, batch, 0.1, self.CFG.prior)
             new_f, _ = adam_step(
-                feat0.flatten(), g, AdamState.zeros(g.size, 1e-3), 0.5 * 1e-3
+                feat0.flatten(), g, AdamState.zeros(g.size), 0.5 * 1e-3
             )
             manual[d.domain_id] = WeightSet.from_flat(FEAT_SPEC, new_f)
 

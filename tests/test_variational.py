@@ -264,7 +264,7 @@ class TestElbo:
         q = make_q(48)
         cls = self.cls_pair(49)
         n = SPEC.param_count
-        state = AdamState.zeros(2 * n, base_lr=5e-2)
+        state = AdamState.zeros(2 * n)
         checkpoints = [kl_to_prior(q)]
         for step in range(100):
             res = elbo_loss(q, cls, None, 1.0, np.zeros(n))
