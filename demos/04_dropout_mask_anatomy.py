@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean
+from ptg.aggregate import cov_dropout, mean_and_cov
 from ptg.harness import default_benchmark_config, generate_domains
 from ptg.nets import WeightSet
 from ptg.training import TrainConfig, erm_train, ptg_lite_train
@@ -26,16 +26,12 @@ tcfg = dataclasses.replace(cfg.train, outer_iterations=400, seed=0, alpha=0.05, 
 
 feat, cls, _ = erm_train(domains, feat_spec, cls_spec, tcfg)
 
-snapshots = {}
-def grab(iteration, f0, per_domain):
-    snapshots["per_domain"] = per_domain
-
-bank, history = ptg_lite_train(domains, feat, cls, tcfg, inspect=grab)
+bank, history = ptg_lite_train(domains, feat, cls, tcfg)
 
 # --- read the final mask by input block ----------------------------------
-per = list(snapshots["per_domain"].values())
-cov = coefficient_of_variation(per)
-mean_w = map_mean(per)
+# the per-domain weights of the last aggregation: the merged step after it
+# moves only the shared featurizer and the classifier
+mean_w, cov = mean_and_cov(list(bank.per_domain.values()))
 _, report = cov_dropout(mean_w, cov, tcfg.beta)
 
 d_inv = cfg.d_inv

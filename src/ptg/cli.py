@@ -18,10 +18,12 @@ from .aggregate import cov_dropout, mean_and_cov, save_cov_report
 from .datasets import save_dataset_csv
 from .harness import (
     ExperimentConfig,
-    _prepare_split,
+    data_seed,
     default_benchmark_config,
     generate_domains,
+    held_out_domains,
     load_config,
+    prepare_split,
     read_results_csv,
     run_experiment,
     select_model,
@@ -31,8 +33,10 @@ from .harness import (
     write_training_log,
 )
 from .nets import TrainingDiverged, save_weights
-from .training import erm_train, ptg_lite_train, train_algorithm
+from .training import ALGORITHMS, train_algorithm
 from .variational import GaussianVariational, save_gaussian
+
+GRAD_TOLERANCE = 1e-4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,10 +48,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load(config_path: str | None) -> ExperimentConfig:
-    if config_path is None:
-        return default_benchmark_config()
-    return load_config(config_path)
+def _load(args) -> ExperimentConfig:
+    """--config (default: the built-in benchmark) at the base seed --seed."""
+    config = default_benchmark_config() if args.config is None else load_config(args.config)
+    base_seed = getattr(args, "base_seed", None)
+    return config if base_seed is None else replace(config, base_seed=base_seed)
 
 
 def _outdir(path: str) -> Path:
@@ -57,46 +62,40 @@ def _outdir(path: str) -> Path:
 
 
 def _cmd_gen_data(args) -> int:
-    config = _load(args.config)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    out = _outdir(args.out)
-    by_id = generate_domains(config, config.base_seed)
-    for domain_id in sorted(by_id):
-        path = out / f"{domain_id}.csv"
-        save_dataset_csv(by_id[domain_id], path)
-        print(f"wrote {path}")
+    """Per held-out domain, repetition 0's raw draw: the data `ptg train` and
+    the first repetition of `ptg run` use."""
+    config = _load(args)
+    for held_out in held_out_domains(config):
+        out = _outdir(Path(args.out) / held_out)
+        by_id = generate_domains(config, data_seed(config, held_out, 0))
+        for domain_id in sorted(by_id):
+            path = out / f"{domain_id}.csv"
+            save_dataset_csv(by_id[domain_id], path)
+            print(f"wrote {path}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _load(args.config)
+    config = _load(args)
+    if args.test_domain is not None:
+        config = replace(config, test_domain=args.test_domain)
+    if config.test_domain is None:
+        ids = [d.domain_id for d in config.domains]
+        raise ValueError(f"train needs a held-out domain, one of {ids}; got None")
     algorithm = args.algorithm or config.algorithms[0]
-    test_domain = args.test_domain if args.test_domain is not None else config.test_domain
     seed = args.seed if args.seed is not None else config.train.seed
-    ids = [d.domain_id for d in config.domains]
-    if test_domain not in ids:
-        raise ValueError(f"train needs a held-out domain, one of {ids}; got {test_domain!r}")
     out = _outdir(args.out)
     # the data a `ptg run` row trains on: repetition 0's training splits,
     # standardized by their pooled statistics
-    trains, _, _ = _prepare_split(config, test_domain, 0)
-    feat_spec, cls_spec = config.network_specs()
+    trains, _, _ = prepare_split(config, config.test_domain, 0)
     cfg = replace(config.train, seed=seed)
+    feat, cls, history, bank = train_algorithm(algorithm, trains, *config.network_specs(), cfg)
     if algorithm == "ptg_lite":
-        # train_algorithm's ptg_lite path, keeping the bank for the mask report
-        erm_feat, erm_cls, _ = erm_train(trains, feat_spec, cls_spec, cfg)
-        bank, history = ptg_lite_train(trains, erm_feat, erm_cls, cfg)
-        feat, cls = bank.f0, bank.classifier
         models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
         _, report = cov_dropout(*mean_and_cov(models), cfg.beta)
         save_cov_report(out / "cov_report.json", report)
-    else:
-        feat, cls, history = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)
-    if isinstance(feat, GaussianVariational):
-        save_gaussian(out / "featurizer.json", feat)
-    else:
-        save_weights(out / "featurizer.json", feat)
+    save_feat = save_gaussian if isinstance(feat, GaussianVariational) else save_weights
+    save_feat(out / "featurizer.json", feat)
     save_weights(out / "classifier.json", cls)
     write_training_log(out / "training_log.csv", history)
     print(f"trained {algorithm} on {len(trains)} domains; artifacts in {out}")
@@ -115,9 +114,7 @@ def _write_selection(out: Path, selections) -> str:
 def _cmd_rows(args) -> int:
     """run and sweep: the grid's rows, then the selection and summary when
     args.write_summary is set."""
-    config = _load(args.config)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
+    config = _load(args)
     out = _outdir(args.out)
     rows = run_experiment(config, progress=lambda r: print(
         f"  {r.algorithm} test={r.test_domain} seed={r.seed} "
@@ -132,7 +129,7 @@ def _cmd_rows(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    config = _load(args.config)
+    config = _load(args)
     rows = read_results_csv(args.results)
     selections = select_model(rows, config)
     print(_write_selection(_outdir(args.out), selections), end="")
@@ -140,7 +137,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     worst_identity = 0.0
     worst_conditioned = 0.0
     for _ in range(args.trials):
@@ -171,14 +168,14 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     report = {
-        "backward": checks.run_backward_checks(seed, args.instances),
-        "variational": checks.run_elbo_checks(seed + 1, args.instances),
-        "tolerance": 1e-4,
+        "backward": checks.run_backward_checks(args.seed, args.instances),
+        "variational": checks.run_elbo_checks(args.seed + 1, args.instances),
+        "tolerance": GRAD_TOLERANCE,
     }
     report["ok"] = bool(
-        report["backward"]["max_rel_err"] < 1e-4 and report["variational"]["max_rel_err"] < 1e-4
+        report["backward"]["max_rel_err"] < GRAD_TOLERANCE
+        and report["variational"]["max_rel_err"] < GRAD_TOLERANCE
     )
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 2
@@ -193,24 +190,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=out_default, help="output directory")
         return p
 
-    p = sub.add_parser("gen-data", help="write each domain as CSV plus metadata sidecar")
-    common(p, "data").add_argument("--seed", type=int, help="override the config's base seed")
-    p.set_defaults(fn=_cmd_gen_data)
+    def base_seed(p):
+        p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
+                       help="override the config's base seed")
+        return p
+
+    p = sub.add_parser("gen-data", help="write a run's data as CSV plus sidecar per domain")
+    base_seed(common(p, "data")).set_defaults(fn=_cmd_gen_data)
 
     p = sub.add_parser("train", help="one training run; writes checkpoints and a log")
     common(p).add_argument("--seed", type=int,
                            help="training seed (default: train.seed); the data keep the base seed")
-    p.add_argument("--algorithm", choices=("erm", "erm_bayesian", "ptg", "ptg_lite"))
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--test-domain", help="domain to hold out (default from config)")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("run", help="full protocol: sweep, selection, summary")
-    common(p, "results").add_argument("--seed", type=int, help="override the config's base seed")
-    p.set_defaults(fn=_cmd_rows, write_summary=True)
+    base_seed(common(p, "results")).set_defaults(fn=_cmd_rows, write_summary=True)
 
     p = sub.add_parser("sweep", help="grid sweep only; writes the raw rows CSV")
-    common(p, "results").add_argument("--seed", type=int, help="override the config's base seed")
-    p.set_defaults(fn=_cmd_rows, write_summary=False)
+    base_seed(common(p, "results")).set_defaults(fn=_cmd_rows, write_summary=False)
 
     p = sub.add_parser("summarize", help="selection and summary table from a rows CSV")
     common(p, "results")
@@ -218,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_summarize)
 
     p = sub.add_parser("oracle-check", help="enumeration sweep of the posterior identity")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=20)
     p.set_defaults(fn=_cmd_grad_check)
 

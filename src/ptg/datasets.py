@@ -71,13 +71,9 @@ class DomainSpec:
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
         check_keys(obj, (f.name for f in fields(DomainSpec)), "domain")
-        return DomainSpec(
-            domain_id=obj["domain_id"],
-            n_samples=int(obj["n_samples"]),
-            spurious_correlation=float(obj.get("spurious_correlation", 0.0)),
-            rotation_deg=float(obj.get("rotation_deg", 0.0)),
-            noise_std=float(obj.get("noise_std", 0.5)),
-        )
+        # omitted optional keys keep the dataclass defaults
+        floats = {k: float(v) for k, v in obj.items() if k not in ("domain_id", "n_samples")}
+        return DomainSpec(obj["domain_id"], int(obj["n_samples"]), **floats)
 
 
 @dataclass

@@ -129,7 +129,7 @@ class ExperimentConfig:
         for key in ("algorithms", "alpha_grid", "beta_grid", "feat_hidden", "cls_hidden"):
             if key in obj:
                 obj[key] = tuple(obj[key])
-        return ExperimentConfig(domains=domains, train=train, **obj)
+        return ExperimentConfig(obj.pop("family"), domains, train=train, **obj)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -200,18 +200,23 @@ def generate_domains(config: ExperimentConfig, seed: int) -> dict[str, DomainDat
     return {d.domain_id: d for d in data}
 
 
-def _prepare_split(
+def data_seed(config: ExperimentConfig, test_domain: str, rep: int) -> int:
+    """The seed of the raw draw that one (held-out domain, repetition) uses."""
+    return derive_seed(config.base_seed, "data", test_domain, rep)
+
+
+def prepare_split(
     config: ExperimentConfig, test_domain: str, rep: int
 ) -> tuple[list[DomainDataset], list[DomainDataset], DomainDataset]:
     """Generate data for one repetition and standardize by the statistics of
     the pooled training splits only."""
-    data_seed = derive_seed(config.base_seed, "data", test_domain, rep)
-    by_id = generate_domains(config, data_seed)
+    seed = data_seed(config, test_domain, rep)
+    by_id = generate_domains(config, seed)
     train_ids = sorted(i for i in by_id if i != test_domain)
     trains, vals = [], []
     for i in train_ids:
         tr, va = split_train_val(
-            by_id[i], config.split_ratio, derive_seed(data_seed, "split", i)
+            by_id[i], config.split_ratio, derive_seed(seed, "split", i)
         )
         trains.append(tr)
         vals.append(va)
@@ -244,7 +249,7 @@ def _run_one(
     )
     t0 = time.perf_counter()
     try:
-        feat, cls, _ = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)
+        feat, cls, _, _ = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)
     except TrainingDiverged:
         wall = int((time.perf_counter() - t0) * 1000)
         return ResultRow(algorithm, test_domain, rep, alpha, beta, None, None, wall)
@@ -275,7 +280,7 @@ def _inner_holdout_score(
         inner = [t for k, t in enumerate(trains) if k != j]
         inner_cfg = replace(cfg, seed=derive_seed(cfg.seed, "inner", held.domain_id))
         try:
-            feat, cls, _ = train_algorithm(algorithm, inner, feat_spec, cls_spec, inner_cfg)
+            feat, cls, _, _ = train_algorithm(algorithm, inner, feat_spec, cls_spec, inner_cfg)
         except TrainingDiverged:
             return None
         x = np.concatenate([held.x, vals[j].x], axis=0)
@@ -285,7 +290,7 @@ def _inner_holdout_score(
     return float(np.mean(scores))
 
 
-def _held_out(config: ExperimentConfig) -> list[str]:
+def held_out_domains(config: ExperimentConfig) -> list[str]:
     """Every domain in turn for leave-one-out, else the one named test domain."""
     if config.test_domain is None:
         return [d.domain_id for d in config.domains]
@@ -299,9 +304,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[ResultRow]:
     held-out domain.  progress, if given, is called with each finished row.
     """
     rows = []
-    for test_domain in _held_out(config):
+    for test_domain in held_out_domains(config):
         for rep in range(config.n_seeds):
-            trains, vals, test = _prepare_split(config, test_domain, rep)
+            trains, vals, test = prepare_split(config, test_domain, rep)
             for algorithm in config.algorithms:
                 for gi, (alpha, beta) in enumerate(grid_for(algorithm, config)):
                     row = _run_one(
@@ -358,7 +363,7 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
         table[k] = r
     out = []
     for algorithm in config.algorithms:
-        for test_domain in _held_out(config):
+        for test_domain in held_out_domains(config):
             best = None
             for alpha, beta in grid_for(algorithm, config):
                 vals, tests = [], []

@@ -103,8 +103,8 @@ class TrainConfig:
     def from_json(obj: dict) -> "TrainConfig":
         check_keys(obj, TrainConfig().to_json(), "train")
         obj = dict(obj)
-        prior = PriorSpec(obj.pop("prior_mean", 0.0), obj.pop("prior_std", 1.0))
-        return TrainConfig(prior=prior, **obj)
+        prior = {k: obj.pop(f"prior_{k}") for k in ("mean", "std") if f"prior_{k}" in obj}
+        return TrainConfig(prior=PriorSpec(**prior), **obj)
 
 
 class MinibatchStream:
@@ -474,23 +474,21 @@ def train_algorithm(
     feat_spec: NetworkSpec,
     cls_spec: NetworkSpec,
     config: TrainConfig,
-) -> tuple[GaussianVariational | WeightSet, WeightSet, list[dict]]:
+) -> tuple[GaussianVariational | WeightSet, WeightSet, list[dict], FeaturizerBank | None]:
     """Run one named procedure end to end and return (featurizer, classifier,
-    history).  The aggregation procedures start from the matching merged-data
-    checkpoint: ptg from erm_bayesian's posterior, ptg_lite from erm's
-    weights."""
-    if algorithm == "erm":
-        return erm_train(domains, feat_spec, cls_spec, config)
-    if algorithm == "erm_bayesian":
-        feat, cls, _ = erm_train(domains, feat_spec, cls_spec, config)
-        return erm_bayesian_train(domains, feat, cls, config)
+    history, bank); bank is the aggregation procedures' FeaturizerBank and
+    None for the merged-data ones.  The aggregation procedures start from the
+    matching merged-data checkpoint: ptg from erm_bayesian's posterior,
+    ptg_lite from erm's weights."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    feat, cls, history = erm_train(domains, feat_spec, cls_spec, config)
+    if algorithm in ("erm_bayesian", "ptg"):
+        feat, cls, history = erm_bayesian_train(domains, feat, cls, config)
     if algorithm == "ptg":
-        feat, cls, _ = erm_train(domains, feat_spec, cls_spec, config)
-        q, cls, _ = erm_bayesian_train(domains, feat, cls, config)
-        bank, history = ptg_train(domains, q, cls, config)
-        return bank.f0, bank.classifier, history
-    if algorithm == "ptg_lite":
-        feat, cls, _ = erm_train(domains, feat_spec, cls_spec, config)
+        bank, history = ptg_train(domains, feat, cls, config)
+    elif algorithm == "ptg_lite":
         bank, history = ptg_lite_train(domains, feat, cls, config)
-        return bank.f0, bank.classifier, history
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    else:
+        return feat, cls, history, None
+    return bank.f0, bank.classifier, history, bank

@@ -11,13 +11,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ptg.cli
 import ptg.training
 from ptg.cli import main
 from ptg.datasets import DomainSpec, load_dataset_csv
-from ptg.harness import ExperimentConfig, _prepare_split, load_config, read_results_csv, save_config
+from ptg.harness import (
+    ExperimentConfig,
+    generate_domains,
+    load_config,
+    prepare_split,
+    read_results_csv,
+    save_config,
+)
 from ptg.nets import load_weights
+from ptg.seeding import derive_seed
 from ptg.training import TrainConfig, ptg_lite_train, train_algorithm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -45,13 +54,45 @@ def config_path(tmp_path):
 
 
 class TestGenData:
-    def test_writes_domain_csvs(self, config_path, tmp_path):
+    """gen-data writes <out>/<held_out>/<domain_id>.csv: repetition 0's raw
+    draw for that held-out domain, the data a run with it trains on."""
+
+    @staticmethod
+    def assert_repetition_zero(out, config):
+        held_out = [config.test_domain] if config.test_domain else [d.domain_id for d in config.domains]
+        assert sorted(p.name for p in out.iterdir()) == sorted(held_out)
+        for h in held_out:
+            want = generate_domains(config, derive_seed(config.base_seed, "data", h, 0))
+            assert sorted(p.name for p in (out / h).glob("*.csv")) == sorted(f"{i}.csv" for i in want)
+            for domain_id, ds in want.items():
+                got = load_dataset_csv(out / h / f"{domain_id}.csv")
+                np.testing.assert_array_equal(got.x.view(np.uint64), ds.x.view(np.uint64))
+                np.testing.assert_array_equal(got.y, ds.y)
+                assert (got.domain_id, got.invariant_cols, got.spurious_cols) == (
+                    ds.domain_id, ds.invariant_cols, ds.spurious_cols
+                )
+
+    @staticmethod
+    def gen_data(path, out):
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 0
+        return load_config(path)
+
+    def test_writes_domain_csvs(self, tmp_path):
         out = tmp_path / "data"
-        assert main(["gen-data", "--config", config_path, "--out", str(out)]) == 0
-        for domain_id in ("a", "b", "c"):
-            ds = load_dataset_csv(out / f"{domain_id}.csv")
-            assert ds.n_samples == 100
-            assert ds.domain_id == domain_id
+        config = self.gen_data(ROOT / "configs" / "default.json", out)
+        assert [p.name for p in out.iterdir()] == ["flip"]
+        self.assert_repetition_zero(out, config)
+
+    def test_leave_one_out_writes_every_held_out_domain(self, tmp_path):
+        out = tmp_path / "data"
+        config = self.gen_data(ROOT / "configs" / "moons_l1o.json", out)
+        assert config.test_domain is None
+        self.assert_repetition_zero(out, config)
+
+    def test_seed_sets_the_base_seed(self, config_path, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", config_path, "--seed", "3", "--out", str(out)]) == 0
+        self.assert_repetition_zero(out, replace(load_config(config_path), base_seed=3))
 
 
 class TestTrain:
@@ -64,20 +105,31 @@ class TestTrain:
         assert (out / "classifier.json").exists()
         assert (out / "training_log.csv").read_text().startswith("iteration,")
 
-    def test_erm_trains_on_the_benchmark_split(self, config_path, tmp_path):
-        # the model `ptg run` scores: repetition 0's standardized training splits
-        out = tmp_path / "run"
-        assert main(["train", "--config", config_path, "--algorithm", "erm", "--out", str(out)]) == 0
-        config = load_config(config_path)
-        trains, _, _ = _prepare_split(config, "c", 0)
-        feat, cls, _ = train_algorithm("erm", trains, *config.network_specs(), config.train)
+    @staticmethod
+    def assert_trains_erm(out, config, cfg):
+        trains, _, _ = prepare_split(config, "c", 0)
+        feat, cls, _, _ = train_algorithm("erm", trains, *config.network_specs(), cfg)
         saved = load_weights(out / "featurizer.json")
         np.testing.assert_array_equal(saved.flat.view(np.uint64), feat.flat.view(np.uint64))
         saved = load_weights(out / "classifier.json")
         np.testing.assert_array_equal(saved.flat.view(np.uint64), cls.flat.view(np.uint64))
 
+    def test_erm_trains_on_the_benchmark_split(self, config_path, tmp_path):
+        # the model `ptg run` scores: repetition 0's standardized training splits
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_path, "--algorithm", "erm", "--out", str(out)]) == 0
+        config = load_config(config_path)
+        self.assert_trains_erm(out, config, config.train)
+
+    def test_seed_is_the_training_seed(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        argv = ["train", "--config", config_path, "--algorithm", "erm", "--seed", "5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        config = load_config(config_path)  # the data stay at the base seed
+        self.assert_trains_erm(out, config, replace(config.train, seed=5))
+
     @pytest.mark.parametrize("held_out", ["nope", None])
-    def test_needs_a_held_out_domain(self, config_path, tmp_path, held_out):
+    def test_needs_a_held_out_domain(self, config_path, tmp_path, capsys, held_out):
         if held_out is None:
             config = replace(load_config(config_path), test_domain=None)
             save_config(tmp_path / "l1o.json", config)
@@ -85,6 +137,7 @@ class TestTrain:
         else:
             argv = ["train", "--config", config_path, "--test-domain", held_out]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert ("needs a held-out domain" if held_out is None else "'nope'") in capsys.readouterr().err
 
     def test_ptg_saves_posterior(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -100,16 +153,23 @@ class TestTrain:
             runs.append(1)
             return ptg_lite_train(*args, **kwargs)
 
-        # every binding a train command could reach
-        monkeypatch.setattr(ptg.cli, "ptg_lite_train", counted)
         monkeypatch.setattr(ptg.training, "ptg_lite_train", counted)
+        config = load_config(config_path)
+        config = replace(config, train=replace(config.train, beta=0.3))
+        save_config(tmp_path / "beta.json", config)
         out = tmp_path / "run"
-        code = main(["train", "--config", config_path, "--algorithm", "ptg_lite", "--out", str(out)])
-        assert code == 0
+        argv = ["train", "--config", str(tmp_path / "beta.json"), "--algorithm", "ptg_lite"]
+        assert main(argv + ["--out", str(out)]) == 0
         assert len(runs) == 1  # the mask report comes from the same run
+        # the report is the last aggregation's mask over the whole featurizer
         report = json.loads((out / "cov_report.json").read_text())
-        assert {"beta", "dropped_count", "cov_histogram"} <= set(report)
-        for name in ("featurizer.json", "classifier.json", "training_log.csv"):
+        last = (out / "training_log.csv").read_text().splitlines()
+        header, row = last[0].split(","), last[-1].split(",")
+        assert report["dropped_count"] == int(row[header.index("dropped_count")])
+        feat_spec, _ = config.network_specs()
+        assert sum(c for _, _, c in report["cov_histogram"]) == feat_spec.param_count
+        assert report["beta"] == 0.3
+        for name in ("featurizer.json", "classifier.json"):
             assert (out / name).exists()
 
 
@@ -181,6 +241,17 @@ class TestExitCodes:
     def test_unknown_config_key_is_named(self, config_path, tmp_path, capsys, where, key):
         obj = json.loads(Path(config_path).read_text())
         {"top": obj, "train": obj["train"], "domain": obj["domains"][0]}[where][key] = 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["summarize", "--config", str(bad), str(tmp_path / "rows.csv")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key", [
+        ("domain", "domain_id"), ("domain", "n_samples"), ("top", "family"), ("top", "domains"),
+    ])
+    def test_missing_required_config_key_is_named(self, config_path, tmp_path, capsys, where, key):
+        obj = json.loads(Path(config_path).read_text())
+        del {"top": obj, "domain": obj["domains"][0]}[where][key]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         assert main(["summarize", "--config", str(bad), str(tmp_path / "rows.csv")]) == 1

@@ -29,6 +29,7 @@ from ptg.harness import (
     write_training_log,
 )
 from ptg.training import TrainConfig
+from ptg.variational import PriorSpec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -97,6 +98,20 @@ class TestExperimentConfig:
         assert len(cfg.domains) == 4
         assert cfg.alpha_grid == DEFAULT_ALPHA_GRID
         assert cfg.beta_grid == DEFAULT_BETA_GRID
+
+    def test_omitted_optional_keys_take_the_dataclass_defaults(self):
+        obj = {
+            "family": "spurious_blobs",
+            "domains": [{"domain_id": "a", "n_samples": 10}, {"domain_id": "b", "n_samples": "20"}],
+        }
+        cfg = ExperimentConfig.from_json(obj)
+        assert cfg == ExperimentConfig("spurious_blobs", (DomainSpec("a", 10), DomainSpec("b", 20)))
+        assert cfg.train == TrainConfig() and cfg.train.prior == PriorSpec()
+        assert ExperimentConfig.from_json({**obj, "train": {}}) == cfg
+        # the keys that are present keep their coercion
+        domain = DomainSpec.from_json({"domain_id": "a", "n_samples": 10.0, "noise_std": 1})
+        assert type(domain.n_samples) is int and type(domain.noise_std) is float
+        assert TrainConfig.from_json({"prior_std": 2.0}).prior == PriorSpec(std=2.0)
 
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()

@@ -378,10 +378,15 @@ class TestTrainAlgorithm:
         }
         assert set(expected) == set(ALGORITHMS)
         for name, typ in expected.items():
-            feat, cls, history = train_algorithm(name, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
+            feat, cls, history, bank = train_algorithm(name, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
             assert isinstance(feat, typ), name
             assert isinstance(cls, WeightSet)
             assert len(history) > 0
+            if name in ("ptg", "ptg_lite"):  # the bank the returned models come from
+                assert bank.f0 is feat and bank.classifier is cls
+                assert sorted(bank.per_domain) == sorted(d.domain_id for d in domains)
+            else:
+                assert bank is None
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
