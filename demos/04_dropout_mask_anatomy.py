@@ -15,18 +15,18 @@ import dataclasses
 import numpy as np
 
 from ptg.aggregate import cov_dropout, mean_and_cov
-from ptg.harness import default_benchmark_config, generate_domains
+from ptg.harness import default_benchmark_config, prepare_split
 from ptg.nets import WeightSet
-from ptg.training import TrainConfig, erm_train, ptg_lite_train
+from ptg.training import train_algorithm
 
-cfg = dataclasses.replace(default_benchmark_config(), n_seeds=1)
-domains = [d for d in generate_domains(cfg, seed=0).values() if d.domain_id != "flip"]
+cfg = default_benchmark_config()
+# the data `ptg train` and repetition 0 of `ptg run` use: the training
+# splits with `flip` held out, standardized by their pooled statistics
+trains, _, _ = prepare_split(cfg, cfg.test_domain, 0)
 feat_spec, cls_spec = cfg.network_specs()
 tcfg = dataclasses.replace(cfg.train, outer_iterations=400, seed=0, alpha=0.05, beta=0.1)
 
-feat, cls, _ = erm_train(domains, feat_spec, cls_spec, tcfg)
-
-bank, history = ptg_lite_train(domains, feat, cls, tcfg)
+_, _, history, bank = train_algorithm("ptg_lite", trains, feat_spec, cls_spec, tcfg)
 
 # --- read the final mask by input block ----------------------------------
 # the per-domain weights of the last aggregation: the merged step after it

@@ -37,6 +37,7 @@ from .training import ALGORITHMS, train_algorithm
 from .variational import GaussianVariational, save_gaussian
 
 GRAD_TOLERANCE = 1e-4
+ORACLE_TOLERANCE = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,9 +157,9 @@ def _cmd_oracle_check(args) -> int:
     report = {
         "trials": args.trials,
         "max_identity_gap": worst_identity,
-        "identity_tolerance": 1e-12,
+        "identity_tolerance": ORACLE_TOLERANCE,
         "max_data_conditioned_gap": worst_conditioned,  # informational only
-        "ok": bool(worst_identity < 1e-12),
+        "ok": bool(worst_identity < ORACLE_TOLERANCE),
     }
     print(json.dumps(report, indent=2))
     if args.out:

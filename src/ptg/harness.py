@@ -133,8 +133,14 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in a JSON file; a value of the wrong JSON type raises
+    ValueError naming the file."""
     with open(path) as fh:
-        return ExperimentConfig.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return ExperimentConfig.from_json(obj)
+    except TypeError as exc:
+        raise ValueError(f"{path}: a config value has the wrong type ({exc})") from exc
 
 
 def save_config(path, config: ExperimentConfig) -> None:
@@ -423,13 +429,20 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
 
 
 def read_results_csv(path) -> list[ResultRow]:
+    """Rows of a results.csv; a row without exactly one field per header
+    column raises ValueError naming its line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != RESULTS_HEADER:
             raise ValueError(f"unexpected results header {header}")
         for rec in reader:
+            if len(rec) != len(RESULTS_HEADER):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected {len(RESULTS_HEADER)} fields, "
+                    f"got {len(rec)}"
+                )
             rows.append(
                 ResultRow(
                     algorithm=rec[0],

@@ -16,7 +16,9 @@ forward and backward pass: ``loss_and_gradients`` composes the public
 ``forward``, ``cross_entropy`` and ``backward`` for every training loss.
 Gradients are flat float64 vectors in the ``WeightSet`` flat order.  The
 gradient w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``,
-formed only where something reads it.
+formed only where something reads it.  Adam runs at the fixed settings
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` (0.9, 0.999, 1e-8); an
+``AdamState`` holds only the moments and the step count.
 """
 from __future__ import annotations
 
@@ -261,6 +263,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, d_logits
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for a flat parameter vector."""
@@ -268,9 +275,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def zeros(n: int) -> "AdamState":
@@ -297,18 +301,18 @@ def adam_step(
     m, v = state.m, state.v
     # in place through one scratch buffer, with the rounding of
     # beta * m + (1 - beta) * grad [* grad] and lr * m_hat / (sqrt(v_hat) + eps)
-    buf = np.multiply(grad, 1.0 - state.beta1)
-    m *= state.beta1
+    buf = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += buf
-    np.multiply(grad, 1.0 - state.beta2, out=buf)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=buf)
     buf *= grad
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += buf
-    step = m / (1.0 - state.beta1**state.t)
+    step = m / (1.0 - ADAM_BETA1**state.t)
     step *= effective_lr
-    np.divide(v, 1.0 - state.beta2**state.t, out=buf)
+    np.divide(v, 1.0 - ADAM_BETA2**state.t, out=buf)
     np.sqrt(buf, out=buf)
-    buf += state.eps
+    buf += ADAM_EPS
     step /= buf
     flat -= step
     return flat, state

@@ -123,10 +123,6 @@ class MinibatchStream:
         self._order = rng.permutation(self.n)
         self._pos = 0
 
-    @property
-    def batches_per_epoch(self) -> int:
-        return max(1, self.n // self.batch_size)
-
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         if self._pos + self.batch_size > self.n:
             self._order = self.rng.permutation(self.n)
@@ -167,14 +163,6 @@ class FeaturizerBank:
     per_domain: dict[str, GaussianVariational | WeightSet]
     classifier: WeightSet
 
-    def __post_init__(self):
-        feat_out = self.f0.spec.layer_dims[-1]
-        cls_in = self.classifier.spec.layer_dims[0]
-        if feat_out != cls_in:
-            raise ValueError(
-                f"featurizer output dim {feat_out} does not match classifier input {cls_in}"
-            )
-
 
 def predict(
     featurizer: GaussianVariational | WeightSet,
@@ -182,14 +170,13 @@ def predict(
     x: np.ndarray,
     mc_samples: int = 1,
     rng: np.random.Generator | None = None,
-    eps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Class probabilities for a batch.
 
     Deterministic featurizers run once.  Posterior featurizers average the
-    softmax over mc_samples reparameterized draws; pass eps of shape
-    (mc_samples, n_params) to replay a specific draw sequence, or an rng to
-    draw them, or neither to predict at the posterior mean (eps = 0).
+    softmax over mc_samples reparameterized draws, with eps drawn from rng as
+    one (mc_samples, n_params) array, or at the posterior mean (eps = 0) when
+    rng is None.
     """
     if isinstance(featurizer, WeightSet):
         feats, _ = forward(featurizer, x)
@@ -198,14 +185,10 @@ def predict(
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     n_params = featurizer.mu.shape[0]
-    if eps is None:
-        if rng is None:
-            eps = np.zeros((mc_samples, n_params))
-        else:
-            eps = rng.standard_normal((mc_samples, n_params))
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (mc_samples, n_params):
-        raise ValueError(f"eps must have shape {(mc_samples, n_params)}, got {eps.shape}")
+    if rng is None:
+        eps = np.zeros((mc_samples, n_params))
+    else:
+        eps = rng.standard_normal((mc_samples, n_params))
     total = None
     for k in range(mc_samples):
         ws = sample_weights(featurizer, eps[k])
@@ -327,19 +310,14 @@ def erm_train(
     feat_spec: NetworkSpec,
     cls_spec: NetworkSpec,
     config: TrainConfig,
-    init: tuple[WeightSet, WeightSet] | None = None,
 ) -> tuple[WeightSet, WeightSet, list[dict]]:
-    """Plain cross-entropy training on the pooled domains.
+    """Plain cross-entropy training on the pooled domains from
+    init_pair(feat_spec, cls_spec, config.seed).
 
-    erm_steps = 0 returns the initialization unchanged (useful both as a
+    erm_steps = 0 returns that initialization unchanged (useful both as a
     contract and to produce a shared init for the other procedures).
     """
-    if init is None:
-        feat, cls = init_pair(feat_spec, cls_spec, config.seed)
-    elif init[0].spec != feat_spec or init[1].spec != cls_spec:
-        raise ValueError("init weights were built for a different spec")
-    else:
-        feat, cls = init[0].copy(), init[1].copy()
+    feat, cls = init_pair(feat_spec, cls_spec, config.seed)
     return _pooled_loop(domains, feat, cls, config, config.erm_steps, _ce_step)
 
 
@@ -371,7 +349,7 @@ def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
     return f0, ~report.kept_mask, report.dropped_count
 
 
-def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate, inspect):
+def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate):
     """The outer loop of ptg and ptg_lite (see ptg_train); make_step is as in
     _pooled_loop, and aggregate(models, config) returns (shared model, mask of
     the coordinates it dropped or None, their count)."""
@@ -404,8 +382,6 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
             row[f"loss_{i}"] = loss
 
         f0, dropped, dropped_count = aggregate([per[i] for i in ids], config)
-        if inspect is not None:
-            inspect(it, f0.copy(), {i: per[i].copy() for i in ids})
 
         merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
         loss, g_feat, g_cls, kl = merged_step(f0, cls, merged, klw_m)
@@ -428,7 +404,6 @@ def ptg_train(
     init_q: GaussianVariational,
     init_cls: WeightSet,
     config: TrainConfig,
-    inspect: Callable[[int, GaussianVariational, dict[str, GaussianVariational]], None] | None = None,
 ) -> tuple[FeaturizerBank, list[dict]]:
     """Per-domain posterior refinement with moment-matched aggregation.
 
@@ -437,11 +412,8 @@ def ptg_train(
     (b) the shared posterior is rebuilt by moment matching the per-domain
     posteriors; (c) the shared posterior and the classifier take one
     variational step on the concatenation of this iteration's minibatches.
-    The optional inspect hook receives (iteration, shared posterior,
-    per-domain posteriors) right after (b), before the merged step touches
-    anything.
     """
-    return _aggregation_loop(domains, init_q, init_cls, config, _elbo_step, _match_posteriors, inspect)
+    return _aggregation_loop(domains, init_q, init_cls, config, _elbo_step, _match_posteriors)
 
 
 def ptg_lite_train(
@@ -449,7 +421,6 @@ def ptg_lite_train(
     init_feat: WeightSet,
     init_cls: WeightSet,
     config: TrainConfig,
-    inspect: Callable[[int, WeightSet, dict[str, WeightSet]], None] | None = None,
 ) -> tuple[FeaturizerBank, list[dict]]:
     """Deterministic aggregation: averaged point estimates with CoV dropout.
 
@@ -461,8 +432,7 @@ def ptg_lite_train(
     on (shared featurizer, classifier) cannot resurrect it; the mask is
     recomputed at the next aggregation.
     """
-    return _aggregation_loop(domains, init_feat, init_cls, config, _map_step,
-                             _mask_point_estimates, inspect)
+    return _aggregation_loop(domains, init_feat, init_cls, config, _map_step, _mask_point_estimates)
 
 
 ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")

@@ -170,7 +170,6 @@ def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float
 @dataclass
 class ElboResult:
     loss: float
-    cross_entropy: float
     kl: float
     grad_theta: np.ndarray  # packed [d/d mu | d/d rho], the layout of q.theta
     grad_classifier: np.ndarray  # flat, the layout of classifier.flat
@@ -211,7 +210,7 @@ def elbo_loss(
     grad_theta = _kl_grad(q.mu, sigma, sig_rho, prior)
     grad_theta *= kl_weight
     if batch is None:
-        return ElboResult(kl_weight * kl, 0.0, kl, grad_theta, np.zeros(classifier.spec.param_count))
+        return ElboResult(kl_weight * kl, kl, grad_theta, np.zeros(classifier.spec.param_count))
     x, y = batch
     feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
     ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y)
@@ -220,7 +219,7 @@ def elbo_loss(
     g_rho = g_omega * eps
     g_rho *= sig_rho
     grad_theta[n:] += g_rho
-    return ElboResult(ce + kl_weight * kl, ce, kl, grad_theta, grad_cls)
+    return ElboResult(ce + kl_weight * kl, kl, grad_theta, grad_cls)
 
 
 def save_gaussian(path, q: GaussianVariational) -> None:

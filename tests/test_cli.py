@@ -15,6 +15,7 @@ import ptg.training
 from ptg.cli import main
 from ptg.datasets import DomainSpec, load_dataset_csv
 from ptg.harness import (
+    RESULTS_HEADER,
     ExperimentConfig,
     generate_domains,
     load_config,
@@ -281,6 +282,39 @@ class TestExitCodes:
         bad = tmp_path / "rows.csv"
         bad.write_text("foo,bar\n1,2\n")
         assert main(["summarize", "--config", config_path, str(bad)]) == 1
+
+    @pytest.mark.parametrize("row", [
+        "erm,c,0,,,0.9",  # short: used to escape as an IndexError
+        "erm,c,0,,,0.9,0.8,12,extra",  # long: the extra field was ignored
+    ])
+    def test_summarize_names_the_line_of_a_row_with_the_wrong_field_count(
+        self, config_path, tmp_path, capsys, row
+    ):
+        good = "erm,c,1,,,0.9,0.8,12"
+        bad = tmp_path / "rows.csv"
+        bad.write_text(",".join(RESULTS_HEADER) + f"\n{good}\n{row}\n")
+        assert main(["summarize", "--config", config_path, "--out", str(tmp_path), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad} line 3: expected 8 fields, got {len(row.split(','))}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where, value", [
+        ("alpha_grid", 0.1), ("outer_iterations", "10"), ("domain", ["a", 100]),
+    ])
+    def test_config_value_of_the_wrong_type_names_the_file(
+        self, config_path, tmp_path, capsys, where, value
+    ):
+        obj = json.loads(Path(config_path).read_text())
+        if where == "domain":
+            obj["domains"][0] = value
+        else:
+            (obj["train"] if where in obj["train"] else obj)[where] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["summarize", "--config", str(bad), str(tmp_path / "rows.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: a config value has the wrong type" in err
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:

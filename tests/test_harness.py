@@ -302,6 +302,9 @@ class TestResultsCsv:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError):
             read_results_csv(path)
+        path.write_text("")  # no header at all
+        with pytest.raises(ValueError, match="unexpected results header"):
+            read_results_csv(path)
 
     def test_none_cells_round_trip(self, tmp_path):
         rows = [fabricate("erm", None, None, 0, None, None)]

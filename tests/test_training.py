@@ -13,7 +13,6 @@ from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, soft
 from ptg.seeding import stream
 from ptg.training import (
     ALGORITHMS,
-    FeaturizerBank,
     MinibatchStream,
     TrainConfig,
     _auto_kl_weight,
@@ -27,7 +26,7 @@ from ptg.training import (
     ptg_train,
     train_algorithm,
 )
-from ptg.variational import GaussianVariational, elbo_loss, init_from_deterministic
+from ptg.variational import GaussianVariational, elbo_loss, init_from_deterministic, sample_weights
 
 FEAT_SPEC = NetworkSpec((4, 8, 4))
 CLS_SPEC = NetworkSpec((4, 2))
@@ -67,7 +66,6 @@ class TestMinibatchStream:
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((100, 3)), rng.integers(0, 2, 100)
         s = MinibatchStream(x, y, 32, np.random.default_rng(1))
-        assert s.batches_per_epoch == 3
         for _ in range(10):
             bx, by = s.next_batch()
             assert bx.shape == (32, 3) and by.shape == (32,)
@@ -84,7 +82,8 @@ class TestMinibatchStream:
     def test_oversized_batch_clamps(self):
         x, y = np.zeros((10, 2)), np.zeros(10, dtype=np.int64)
         s = MinibatchStream(x, y, 64, np.random.default_rng(0))
-        assert s.batches_per_epoch == 1
+        assert s.batch_size == 10
+        assert _auto_kl_weight(TrainConfig(), s) == 1.0
         assert s.next_batch()[0].shape == (10, 2)
 
     def test_auto_kl_weight(self):
@@ -114,22 +113,22 @@ class TestPredict:
         np.testing.assert_array_equal(predict(q, cls, x), predict(feat, cls, x))
 
     def test_replayed_eps_average(self):
+        # the rng's draws, replayed one sample at a time through the
+        # deterministic path
         feat, cls = init_pair(FEAT_SPEC, CLS_SPEC, seed=4)
         q = init_from_deterministic(feat, 0.5)
         x = np.random.default_rng(5).standard_normal((6, 4))
+        combined = predict(q, cls, x, mc_samples=10, rng=np.random.default_rng(6))
         eps = np.random.default_rng(6).standard_normal((10, q.mu.size))
-        combined = predict(q, cls, x, mc_samples=10, eps=eps)
         total = None
         for k in range(10):
-            p = predict(q, cls, x, mc_samples=1, eps=eps[k : k + 1])
+            p = predict(sample_weights(q, eps[k]), cls, x)
             total = p if total is None else total + p
         np.testing.assert_array_equal(combined, total / 10)
 
-    def test_eps_shape_checked(self):
+    def test_mc_samples_checked(self):
         feat, cls = init_pair(FEAT_SPEC, CLS_SPEC, seed=0)
         q = init_from_deterministic(feat, 0.1)
-        with pytest.raises(ValueError):
-            predict(q, cls, np.zeros((2, 4)), mc_samples=3, eps=np.zeros((2, q.mu.size)))
         with pytest.raises(ValueError):
             predict(q, cls, np.zeros((2, 4)), mc_samples=0)
 
@@ -154,8 +153,8 @@ class TestErm:
     def test_zero_steps_returns_init(self):
         domains = make_domains(n_per=20)
         init = init_pair(FEAT_SPEC, CLS_SPEC, seed=5)
-        cfg = TrainConfig(erm_steps=0)
-        feat, cls, history = erm_train(domains, FEAT_SPEC, CLS_SPEC, cfg, init=init)
+        cfg = TrainConfig(erm_steps=0, seed=5)
+        feat, cls, history = erm_train(domains, FEAT_SPEC, CLS_SPEC, cfg)
         np.testing.assert_array_equal(feat.flatten(), init[0].flatten())
         np.testing.assert_array_equal(cls.flatten(), init[1].flatten())
         assert history == []
@@ -173,14 +172,6 @@ class TestErm:
         with pytest.raises(ValueError):
             erm_train([d, d], FEAT_SPEC, CLS_SPEC, TrainConfig(erm_steps=1))
 
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_rejects_init_for_another_spec(self, which):
-        init = list(init_pair(FEAT_SPEC, CLS_SPEC, seed=0))
-        init[which] = init_pair(NetworkSpec((4, 6, 4)), NetworkSpec((4, 3)), seed=0)[which]
-        with pytest.raises(ValueError, match="different spec"):
-            erm_train(make_domains(n_per=20), FEAT_SPEC, CLS_SPEC, TrainConfig(erm_steps=1),
-                      init=tuple(init))
-
 
 class TestBayesianReduction:
     def test_collapsed_posterior_tracks_erm(self):
@@ -192,7 +183,7 @@ class TestBayesianReduction:
             erm_steps=60, bayes_steps=60, sigma0=1e-30, kl_weight=0.0,
             batch_size=32, seed=9,
         )
-        feat_e, cls_e, hist_e = erm_train(domains, FEAT_SPEC, CLS_SPEC, cfg, init=init)
+        feat_e, cls_e, hist_e = erm_train(domains, FEAT_SPEC, CLS_SPEC, cfg)  # starts at init
         q, cls_b, hist_b = erm_bayesian_train(domains, init[0], init[1], cfg)
         ce_e = np.array([h["merged_loss"] for h in hist_e])
         ce_b = np.array([h["merged_loss"] for h in hist_b])
@@ -209,6 +200,11 @@ class TestBayesianReduction:
         assert all(np.isfinite(h["kl"]) for h in hist)
 
 
+def history_bits(history):
+    """Keys in order, and each value's type and exact repr."""
+    return [[(k, type(v), repr(v)) for k, v in row.items()] for row in history]
+
+
 def ptg_setup(seed=7, sigma0=0.05):
     domains = make_domains(n_per=90, seed=seed)
     feat, cls = init_pair(FEAT_SPEC, CLS_SPEC, seed=seed)
@@ -222,21 +218,20 @@ class TestPtg:
     )
 
     def test_first_iteration_matches_manual_replay(self):
-        # independent reconstruction of phase (a) and (b): one variational step
-        # per domain against the untouched classifier, then moment matching
+        # independent reconstruction of phases (a), (b) and (c): one
+        # variational step per domain against the untouched classifier,
+        # moment matching, then one merged step on the concatenated batches
         domains, q_init, cls0 = ptg_setup()
-        seen = []
-        ptg_train(domains, q_init, cls0, self.CFG,
-                  inspect=lambda it, q0, per: seen.append((it, q0, per)))
-        assert [s[0] for s in seen] == [0, 1]
-        _, q0_hook, per_hook = seen[0]
+        bank, history = ptg_train(domains, q_init, cls0, replace(self.CFG, outer_iterations=1))
+        assert [h["iteration"] for h in history] == [0]
 
         n = q_init.mu.size
-        manual = {}
+        manual, drawn = {}, []
         for d in sorted(domains, key=lambda d: d.domain_id):
             batch = MinibatchStream(
                 d.x, d.y, 32, stream(7, "batches", d.domain_id)
             ).next_batch()
+            drawn.append(batch)
             eps = stream(7, "eps", d.domain_id).standard_normal(n)
             res = elbo_loss(q_init, cls0, batch, 0.1, eps, self.CFG.prior)
             packed = np.concatenate([q_init.mu, q_init.rho])
@@ -247,11 +242,28 @@ class TestPtg:
             manual[d.domain_id] = GaussianVariational(q_init.spec, packed[:n], packed[n:])
 
         for i, q in manual.items():
-            np.testing.assert_array_equal(per_hook[i].mu, q.mu)
-            np.testing.assert_array_equal(per_hook[i].rho, q.rho)
-        agg = moment_match([manual[i] for i in sorted(manual)])
-        np.testing.assert_array_equal(q0_hook.mu, agg.q0.mu)
-        np.testing.assert_array_equal(q0_hook.rho, agg.q0.rho)
+            np.testing.assert_array_equal(bank.per_domain[i].mu, q.mu)
+            np.testing.assert_array_equal(bank.per_domain[i].rho, q.rho)
+        q0 = moment_match([manual[i] for i in sorted(manual)]).q0
+        merged = tuple(np.concatenate(part) for part in zip(*drawn))
+        eps = stream(7, "eps", "merged").standard_normal(n)
+        res = elbo_loss(q0, cls0, merged, 0.1, eps, self.CFG.prior)
+        adam_step(q0.theta, res.grad_theta, AdamState.zeros(2 * n), 0.5 * 1e-3)
+        cls = cls0.copy()
+        adam_step(cls.flat, res.grad_classifier, AdamState.zeros(cls.flat.size), 0.5 * 1e-3)
+        np.testing.assert_array_equal(bank.f0.mu, q0.mu)
+        np.testing.assert_array_equal(bank.f0.rho, q0.rho)
+        np.testing.assert_array_equal(bank.classifier.flat, cls.flat)
+
+    def test_truncated_run_is_a_prefix(self):
+        # a k-iteration run is the first k iterations of a longer one, so its
+        # bank is the state the longer run holds after iteration k - 1
+        domains, q_init, cls0 = ptg_setup(seed=8)
+        cfg = replace(self.CFG, outer_iterations=5)
+        _, history = ptg_train(domains, q_init, cls0, cfg)
+        for k in range(1, cfg.outer_iterations):
+            _, head = ptg_train(domains, q_init, cls0, replace(cfg, outer_iterations=k))
+            assert history_bits(head) == history_bits(history[:k])
 
     def test_domain_order_irrelevant_bitwise(self):
         domains, q_init, cls0 = ptg_setup(seed=11)
@@ -300,16 +312,14 @@ class TestPtgLite:
     def test_first_iteration_matches_manual_replay(self):
         domains = make_domains(n_per=90, seed=21)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=21)
-        seen = []
-        ptg_lite_train(domains, feat0, cls0, self.CFG,
-                       inspect=lambda it, f0, per: seen.append((it, f0, per)))
-        _, f0_hook, per_hook = seen[0]
+        bank, _ = ptg_lite_train(domains, feat0, cls0, replace(self.CFG, outer_iterations=1))
 
-        manual = {}
+        manual, drawn = {}, []
         for d in sorted(domains, key=lambda d: d.domain_id):
             batch = MinibatchStream(
                 d.x, d.y, 32, stream(21, "batches", d.domain_id)
             ).next_batch()
+            drawn.append(batch)
             _, g, _, _ = _map_loss(feat0, cls0, batch, 0.1, self.CFG.prior)
             new_f, _ = adam_step(
                 feat0.flatten(), g, AdamState.zeros(g.size), 0.5 * 1e-3
@@ -317,33 +327,45 @@ class TestPtgLite:
             manual[d.domain_id] = WeightSet.from_flat(FEAT_SPEC, new_f)
 
         for i, w in manual.items():
-            np.testing.assert_array_equal(per_hook[i].flatten(), w.flatten())
+            np.testing.assert_array_equal(bank.per_domain[i].flatten(), w.flatten())
         models = [manual[i] for i in sorted(manual)]
-        expect, _ = cov_dropout(
+        f0, report = cov_dropout(
             map_mean(models), coefficient_of_variation(models), 0.05
         )
-        np.testing.assert_array_equal(f0_hook.flatten(), expect.flatten())
+        merged = tuple(np.concatenate(part) for part in zip(*drawn))
+        _, g, g_cls, _ = _map_loss(f0, cls0, merged, 0.1, self.CFG.prior)
+        g[~report.kept_mask] = 0.0
+        adam_step(f0.flat, g, AdamState.zeros(g.size), 0.5 * 1e-3)
+        f0.flat[~report.kept_mask] = 0.0
+        cls = cls0.copy()
+        adam_step(cls.flat, g_cls, AdamState.zeros(g_cls.size), 0.5 * 1e-3)
+        np.testing.assert_array_equal(bank.f0.flatten(), f0.flatten())
+        np.testing.assert_array_equal(bank.classifier.flat, cls.flat)
+
+    def test_truncated_run_is_a_prefix(self):
+        domains = make_domains(n_per=90, seed=25)
+        feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=25)
+        cfg = replace(self.CFG, outer_iterations=5)
+        _, history = ptg_lite_train(domains, feat0, cls0, cfg)
+        assert any(h["dropped_count"] > 0 for h in history)  # the mask path runs
+        for k in range(1, cfg.outer_iterations):
+            _, head = ptg_lite_train(domains, feat0, cls0, replace(cfg, outer_iterations=k))
+            assert history_bits(head) == history_bits(history[:k])
 
     def test_dropped_parameters_stay_zero_through_merged_step(self):
         domains = make_domains(n_per=90, seed=22)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=22)
-        seen = []
-        bank, history = ptg_lite_train(
-            domains, feat0, cls0, self.CFG,
-            inspect=lambda it, f0, per: seen.append((it, f0, per)),
-        )
-        # recompute each iteration's mask from the per-domain models the hook saw
-        for it, f0, per in seen:
-            models = [per[i] for i in sorted(per)]
-            cov = coefficient_of_variation(models)
-            dropped = cov > self.CFG.beta
-            assert history[it]["dropped_count"] == int(dropped.sum())
-            np.testing.assert_array_equal(f0.flatten()[dropped], 0.0)
-        final_dropped = coefficient_of_variation(
-            [seen[-1][2][i] for i in sorted(seen[-1][2])]
-        ) > self.CFG.beta
-        assert final_dropped.any()  # beta tight enough that the test is non-vacuous
-        np.testing.assert_array_equal(bank.f0.flatten()[final_dropped], 0.0)
+        _, history = ptg_lite_train(domains, feat0, cls0, self.CFG)
+        # a k-iteration run ends on iteration k - 1 of the full run
+        # (test_truncated_run_is_a_prefix): recompute its mask from the
+        # per-domain models and check the shared featurizer after the merged step
+        for k in range(1, self.CFG.outer_iterations + 1):
+            bank, _ = ptg_lite_train(domains, feat0, cls0, replace(self.CFG, outer_iterations=k))
+            models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
+            dropped = coefficient_of_variation(models) > self.CFG.beta
+            assert history[k - 1]["dropped_count"] == int(dropped.sum())
+            np.testing.assert_array_equal(bank.f0.flatten()[dropped], 0.0)
+        assert dropped.any()  # beta tight enough that the test is non-vacuous
 
     def test_alpha_zero_freezes_everything_bitwise(self):
         domains = make_domains(n_per=60, seed=23)
@@ -393,10 +415,11 @@ class TestTrainAlgorithm:
             train_algorithm("gradient_descent", make_domains(n_per=20), FEAT_SPEC, CLS_SPEC, self.CFG)
 
     def test_bank_shape_mismatch_rejected(self):
+        # a classifier that does not fit the featurizer fails on the first step
         feat, _ = init_pair(FEAT_SPEC, CLS_SPEC, seed=0)
         bad_cls = init_pair(NetworkSpec((4, 6)), NetworkSpec((6, 2)), seed=0)[1]
-        with pytest.raises(ValueError):
-            FeaturizerBank(feat, {}, bad_cls)
+        with pytest.raises(ValueError, match=r"expected input shape \(n, 6\), got \(32, 4\)"):
+            ptg_lite_train(make_domains(n_per=60), feat, bad_cls, self.CFG)
 
 
 class TestFlatCore:
