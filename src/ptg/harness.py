@@ -430,7 +430,8 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
 
 def read_results_csv(path) -> list[ResultRow]:
     """Rows of a results.csv; a row without exactly one field per header
-    column raises ValueError naming its line."""
+    column, or with a cell that does not parse, raises ValueError naming its
+    line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -438,23 +439,26 @@ def read_results_csv(path) -> list[ResultRow]:
         if header != RESULTS_HEADER:
             raise ValueError(f"unexpected results header {header}")
         for rec in reader:
+            where = f"{path} line {reader.line_num}"
             if len(rec) != len(RESULTS_HEADER):
                 raise ValueError(
-                    f"{path} line {reader.line_num}: expected {len(RESULTS_HEADER)} fields, "
-                    f"got {len(rec)}"
+                    f"{where}: expected {len(RESULTS_HEADER)} fields, got {len(rec)}"
                 )
-            rows.append(
-                ResultRow(
-                    algorithm=rec[0],
-                    test_domain=rec[1],
-                    seed=int(rec[2]),
-                    alpha=None if rec[3] == "" else float(rec[3]),
-                    beta=None if rec[4] == "" else float(rec[4]),
-                    val_acc=None if rec[5] == "" else float(rec[5]),
-                    test_acc=None if rec[6] == "" else float(rec[6]),
-                    wall_ms=int(rec[7]),
+            try:
+                rows.append(
+                    ResultRow(
+                        algorithm=rec[0],
+                        test_domain=rec[1],
+                        seed=int(rec[2]),
+                        alpha=None if rec[3] == "" else float(rec[3]),
+                        beta=None if rec[4] == "" else float(rec[4]),
+                        val_acc=None if rec[5] == "" else float(rec[5]),
+                        test_acc=None if rec[6] == "" else float(rec[6]),
+                        wall_ms=int(rec[7]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
 
 

@@ -29,46 +29,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softplus_inv(y) -> np.ndarray:
-    """Inverse of softplus, polished to the float where softplus(x) is as
-    close to y as float64 allows.
+    """Inverse of softplus: log(e^y - 1), computed as y + log(-expm1(-y)).
 
-    The round trip softplus(softplus_inv(y)) has relative error at the
-    float64 rounding floor (a few ulps; not every float has an exact
-    preimage, and the closest achievable value is returned).  The shipped
-    prior std 1.0 does round-trip bitwise, which the prior-vs-prior KL
-    exactness contract relies on.
+    Valid for every finite y > 0: -expm1(-y) lies in (0, 1], so the formula
+    neither overflows nor takes log(0).  The round trip
+    softplus(softplus_inv(y)) holds to the float64 rounding floor (a few
+    ulps).  The shipped sigma0 0.01 and prior std 1.0 invert to the bits
+    pinned in the tests, so prior-vs-prior KL stays exactly zero.
     """
     y = np.asarray(y, dtype=np.float64)
     if np.any(y <= 0) or not np.isfinite(y).all():
         raise ValueError("softplus_inv needs finite values > 0")
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
-    # branch on masked inputs; evaluating either formula outside its range
-    # overflows or hits log(0)
-    big = y > 30.0
-    x = np.empty_like(y)
-    x[big] = y[big] + np.log1p(-np.exp(-y[big]))
-    x[~big] = np.log(np.expm1(y[~big]))
-    for _ in range(2):
-        x = x - (softplus(x) - y) / sigmoid(x)
-    # nextafter polish, run only on the coordinates that are not yet exact
-    cur = softplus(x)
-    live = np.flatnonzero(cur != y)
-    xs, ys, cur = x[live], y[live], cur[live]
-    best = xs.copy()
-    best_err = np.abs(cur - ys)
-    for _ in range(4):
-        if not (cur != ys).any():
-            break
-        target = np.where(cur < ys, np.inf, -np.inf)
-        xs = np.where(cur == ys, xs, np.nextafter(xs, target))
-        cur = softplus(xs)
-        err = np.abs(cur - ys)
-        better = err < best_err
-        best = np.where(better, xs, best)
-        best_err = np.where(better, err, best_err)
-    x[live] = best
-    return x[0] if scalar else x
+    return y + np.log(-np.expm1(-y))
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,21 @@ class TestExitCodes:
         assert f"{bad} line 3: expected 8 fields, got {len(row.split(','))}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("erm,c,x,,,0.9,0.8,12", "invalid literal for int() with base 10: 'x'"),
+        ("ptg,c,0,high,,0.9,0.8,12", "could not convert string to float: 'high'"),
+    ])
+    def test_summarize_names_the_line_of_a_cell_that_does_not_parse(
+        self, config_path, tmp_path, capsys, row, message
+    ):
+        good = "erm,c,1,,,0.9,0.8,12"
+        bad = tmp_path / "rows.csv"
+        bad.write_text(",".join(RESULTS_HEADER) + f"\n{good}\n{row}\n")
+        assert main(["summarize", "--config", config_path, "--out", str(tmp_path), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad} line 3: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("where, value", [
         ("alpha_grid", 0.1), ("outer_iterations", "10"), ("domain", ["a", 100]),
     ])
