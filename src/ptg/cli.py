@@ -49,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a sweep size: an int of at least 1, so the sweep checks something."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load(args) -> ExperimentConfig:
     """--config (default: the built-in benchmark) at the base seed --seed."""
     config = default_benchmark_config() if args.config is None else load_config(args.config)
@@ -219,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="enumeration sweep of the posterior identity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=positive_int, default=1000)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=positive_int, default=20)
     p.set_defaults(fn=_cmd_grad_check)
 
     return parser

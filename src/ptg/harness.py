@@ -31,7 +31,7 @@ from .datasets import (
 )
 from .nets import NetworkSpec, TrainingDiverged
 from .seeding import derive_seed
-from .training import ALGORITHMS, TrainConfig, accuracy, train_algorithm
+from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, train_algorithm
 
 RESULTS_HEADER = ("algorithm", "test_domain", "seed", "alpha", "beta", "val_acc", "test_acc", "wall_ms")
 
@@ -85,8 +85,8 @@ class ExperimentConfig:
             raise ValueError("need at least one algorithm")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if len(self.alpha_grid) == 0 or len(self.beta_grid) == 0:
-            raise ValueError("alpha and beta grids must be non-empty")
+        if any(not g or len(set(g)) < len(g) for g in (self.alpha_grid, self.beta_grid)):
+            raise ValueError("alpha and beta grids must be non-empty and must not repeat a value")
         if any(a < 0 for a in self.alpha_grid) or any(not b > 0 for b in self.beta_grid):
             raise ValueError("alpha grid must be >= 0 and beta grid > 0")
         if self.selection not in ("training_domain", "leave_one_out"):
@@ -233,67 +233,54 @@ def prepare_split(
     return [scale(t) for t in trains], [scale(v) for v in vals], scale(by_id[test_domain])
 
 
+def _xy(*sets: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of sets, stacked in order, as one (x, y) pair."""
+    return np.concatenate([s.x for s in sets], axis=0), np.concatenate([s.y for s in sets], axis=0)
+
+
+def _train_and_score(algorithm, domains, specs, cfg, scored) -> list[float] | None:
+    """Train algorithm on domains with cfg; None if it diverged, else its accuracy
+    on each (x, y) of scored, drawn in order from the stream (cfg.seed, "eval")."""
+    try:
+        feat, cls, _, _ = train_algorithm(algorithm, domains, *specs, cfg)
+    except TrainingDiverged:
+        return None
+    rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
+    return [accuracy(feat, cls, x, y, cfg.mc_eval_samples, rng) for x, y in scored]
+
+
 def _run_one(
-    config: ExperimentConfig,
-    algorithm: str,
-    test_domain: str,
-    rep: int,
-    grid_index: int,
-    alpha: float | None,
-    beta: float | None,
-    trains: list[DomainDataset],
-    vals: list[DomainDataset],
-    test: DomainDataset,
+    config: ExperimentConfig, algorithm: str, test_domain: str, rep: int, grid_index: int,
+    alpha: float | None, beta: float | None,
+    trains: list[DomainDataset], vals: list[DomainDataset], test: DomainDataset,
 ) -> ResultRow:
-    feat_spec, cls_spec = config.network_specs()
-    run_seed = derive_seed(config.base_seed, algorithm, test_domain, grid_index, rep)
+    """One result row.  Under leave-one-out selection val_acc is the mean accuracy
+    of retraining without each training domain in turn, scored on its train and
+    val rows, and None once one of those inner runs diverges."""
+    specs = config.network_specs()
     cfg = replace(
         config.train,
-        seed=run_seed,
+        seed=derive_seed(config.base_seed, algorithm, test_domain, grid_index, rep),
         alpha=config.train.alpha if alpha is None else alpha,
         beta=config.train.beta if beta is None else beta,
     )
     t0 = time.perf_counter()
-    try:
-        feat, cls, _, _ = train_algorithm(algorithm, trains, feat_spec, cls_spec, cfg)
-    except TrainingDiverged:
-        wall = int((time.perf_counter() - t0) * 1000)
-        return ResultRow(algorithm, test_domain, rep, alpha, beta, None, None, wall)
-    eval_rng = np.random.default_rng(derive_seed(run_seed, "eval"))
-    if config.selection == "leave_one_out" and len(trains) >= 2:
-        val_acc = _inner_holdout_score(algorithm, trains, vals, feat_spec, cls_spec, cfg)
-    else:
-        val_x = np.concatenate([v.x for v in vals], axis=0)
-        val_y = np.concatenate([v.y for v in vals], axis=0)
-        val_acc = accuracy(feat, cls, val_x, val_y, cfg.mc_eval_samples, eval_rng)
-    test_acc = accuracy(feat, cls, test.x, test.y, cfg.mc_eval_samples, eval_rng)
+    loo = config.selection == "leave_one_out"
+    scored = [_xy(test)] if loo else [_xy(*vals), _xy(test)]
+    accs = _train_and_score(algorithm, trains, specs, cfg, scored)
+    if loo and accs is not None:
+        inner = []
+        for j, held in enumerate(trains):
+            rest = trains[:j] + trains[j + 1 :]
+            inner_cfg = replace(cfg, seed=derive_seed(cfg.seed, "inner", held.domain_id))
+            acc = _train_and_score(algorithm, rest, specs, inner_cfg, [_xy(held, vals[j])])
+            if acc is None:
+                break
+            inner += acc
+        accs = [float(np.mean(inner)) if len(inner) == len(trains) else None] + accs
+    val_acc, test_acc = accs or (None, None)
     wall = int((time.perf_counter() - t0) * 1000)
     return ResultRow(algorithm, test_domain, rep, alpha, beta, val_acc, test_acc, wall)
-
-
-def _inner_holdout_score(
-    algorithm: str,
-    trains: list[DomainDataset],
-    vals: list[DomainDataset],
-    feat_spec: NetworkSpec,
-    cls_spec: NetworkSpec,
-    cfg: TrainConfig,
-) -> float | None:
-    """Leave-one-out selection score: retrain without each training domain in
-    turn and average accuracy on the withheld one (train and val rows)."""
-    scores = []
-    for j, held in enumerate(trains):
-        inner = [t for k, t in enumerate(trains) if k != j]
-        inner_cfg = replace(cfg, seed=derive_seed(cfg.seed, "inner", held.domain_id))
-        try:
-            feat, cls, _, _ = train_algorithm(algorithm, inner, feat_spec, cls_spec, inner_cfg)
-        except TrainingDiverged:
-            return None
-        x = np.concatenate([held.x, vals[j].x], axis=0)
-        y = np.concatenate([held.y, vals[j].y], axis=0)
-        rng = np.random.default_rng(derive_seed(inner_cfg.seed, "eval"))
-        scores.append(accuracy(feat, cls, x, y, cfg.mc_eval_samples, rng))
-    return float(np.mean(scores))
 
 
 def held_out_domains(config: ExperimentConfig) -> list[str]:
@@ -303,12 +290,24 @@ def held_out_domains(config: ExperimentConfig) -> list[str]:
     return [config.test_domain]
 
 
+def check_domain_counts(config: ExperimentConfig) -> None:
+    """ValueError unless every algorithm gets its minimum of training domains:
+    one domain is held out, and leave-one-out selection withholds one more."""
+    n = len(config.domains) - 1 - (config.selection == "leave_one_out")
+    for algorithm in config.algorithms:
+        need = MIN_TRAINING_DOMAINS[algorithm]
+        if n < need:
+            raise ValueError(f"{algorithm} needs {need} or more training domains, but {len(config.domains)}"
+                             f" domains under {config.selection} selection leave {n}")
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> list[ResultRow]:
     """All rows for the configured protocol, sorted canonically.
 
     Full leave-one-out when test_domain is None, otherwise the single named
     held-out domain.  progress, if given, is called with each finished row.
     """
+    check_domain_counts(config)
     rows = []
     for test_domain in held_out_domains(config):
         for rep in range(config.n_seeds):

@@ -436,6 +436,9 @@ def ptg_lite_train(
 
 
 ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")
+# the fewest training domains each procedure accepts, as _pooled_loop and
+# _aggregation_loop enforce: aggregation needs two models to combine
+MIN_TRAINING_DOMAINS = {"erm": 1, "erm_bayesian": 1, "ptg": 2, "ptg_lite": 2}
 
 
 def train_algorithm(

@@ -263,6 +263,40 @@ class TestExitCodes:
             main(["summarize", "--config", config_path, "--seed", "3", str(tmp_path / "rows.csv")])
         assert ei.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--trials", "0"],
+        ["oracle-check", "--trials", "-3"],
+        ["grad-check", "--instances", "0"],
+    ])
+    def test_sweep_that_checks_nothing_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 1
+        out, err = capsys.readouterr()
+        assert f"error: argument {argv[1]}: must be >= 1, got {argv[2]}" in err
+        assert out == ""  # no report
+
+    @pytest.mark.parametrize("domains, overrides, message", [
+        (2, dict(algorithms=["erm"], selection="leave_one_out"),
+         "erm needs 1 or more training domains, but 2 domains under leave_one_out selection leave 0"),
+        (3, dict(selection="leave_one_out"),
+         "ptg needs 2 or more training domains, but 3 domains under leave_one_out selection leave 1"),
+        (2, dict(algorithms=["ptg_lite"]),
+         "ptg_lite needs 2 or more training domains, but 2 domains under training_domain selection leave 1"),
+    ])
+    def test_run_rejects_too_few_training_domains(
+        self, config_path, tmp_path, capsys, domains, overrides, message
+    ):
+        obj = json.loads(Path(config_path).read_text())
+        obj["domains"] = obj["domains"][-domains:]
+        obj.update(overrides)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as ei:
             main(["conquer"])

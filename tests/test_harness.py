@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ptg.harness
 from ptg.datasets import DomainSpec
 from ptg.harness import (
     DEFAULT_ALPHA_GRID,
@@ -15,9 +16,11 @@ from ptg.harness import (
     ExperimentConfig,
     ResultRow,
     Selection,
+    check_domain_counts,
     default_benchmark_config,
     grid_for,
     load_config,
+    prepare_split,
     read_results_csv,
     run_experiment,
     save_config,
@@ -28,7 +31,9 @@ from ptg.harness import (
     write_results_csv,
     write_training_log,
 )
-from ptg.training import TrainConfig
+from ptg.nets import TrainingDiverged
+from ptg.seeding import derive_seed
+from ptg.training import TrainConfig, accuracy, train_algorithm
 from ptg.variational import PriorSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -74,6 +79,10 @@ class TestExperimentConfig:
             tiny_config(alpha_grid=(-0.1,))
         with pytest.raises(ValueError):
             tiny_config(n_seeds=0)
+        for grids in ({"alpha_grid": (0.1, 0.1)}, {"alpha_grid": (0.5, 0.1, 0.5)},
+                      {"beta_grid": (0.2, 0.2)}):
+            with pytest.raises(ValueError, match="must not repeat a value"):
+                tiny_config(**grids)
 
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -116,12 +125,14 @@ class TestExperimentConfig:
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()
 
-    @pytest.mark.parametrize("name", ["default.json", "moons_l1o.json"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
     def test_shipped_config_bytes_survive_a_round_trip(self, name, tmp_path):
         # a stale key, or drift between a shipped file and to_json, fails here
         shipped = REPO / "configs" / name
-        save_config(tmp_path / name, load_config(shipped))
+        config = load_config(shipped)
+        save_config(tmp_path / name, config)
         assert (tmp_path / name).read_bytes() == shipped.read_bytes()
+        check_domain_counts(config)  # every algorithm gets enough training domains
 
 
 class TestGrid:
@@ -209,6 +220,123 @@ class TestLeaveOneOut:
         plain = run_experiment(tiny_config(algorithms=("erm",), n_seeds=1))
         assert rows[0].test_acc == plain[0].test_acc  # same trained model
         assert rows[0].val_acc != plain[0].val_acc  # different scoring protocol
+
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    def test_aggregation_rows_replay_bitwise(self, algorithm):
+        # four domains: three train the outer run, two each inner run
+        cfg = four_domain_config(algorithms=(algorithm,))
+        rows = run_experiment(cfg)
+        assert len(rows) == len(grid_for(algorithm, cfg))
+        trains, vals, test = prepare_split(cfg, "d", 0)
+        specs = cfg.network_specs()
+        for gi, row in enumerate(rows):
+            run_cfg = dataclasses.replace(
+                cfg.train,
+                seed=derive_seed(cfg.base_seed, algorithm, "d", gi, 0),
+                alpha=row.alpha,
+                beta=cfg.train.beta if row.beta is None else row.beta,
+            )
+            feat, cls, _, _ = train_algorithm(algorithm, trains, *specs, run_cfg)
+            rng = np.random.default_rng(derive_seed(run_cfg.seed, "eval"))
+            assert row.test_acc == accuracy(feat, cls, test.x, test.y, run_cfg.mc_eval_samples, rng)
+            scores = []
+            for j, held in enumerate(trains):
+                inner_cfg = dataclasses.replace(
+                    run_cfg, seed=derive_seed(run_cfg.seed, "inner", held.domain_id)
+                )
+                rest = [t for t in trains if t is not held]
+                feat, cls, _, _ = train_algorithm(algorithm, rest, *specs, inner_cfg)
+                rng = np.random.default_rng(derive_seed(inner_cfg.seed, "eval"))
+                x = np.concatenate([held.x, vals[j].x])
+                y = np.concatenate([held.y, vals[j].y])
+                scores.append(accuracy(feat, cls, x, y, inner_cfg.mc_eval_samples, rng))
+            assert row.val_acc == float(np.mean(scores))
+
+
+def four_domain_config(**overrides) -> ExperimentConfig:
+    defaults = dict(
+        domains=(
+            DomainSpec("a", 120, spurious_correlation=0.9),
+            DomainSpec("b", 120, spurious_correlation=0.8),
+            DomainSpec("c", 120, spurious_correlation=0.7),
+            DomainSpec("d", 120, spurious_correlation=-0.8),
+        ),
+        test_domain="d",
+        n_seeds=1,
+        alpha_grid=(0.1,),
+        beta_grid=(0.1, 0.3),
+        selection="leave_one_out",
+    )
+    defaults.update(overrides)
+    return tiny_config(**defaults)
+
+
+def diverge_on(monkeypatch, diverges):
+    """Route run_experiment's training through a wrapper that raises
+    TrainingDiverged when diverges(call number from 1, train config) is true;
+    returns the training domain ids of every call."""
+    calls = []
+
+    def train(algorithm, domains, feat_spec, cls_spec, config):
+        calls.append([d.domain_id for d in domains])
+        if diverges(len(calls), config):
+            raise TrainingDiverged("non-finite loss")
+        return train_algorithm(algorithm, domains, feat_spec, cls_spec, config)
+
+    monkeypatch.setattr(ptg.harness, "train_algorithm", train)
+    return calls
+
+
+class TestDivergence:
+    def test_training_domain_row_is_empty_and_loses_selection(self, monkeypatch, tmp_path):
+        cfg = tiny_config(algorithms=("ptg",), n_seeds=1, alpha_grid=(0.1, 0.5))
+        diverge_on(monkeypatch, lambda n, config: config.alpha == 0.1)
+        rows = run_experiment(cfg)
+        assert (rows[0].alpha, rows[0].val_acc, rows[0].test_acc) == (0.1, None, None)
+        assert rows[1].val_acc is not None and rows[1].test_acc is not None
+        path = tmp_path / "results.csv"
+        write_results_csv(path, rows)
+        cells = path.read_text().splitlines()[1].split(",")
+        assert cells[3] == "0.1" and cells[5:7] == ["", ""]
+        (sel,) = select_model(rows, cfg)
+        assert sel.alpha == 0.5
+
+    def test_leave_one_out_outer_divergence_trains_no_inner_run(self, monkeypatch):
+        cfg = four_domain_config(algorithms=("erm",))
+        calls = diverge_on(monkeypatch, lambda n, config: n == 1)
+        (row,) = run_experiment(cfg)
+        assert (row.val_acc, row.test_acc) == (None, None)
+        assert calls == [["a", "b", "c"]]
+
+    def test_leave_one_out_inner_divergence_keeps_test_acc(self, monkeypatch):
+        cfg = four_domain_config(algorithms=("erm",))
+        (plain,) = run_experiment(cfg)
+        calls = diverge_on(monkeypatch, lambda n, config: n == 3)  # the second inner run
+        (row,) = run_experiment(cfg)
+        assert row.val_acc is None
+        assert row.test_acc == plain.test_acc
+        # the third inner run, without c, is skipped
+        assert calls == [["a", "b", "c"], ["b", "c"], ["a", "c"]]
+
+
+class TestDomainCounts:
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(domains=(DomainSpec("a", 120), DomainSpec("b", 120)), test_domain="b",
+              algorithms=("erm",), selection="leave_one_out"),
+         "erm needs 1 or more training domains, but 2 domains under leave_one_out selection leave 0"),
+        (dict(algorithms=("erm", "ptg"), selection="leave_one_out"),
+         "ptg needs 2 or more training domains, but 3 domains under leave_one_out selection leave 1"),
+        (dict(domains=(DomainSpec("a", 120), DomainSpec("b", 120)), test_domain="b",
+              algorithms=("ptg_lite",)),
+         "ptg_lite needs 2 or more training domains, but 2 domains under training_domain selection leave 1"),
+    ])
+    def test_infeasible_config_fails_before_training(self, monkeypatch, overrides, message):
+        calls = diverge_on(monkeypatch, lambda n, config: False)
+        cfg = tiny_config(n_seeds=1, **overrides)
+        with pytest.raises(ValueError) as ei:
+            run_experiment(cfg)
+        assert str(ei.value) == message
+        assert calls == []
 
 
 def fabricate(algorithm, alpha, beta, seed, val, test="0.5"):
