@@ -147,8 +147,7 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    worst_identity = 0.0
-    worst_conditioned = 0.0
+    identity, conditioned = [], []
     for _ in range(args.trials):
         model = oracles.random_model(
             rng,
@@ -157,11 +156,12 @@ def _cmd_oracle_check(args) -> int:
             n_variant=int(rng.integers(2, 5)),
             n_obs=int(rng.integers(2, 5)),
         )
-        worst_identity = max(worst_identity, oracles.identity_gap(model))
+        identity.append(oracles.identity_gap(model))
         obs = [int(rng.integers(0, model.likelihood.shape[3])) for _ in range(3)]
-        worst_conditioned = max(
-            worst_conditioned, oracles.data_conditioned_gap(model, 0, obs)
-        )
+        conditioned.append(oracles.data_conditioned_gap(model, 0, obs))
+    # np.max, not max: a NaN gap must reach the report and fail it
+    worst_identity = float(np.max(identity))
+    worst_conditioned = float(np.max(conditioned))
     report = {
         "trials": args.trials,
         "max_identity_gap": worst_identity,

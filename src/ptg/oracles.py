@@ -5,6 +5,13 @@ domain prior recovers the domain-marginalized posterior is checked here by
 literal enumeration on finite probability tables, where every quantity is
 computable to float64 roundoff.  A Monte Carlo reference for Gaussian mixture
 moments lives here too.
+
+The observation likelihood of a sequence is one (n_omega, n_causal,
+n_variant) table.  identity_gap and data_conditioned_gap build it once and
+run both routes, the exact posterior and the prior-weighted average of the
+per-variant posteriors, on slices of it; the public posterior functions build
+their own table and run the same route code.  mixture_moments_mc streams its
+draws in fixed blocks instead of holding every draw at once.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 _NORM_TOL = 1e-12
+MC_BLOCK_ROWS = 1 << 15  # samples per block in mixture_moments_mc
 
 
 def _check_pmf(p: np.ndarray, name: str) -> np.ndarray:
@@ -74,20 +82,42 @@ def _sequence_likelihood(model: DiscreteGenerativeModel, observations: Sequence[
     return lik
 
 
+def _check_causal(model: DiscreteGenerativeModel, causal: int) -> None:
+    if not 0 <= causal < model.p_causal.size:
+        raise ValueError(f"causal index {causal} out of range")
+
+
+def _bayes(model: DiscreteGenerativeModel, lik: np.ndarray) -> np.ndarray:
+    """p(omega) * lik, normalized; lik is one column of a likelihood table."""
+    joint = model.p_omega * lik
+    z = np.add.reduce(joint)  # .sum(), without its wrapper
+    if z <= 0.0:
+        raise ValueError("observation sequence has zero probability under this conditioning")
+    return joint / z
+
+
+def _exact_route(model: DiscreteGenerativeModel, table: np.ndarray, causal: int) -> np.ndarray:
+    """Variant marginalized inside the likelihood, then Bayes; table is a
+    _sequence_likelihood result."""
+    return _bayes(model, table[:, causal, :] @ model.p_variant)
+
+
+def _aggregated_route(model: DiscreteGenerativeModel, table: np.ndarray, causal: int) -> np.ndarray:
+    """Per-variant posteriors from one table, averaged under the variant prior."""
+    out = np.zeros(model.n_omega)
+    for v in range(model.p_variant.size):
+        out += model.p_variant[v] * _bayes(model, table[:, causal, v])
+    return out
+
+
 def posterior_given(
     model: DiscreteGenerativeModel, causal: int, variant: int, observations: Sequence[int] = ()
 ) -> np.ndarray:
     """p(omega | causal, variant, observations) by direct Bayes."""
-    if not 0 <= causal < model.p_causal.size:
-        raise ValueError(f"causal index {causal} out of range")
+    _check_causal(model, causal)
     if not 0 <= variant < model.p_variant.size:
         raise ValueError(f"variant index {variant} out of range")
-    lik = _sequence_likelihood(model, observations)[:, causal, variant]
-    joint = model.p_omega * lik
-    z = joint.sum()
-    if z <= 0.0:
-        raise ValueError("observation sequence has zero probability under this conditioning")
-    return joint / z
+    return _bayes(model, _sequence_likelihood(model, observations)[:, causal, variant])
 
 
 def invariant_posterior_exact(
@@ -95,40 +125,31 @@ def invariant_posterior_exact(
 ) -> np.ndarray:
     """p(omega | causal, observations) with the variant factor marginalized
     inside the likelihood before Bayes is applied."""
-    if not 0 <= causal < model.p_causal.size:
-        raise ValueError(f"causal index {causal} out of range")
-    lik = _sequence_likelihood(model, observations)[:, causal, :]
-    marg = lik @ model.p_variant
-    joint = model.p_omega * marg
-    z = joint.sum()
-    if z <= 0.0:
-        raise ValueError("observation sequence has zero probability under this conditioning")
-    return joint / z
+    _check_causal(model, causal)
+    return _exact_route(model, _sequence_likelihood(model, observations), causal)
 
 
 def invariant_posterior_aggregated(
     model: DiscreteGenerativeModel, causal: int, observations: Sequence[int] = ()
 ) -> np.ndarray:
     """Average of the per-variant posteriors under the variant prior."""
-    out = np.zeros(model.n_omega)
-    for v in range(model.p_variant.size):
-        out += model.p_variant[v] * posterior_given(model, causal, v, observations)
-    return out
+    _check_causal(model, causal)
+    return _aggregated_route(model, _sequence_likelihood(model, observations), causal)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
+    return float(0.5 * np.add.reduce(np.abs(np.asarray(p) - np.asarray(q)), axis=None))
 
 
 def identity_gap(model: DiscreteGenerativeModel) -> float:
     """Max TV distance between the exact and aggregated posteriors over every
-    causal conditioning, with no observation data (the identity's own terms)."""
-    return max(
-        total_variation(
-            invariant_posterior_exact(model, c), invariant_posterior_aggregated(model, c)
-        )
+    causal conditioning, with no observation data (the identity's own terms).
+    A NaN gap makes the result NaN, so it fails any tolerance."""
+    table = _sequence_likelihood(model, ())
+    return float(np.max([
+        total_variation(_exact_route(model, table, c), _aggregated_route(model, table, c))
         for c in range(model.p_causal.size)
-    )
+    ]))
 
 
 def data_conditioned_gap(
@@ -140,9 +161,10 @@ def data_conditioned_gap(
     data re-weights the variants, so this gap is generally nonzero; it is
     reported, not asserted to vanish.
     """
+    _check_causal(model, causal)
+    table = _sequence_likelihood(model, observations)
     return total_variation(
-        invariant_posterior_exact(model, causal, observations),
-        invariant_posterior_aggregated(model, causal, observations),
+        _exact_route(model, table, causal), _aggregated_route(model, table, causal)
     )
 
 
@@ -176,6 +198,16 @@ def mixture_moments_mc(
 
     components is a sequence of (mean, std) arrays of one shared shape.  A
     single sample returns that sample and zero variance.
+
+    The draws are streamed in blocks of MC_BLOCK_ROWS samples: only the
+    component index of each sample (8 bytes) is held for all of them.  Each
+    block's sum starts from the running total,
+    which is numpy's own row-by-row order for an axis-0 sum; the variance pass
+    rewinds the generator and redraws the same blocks.  Whenever a sample has
+    two or more entries, the results equal ``draws.mean(axis=0)`` and
+    ``draws.var(axis=0)`` over all draws at once, bit for bit.  For a
+    one-entry sample numpy sums pairwise instead, and the two agree to
+    roundoff.
     """
     if len(components) == 0:
         raise ValueError("need at least one mixture component")
@@ -187,6 +219,24 @@ def mixture_moments_mc(
         raise ValueError("component stds must be positive")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(components), size=n_samples)
-    eps = rng.standard_normal((n_samples,) + means.shape[1:])
-    draws = means[idx] + stds[idx] * eps
-    return draws.mean(axis=0), draws.var(axis=0)
+    after_idx = rng.bit_generator.state
+
+    def column_mean(centre=None) -> np.ndarray:
+        """Mean over all draws of draw, or of (draw - centre)^2 if given."""
+        rng.bit_generator.state = after_idx
+        total = None
+        for lo in range(0, n_samples, MC_BLOCK_ROWS):
+            j = idx[lo : lo + MC_BLOCK_ROWS]
+            b = stds[j]
+            b *= rng.standard_normal(b.shape)
+            b += means[j]
+            if centre is not None:
+                b -= centre
+                b *= b
+            if total is not None:
+                b[0] += total
+            total = np.add.reduce(b, axis=0)
+        return total / n_samples
+
+    mean = column_mean()
+    return mean, column_mean(mean)

@@ -1,6 +1,7 @@
 """Command line: artifacts on disk, exit codes, entry point wiring."""
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import ptg.training
+from ptg import checks, oracles
 from ptg.cli import main
 from ptg.datasets import DomainSpec, load_dataset_csv
 from ptg.harness import (
@@ -220,6 +222,45 @@ class TestVerificationCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["backward"]["max_rel_err"] < 1e-4
         assert report["variational"]["max_rel_err"] < 1e-4
+
+    @staticmethod
+    def nan_on_call(monkeypatch, module, name, call):
+        """Make module.name return NaN on its call-th call (from 0) only."""
+        real = getattr(module, name)
+        calls = itertools.count()
+
+        def patched(*args, **kwargs):
+            value = real(*args, **kwargs)
+            return float("nan") if next(calls) == call else value
+
+        monkeypatch.setattr(module, name, patched)
+
+    # three instances of three comparisons each: call 3 is the second backward
+    # instance, call 12 the second variational one
+    @pytest.mark.parametrize("call, part", [(3, "backward"), (12, "variational")])
+    def test_grad_check_fails_on_a_nan_error_after_the_first_instance(
+        self, monkeypatch, capsys, call, part
+    ):
+        self.nan_on_call(monkeypatch, checks, "max_relative_error", call)
+        assert main(["grad-check", "--instances", "3"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert np.isnan(report[part]["max_rel_err"])
+        assert report["ok"] is False
+
+    def test_oracle_check_fails_on_a_nan_identity_gap_after_the_first_trial(
+        self, monkeypatch, capsys
+    ):
+        self.nan_on_call(monkeypatch, oracles, "identity_gap", 1)
+        assert main(["oracle-check", "--trials", "3"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert np.isnan(report["max_identity_gap"])
+        assert report["ok"] is False
+
+    def test_oracle_check_reports_a_nan_data_conditioned_gap(self, monkeypatch, capsys):
+        # the data-conditioned gap is informational: it shows NaN, the verdict stands
+        self.nan_on_call(monkeypatch, oracles, "data_conditioned_gap", 1)
+        assert main(["oracle-check", "--trials", "3"]) == 0
+        assert np.isnan(json.loads(capsys.readouterr().out)["max_data_conditioned_gap"])
 
 
 class TestExitCodes:

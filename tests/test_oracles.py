@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ptg import oracles
 from ptg.oracles import (
+    MC_BLOCK_ROWS,
     DiscreteGenerativeModel,
     data_conditioned_gap,
     identity_gap,
@@ -185,6 +188,12 @@ class TestIdentity:
         for c in range(m.p_causal.size):
             assert data_conditioned_gap(m, c, [0, 1, 0]) < 1e-12
 
+    def test_nan_gap_at_a_later_causal_index_propagates(self, monkeypatch):
+        # Python's max drops a NaN that is not its first argument
+        tvs = iter([0.0, float("nan"), 0.0])
+        monkeypatch.setattr(oracles, "total_variation", lambda p, q: next(tvs))
+        assert np.isnan(identity_gap(random_model(np.random.default_rng(5), n_causal=3)))
+
     def test_data_reopens_the_gap(self):
         # prior-weighted averaging ignores how data re-weights variants, so a
         # generic model separates the two routes once observations arrive
@@ -249,3 +258,53 @@ class TestMixtureMC:
             mixture_moments_mc([(np.zeros(2), np.ones(2))], 0, seed=0)
         with pytest.raises(ValueError):
             mixture_moments_mc([(np.zeros(2), np.zeros(2))], 10, seed=0)
+
+
+def one_shot_moments(components, n_samples, seed):
+    """mixture_moments_mc before streaming: every draw held at once."""
+    means = np.stack([np.asarray(m, dtype=np.float64) for m, _ in components])
+    stds = np.stack([np.asarray(s, dtype=np.float64) for _, s in components])
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(components), size=n_samples)
+    eps = rng.standard_normal((n_samples,) + means.shape[1:])
+    draws = means[idx] + stds[idx] * eps
+    return draws.mean(axis=0), draws.var(axis=0)
+
+
+def random_components(rng, n, shape):
+    return [(rng.normal(size=shape), rng.uniform(0.1, 1.0, size=shape)) for _ in range(n)]
+
+
+class TestMixtureMCStreaming:
+    SIZES = [1, 2, MC_BLOCK_ROWS, 2 * MC_BLOCK_ROWS, 2 * MC_BLOCK_ROWS + 5]
+
+    @pytest.mark.parametrize("n_samples", SIZES)
+    @pytest.mark.parametrize("shape", [(2,), (6,), (2, 3), (4, 1)])
+    def test_equals_one_shot_bitwise(self, shape, n_samples):
+        comps = random_components(np.random.default_rng(n_samples), 3, shape)
+        got = mixture_moments_mc(comps, n_samples, seed=9)
+        want = one_shot_moments(comps, n_samples, seed=9)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_one_entry_samples_agree_to_roundoff(self, shape):
+        # numpy sums a one-entry column pairwise; the stream sums it in order
+        comps = random_components(np.random.default_rng(3), 2, shape)
+        got = mixture_moments_mc(comps, 2 * MC_BLOCK_ROWS + 5, seed=4)
+        want = one_shot_moments(comps, 2 * MC_BLOCK_ROWS + 5, seed=4)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+    def test_peak_memory_does_not_hold_every_draw(self):
+        comps = random_components(np.random.default_rng(0), 3, (6,))
+        n = 400_000
+        tracemalloc.start()
+        try:
+            mixture_moments_mc(comps, n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 array of every draw alone is n * 6 * 8 bytes (19.2 MB);
+        # the stream holds the sample indices (n * 8 bytes) and a few blocks
+        assert peak < n * 8 + 8 * MC_BLOCK_ROWS * 6 * 8
