@@ -31,7 +31,10 @@ DIRECTION_MIX = 1.0  # weight of the per-domain offset vs the common direction
 
 
 def check_keys(obj: dict, known: Iterable[str], what: str) -> None:
-    """Raise ValueError naming every key of a config object that is not known."""
+    """Raise ValueError naming every key of a config object that is not known,
+    or TypeError if obj is not a JSON object at all."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} config must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj).difference(known))
     if unknown:
         raise ValueError(f"unknown {what} config keys {unknown}")
@@ -58,15 +61,6 @@ class DomainSpec:
             )
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-
-    def to_json(self) -> dict:
-        return {
-            "domain_id": self.domain_id,
-            "n_samples": self.n_samples,
-            "spurious_correlation": self.spurious_correlation,
-            "rotation_deg": self.rotation_deg,
-            "noise_std": self.noise_std,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":

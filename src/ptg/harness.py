@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +32,6 @@ from .datasets import (
 from .nets import NetworkSpec, TrainingDiverged
 from .seeding import derive_seed
 from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, train_algorithm
-
-RESULTS_HEADER = ("algorithm", "test_domain", "seed", "alpha", "beta", "val_acc", "test_acc", "wall_ms")
 
 DEFAULT_ALPHA_GRID = (0.05, 0.1, 0.5)
 DEFAULT_BETA_GRID = (0.05, 0.1)
@@ -101,25 +99,6 @@ class ExperimentConfig:
         cls = NetworkSpec((self.feat_hidden[-1],) + tuple(self.cls_hidden) + (N_CLASSES,))
         return feat, cls
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "domains": [d.to_json() for d in self.domains],
-            "algorithms": list(self.algorithms),
-            "test_domain": self.test_domain,
-            "n_seeds": self.n_seeds,
-            "base_seed": self.base_seed,
-            "alpha_grid": list(self.alpha_grid),
-            "beta_grid": list(self.beta_grid),
-            "selection": self.selection,
-            "split_ratio": self.split_ratio,
-            "d_inv": self.d_inv,
-            "d_spur": self.d_spur,
-            "feat_hidden": list(self.feat_hidden),
-            "cls_hidden": list(self.cls_hidden),
-            "train": self.train.to_json(),
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
         check_keys(obj, (f.name for f in fields(ExperimentConfig)), "experiment")
@@ -144,8 +123,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
+    """config as JSON: dataclasses.asdict, so the keys are the dataclass fields
+    in field order, nested configs are objects and tuples are arrays."""
     with open(path, "w") as fh:
-        json.dump(config.to_json(), fh, indent=2)
+        json.dump(asdict(config), fh, indent=2)
         fh.write("\n")
 
 
@@ -185,6 +166,9 @@ class ResultRow:
     val_acc: float | None
     test_acc: float | None
     wall_ms: int
+
+
+RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def grid_for(algorithm: str, config: ExperimentConfig) -> list[tuple[float | None, float | None]]:

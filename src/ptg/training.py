@@ -21,7 +21,7 @@ and leaves every network bitwise at its initialization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +46,9 @@ class TrainConfig:
     kl_weight = None means 1 / (minibatches per epoch) computed from whichever
     data a step sees, so a full epoch weighs the regularizer once.  alpha
     scales the learning rate of the per-domain and merged refinement steps
-    only; the baseline phases run at base_lr.
+    only; the baseline phases run at base_lr.  prior is the derived
+    PriorSpec(prior_mean, prior_std), built and validated once at construction;
+    it is not a field, so the fields are exactly the JSON keys.
     """
 
     outer_iterations: int = 100
@@ -60,7 +62,8 @@ class TrainConfig:
     seed: int = 0
     erm_steps: int = 500
     bayes_steps: int = 500
-    prior: PriorSpec = PriorSpec()
+    prior_mean: float = 0.0
+    prior_std: float = 1.0
 
     def __post_init__(self):
         if self.outer_iterations < 1:
@@ -81,30 +84,12 @@ class TrainConfig:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if self.erm_steps < 0 or self.bayes_steps < 0:
             raise ValueError("step counts must be >= 0")
-
-    def to_json(self) -> dict:
-        return {
-            "outer_iterations": self.outer_iterations,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "base_lr": self.base_lr,
-            "batch_size": self.batch_size,
-            "kl_weight": self.kl_weight,
-            "mc_eval_samples": self.mc_eval_samples,
-            "sigma0": self.sigma0,
-            "seed": self.seed,
-            "erm_steps": self.erm_steps,
-            "bayes_steps": self.bayes_steps,
-            "prior_mean": self.prior.mean,
-            "prior_std": self.prior.std,
-        }
+        object.__setattr__(self, "prior", PriorSpec(self.prior_mean, self.prior_std))
 
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":
-        check_keys(obj, TrainConfig().to_json(), "train")
-        obj = dict(obj)
-        prior = {k: obj.pop(f"prior_{k}") for k in ("mean", "std") if f"prior_{k}" in obj}
-        return TrainConfig(prior=PriorSpec(**prior), **obj)
+        check_keys(obj, (f.name for f in fields(TrainConfig)), "train")
+        return TrainConfig(**obj)
 
 
 class MinibatchStream:
@@ -261,9 +246,10 @@ def _elbo_step(config: TrainConfig, key: str) -> Callable:
     """One reparameterized ELBO evaluation per call, eps drawn from the
     (seed, "eps", key) stream; key is a domain id or "merged"."""
     eps_rng = stream(config.seed, "eps", key)
+    prior = config.prior
     def step(q, cls, batch, kl_weight):
         eps = eps_rng.standard_normal(q.mu.shape[0])
-        res = elbo_loss(q, cls, batch, kl_weight, eps, config.prior)
+        res = elbo_loss(q, cls, batch, kl_weight, eps, prior)
         return res.loss, res.grad_theta, res.grad_classifier, res.kl
     return step
 
@@ -271,8 +257,9 @@ def _elbo_step(config: TrainConfig, key: str) -> Callable:
 def _map_step(config: TrainConfig, key: str) -> Callable:
     """_map_loss with the KL weight as its L2 weight; deterministic.  Its kl is
     the unweighted L2 term."""
+    prior = config.prior
     def step(feat, cls, batch, l2_weight):
-        return _map_loss(feat, cls, batch, l2_weight, config.prior)
+        return _map_loss(feat, cls, batch, l2_weight, prior)
     return step
 
 

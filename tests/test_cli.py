@@ -406,6 +406,26 @@ class TestExitCodes:
         assert f"{bad}: a config value has the wrong type" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where, what", [("train", "train"), ("domain", "domain"), ("top", "experiment")])
+    def test_config_block_that_is_not_an_object_is_rejected(
+        self, config_path, tmp_path, capsys, where, what
+    ):
+        obj = json.loads(Path(config_path).read_text())
+        if where == "train":
+            obj["train"] = []  # used to load as the default TrainConfig
+        elif where == "domain":
+            obj["domains"][0] = [list(item) for item in obj["domains"][0].items()]
+        else:
+            obj = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{what} config must be a JSON object, got list" in err
+        assert "Traceback" not in err
+        assert not (out / "results.csv").exists()
+
 
 class TestEntryPoint:
     def test_installed_script_help(self, src_env):

@@ -1,6 +1,8 @@
 """Synthetic domain families: geometry, seeding, splits, CSV round trip."""
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ class TestDomainSpec:
 
     def test_json_round_trip(self):
         s = DomainSpec("train_a", 500, spurious_correlation=-0.9, rotation_deg=15.0, noise_std=0.3)
-        assert DomainSpec.from_json(s.to_json()) == s
+        assert DomainSpec.from_json(asdict(s)) == s
 
 
 class TestSpuriousBlobs:

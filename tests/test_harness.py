@@ -125,9 +125,13 @@ class TestExperimentConfig:
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()
 
+    def test_saved_default_benchmark_is_the_shipped_file(self, tmp_path):
+        save_config(tmp_path / "default.json", default_benchmark_config())
+        assert (tmp_path / "default.json").read_bytes() == (REPO / "configs" / "default.json").read_bytes()
+
     @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
     def test_shipped_config_bytes_survive_a_round_trip(self, name, tmp_path):
-        # a stale key, or drift between a shipped file and to_json, fails here
+        # a stale key, or drift between a shipped file and the dataclass fields, fails here
         shipped = REPO / "configs" / name
         config = load_config(shipped)
         save_config(tmp_path / name, config)

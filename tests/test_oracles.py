@@ -188,11 +188,21 @@ class TestIdentity:
         for c in range(m.p_causal.size):
             assert data_conditioned_gap(m, c, [0, 1, 0]) < 1e-12
 
-    def test_nan_gap_at_a_later_causal_index_propagates(self, monkeypatch):
-        # Python's max drops a NaN that is not its first argument
-        tvs = iter([0.0, float("nan"), 0.0])
-        monkeypatch.setattr(oracles, "total_variation", lambda p, q: next(tvs))
-        assert np.isnan(identity_gap(random_model(np.random.default_rng(5), n_causal=3)))
+    def test_nan_total_variation_gives_a_nan_gap(self, monkeypatch):
+        monkeypatch.setattr(oracles, "total_variation", lambda p, q: float("nan"))
+        m = random_model(np.random.default_rng(5), n_causal=3)
+        assert np.isnan(identity_gap(m))
+        assert np.isnan(data_conditioned_gap(m, 1, [0, 2]))
+
+    def test_identity_gap_is_the_same_at_every_causal_index(self):
+        # with no observations the likelihood table is all ones, so the one
+        # route pair identity_gap runs stands for every causal slice bitwise
+        rng = np.random.default_rng(6)
+        for n_causal in (1, 2, 4):
+            for _ in range(20):
+                m = random_model(rng, n_causal=n_causal)
+                gaps = {data_conditioned_gap(m, c, ()) for c in range(n_causal)}
+                assert gaps == {identity_gap(m)}
 
     def test_data_reopens_the_gap(self):
         # prior-weighted averaging ignores how data re-weights variants, so a

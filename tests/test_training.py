@@ -1,7 +1,7 @@
 """Training loops: baselines, aggregation iterations, reproducibility contracts."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from ptg.training import (
     ptg_train,
     train_algorithm,
 )
-from ptg.variational import GaussianVariational, elbo_loss, init_from_deterministic, sample_weights
+from ptg.variational import GaussianVariational, PriorSpec, elbo_loss, init_from_deterministic, sample_weights
 
 FEAT_SPEC = NetworkSpec((4, 8, 4))
 CLS_SPEC = NetworkSpec((4, 2))
@@ -58,7 +58,19 @@ class TestTrainConfig:
 
     def test_json_round_trip(self):
         cfg = TrainConfig(alpha=0.3, beta=0.7, kl_weight=0.5, seed=11)
-        assert TrainConfig.from_json(cfg.to_json()) == cfg
+        assert TrainConfig.from_json(asdict(cfg)) == cfg
+
+    def test_zero_prior_std_raises_at_construction(self):
+        with pytest.raises(ValueError, match="prior std"):
+            TrainConfig(prior_std=0)
+
+    def test_prior_is_derived_from_the_flat_fields(self):
+        cfg = TrainConfig(prior_mean=0.3, prior_std=2.0)
+        assert cfg.prior == PriorSpec(0.3, 2.0)
+        assert replace(TrainConfig(), prior_std=2.0).prior.std == 2.0
+        # the derived prior is no field, so it is no JSON key either
+        assert "prior" not in {f.name for f in fields(TrainConfig)}
+        assert asdict(cfg)["prior_mean"] == 0.3 and asdict(cfg)["prior_std"] == 2.0
 
 
 class TestMinibatchStream:
