@@ -1,6 +1,6 @@
 """
-Variational training on one domain, checked against finite differences
-======================================================================
+Variational training on two domains, checked against finite differences
+=======================================================================
 
 The featurizer holds a diagonal Gaussian over its weights and trains by
 sampling them once per step (the classifier stays deterministic).  This

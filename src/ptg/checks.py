@@ -5,12 +5,12 @@ agree with a correct gradient to ~1e-9 relative on O(1) problems; the checks
 demand 1e-4.  Instances whose ReLU pre-activations sit within a few h of the
 kink are redrawn, since the loss is not differentiable there.
 
-Each central difference only needs the loss value, so the variational check
-evaluates the ELBO as sample -> forward -> forward -> cross-entropy plus the
-weighted KL, the expression elbo_loss evaluates and in the same order, and
-skips the backward passes elbo_loss would run.  The analytic gradients come
-from one elbo_loss call per instance.  A sweep reports the worst error over
-its instances, NaN if any error is NaN, so a NaN fails the tolerance.
+Both checks run one sweep: per instance, a case builder returns three
+(objective, point, analytic gradient) blocks.  The gradients come from one
+loss_and_gradients or elbo_loss call; each objective evaluates the loss value
+alone, and a classifier block reruns only the classifier, on features
+computed once per instance.  A sweep reports the worst error, NaN if any
+error is NaN, so a NaN fails the tolerance.
 """
 from __future__ import annotations
 
@@ -18,12 +18,7 @@ import numpy as np
 
 from .nets import NetworkSpec, WeightSet, cross_entropy, forward, init_weights, loss_and_gradients
 from .variational import (
-    GaussianVariational,
-    PriorSpec,
-    elbo_loss,
-    init_from_deterministic,
-    kl_to_prior,
-    sample_weights,
+    GaussianVariational, PriorSpec, elbo_loss, init_from_deterministic, kl_to_prior, sample_weights,
 )
 
 FD_STEP = 1e-5
@@ -51,11 +46,13 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> flo
     return float((np.abs(a - b) / denom).max())
 
 
-def _report(n_instances: int, errors: list[float]) -> dict:
-    """A sweep's report; its max_rel_err is NaN if any error is, so a NaN
-    fails the tolerance where Python's max would drop it."""
-    return {"instances": n_instances, "max_rel_err": float(np.max(errors, initial=0.0)),
-            "fd_step": FD_STEP}
+def _sweep(seed: int, n_instances: int, draw_cases) -> dict:
+    """Central differences of the (objective, point, gradient) blocks that draw_cases(rng)
+    returns per instance; a NaN error makes max_rel_err NaN, where Python's max drops it."""
+    rng = np.random.default_rng(seed)
+    errors = [max_relative_error(central_difference(f, x0), grad)
+              for _ in range(n_instances) for f, x0, grad in draw_cases(rng)]
+    return {"instances": n_instances, "max_rel_err": float(np.max(errors, initial=0.0)), "fd_step": FD_STEP}
 
 
 def _kink_margin(ws: WeightSet, x: np.ndarray) -> float:
@@ -80,36 +77,32 @@ def _draw_instance(rng: np.random.Generator):
             return feat, cls, x, y
 
 
+def _head_value(cls: WeightSet, cls_flat: np.ndarray, feats: np.ndarray, y: np.ndarray) -> float:
+    """Cross-entropy of the classifier at cls_flat, adopted without a copy, on fixed features."""
+    logits, _ = forward(WeightSet.wrap(cls.spec, cls_flat), feats)
+    return cross_entropy(logits, y)[0]
+
+
+def _backward_cases(rng: np.random.Generator) -> list:
+    """One instance's featurizer, classifier and input blocks."""
+    feat, cls, x, y = _draw_instance(rng)
+    _, g_feat, g_cls, dz0 = loss_and_gradients(feat, cls, x, y)
+    f0, c0 = feat.flatten(), cls.flatten()
+    feats, _ = forward(feat, x)
+
+    def loss_of(feat_flat, xin):  # a fresh copy from central_difference, so adopted as is
+        return _head_value(cls, c0, forward(WeightSet.wrap(feat.spec, feat_flat), xin)[0], y)
+
+    return [
+        (lambda v: loss_of(v, x), f0, g_feat),
+        (lambda v: _head_value(cls, v, feats, y), c0, g_cls),
+        (lambda v: loss_of(f0, v.reshape(x.shape)), x.ravel(), (dz0 @ feat.weights[0].T).ravel()),
+    ]
+
+
 def run_backward_checks(seed: int = 0, n_instances: int = 20) -> dict:
-    """Compare backward() against central differences through the composed
-    featurizer/classifier cross-entropy, for weights of both nets and
-    for the input batch."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_instances):
-        feat, cls, x, y = _draw_instance(rng)
-
-        # the perturbed vectors are fresh copies made by central_difference
-        def loss_of(feat_flat, cls_flat, xin):
-            fw = WeightSet.wrap(feat.spec, feat_flat)
-            cw = WeightSet.wrap(cls.spec, cls_flat)
-            feats, _ = forward(fw, xin)
-            logits, _ = forward(cw, feats)
-            return cross_entropy(logits, y)[0]
-
-        _, g_feat, g_cls, dz0 = loss_and_gradients(feat, cls, x, y)
-        d_x = dz0 @ feat.weights[0].T
-
-        f0, c0 = feat.flatten(), cls.flatten()
-        fd_feat = central_difference(lambda v: loss_of(v, c0, x), f0)
-        fd_cls = central_difference(lambda v: loss_of(f0, v, x), c0)
-        fd_x = central_difference(lambda v: loss_of(f0, c0, v.reshape(x.shape)), x.ravel())
-        errors += [
-            max_relative_error(fd_feat, g_feat),
-            max_relative_error(fd_cls, g_cls),
-            max_relative_error(fd_x, d_x.ravel()),
-        ]
-    return _report(n_instances, errors)
+    """backward() against central differences, for the weights of both nets and the input batch."""
+    return _sweep(seed, n_instances, _backward_cases)
 
 
 def _elbo_value(q, classifier, x, y, kl_weight, eps, prior) -> float:
@@ -120,38 +113,33 @@ def _elbo_value(q, classifier, x, y, kl_weight, eps, prior) -> float:
     return cross_entropy(logits, y)[0] + kl_weight * kl_to_prior(q, prior)
 
 
+def _elbo_cases(rng: np.random.Generator) -> list:
+    """One instance's mu, rho and classifier blocks, with eps held fixed."""
+    while True:
+        feat, cls, x, y = _draw_instance(rng)
+        q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
+        q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
+        eps = rng.standard_normal(q.mu.shape)
+        # the kink margin matters at the sampled weights, where FD runs
+        ws = sample_weights(q, eps)
+        feats, _ = forward(ws, x)
+        if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
+            break
+    klw = float(rng.uniform(0.1, 1.0))
+    prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
+    res = elbo_loss(q, cls, (x, y), klw, eps, prior)
+
+    def loss_of(mu, rho):
+        qq = GaussianVariational.wrap(q.spec, np.concatenate([mu, rho]))
+        return _elbo_value(qq, cls, x, y, klw, eps, prior)
+
+    return [
+        (lambda v: loss_of(v, q.rho), q.mu, res.grad_mu),
+        (lambda v: loss_of(q.mu, v), q.rho, res.grad_rho),
+        (lambda v: _head_value(cls, v, feats, y) + klw * res.kl, cls.flatten(), res.grad_classifier),
+    ]
+
+
 def run_elbo_checks(seed: int = 0, n_instances: int = 20) -> dict:
-    """Compare the variational loss gradients (mu, rho, classifier) against
-    central differences with eps held fixed."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_instances):
-        while True:
-            feat, cls, x, y = _draw_instance(rng)
-            q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
-            q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
-            eps = rng.standard_normal(q.mu.shape)
-            # the kink margin matters at the sampled weights, where FD runs
-            ws = sample_weights(q, eps)
-            feats, _ = forward(ws, x)
-            if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
-                break
-        klw = float(rng.uniform(0.1, 1.0))
-        prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
-
-        def loss_of(mu, rho, cls_flat):
-            qq = GaussianVariational.wrap(q.spec, np.concatenate([mu, rho]))
-            cw = WeightSet.wrap(cls.spec, cls_flat)
-            return _elbo_value(qq, cw, x, y, klw, eps, prior)
-
-        res = elbo_loss(q, cls, (x, y), klw, eps, prior)
-        c0 = cls.flatten()
-        fd_mu = central_difference(lambda v: loss_of(v, q.rho, c0), q.mu)
-        fd_rho = central_difference(lambda v: loss_of(q.mu, v, c0), q.rho)
-        fd_cls = central_difference(lambda v: loss_of(q.mu, q.rho, v), c0)
-        errors += [
-            max_relative_error(fd_mu, res.grad_mu),
-            max_relative_error(fd_rho, res.grad_rho),
-            max_relative_error(fd_cls, res.grad_classifier),
-        ]
-    return _report(n_instances, errors)
+    """elbo_loss() gradients (mu, rho, classifier) against central differences at a fixed eps."""
+    return _sweep(seed, n_instances, _elbo_cases)

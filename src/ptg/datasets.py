@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,14 +30,30 @@ SPUR_SEPARATION = 2.0
 DIRECTION_MIX = 1.0  # weight of the per-domain offset vs the common direction
 
 
-def check_keys(obj: dict, known: Iterable[str], what: str) -> None:
-    """Raise ValueError naming every key of a config object that is not known,
-    or TypeError if obj is not a JSON object at all."""
+def check_keys(obj: dict, config_class: type, what: str) -> None:
+    """Raise ValueError naming every key of a config object that is not a field
+    of config_class, or every field without a default that it lacks; raise
+    TypeError if obj is not a JSON object at all."""
     if not isinstance(obj, dict):
         raise TypeError(f"{what} config must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj).difference(known))
+    known = fields(config_class)
+    unknown = sorted(set(obj).difference(f.name for f in known))
     if unknown:
         raise ValueError(f"unknown {what} config keys {unknown}")
+    missing = [f.name for f in known
+               if f.name not in obj and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} config keys {missing}")
+
+
+def check_int_fields(config) -> None:
+    """Raise TypeError naming a field annotated int or tuple[int, ...] that holds
+    anything but integers; a bool is not an integer here, and neither is 3.0."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        items = value if f.type == "tuple[int, ...]" else (value,) if f.type == "int" else ()
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items):
+            raise TypeError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,7 @@ class DomainSpec:
     noise_std: float = 0.5
 
     def __post_init__(self):
+        check_int_fields(self)
         if not self.domain_id:
             raise ValueError("domain_id must be non-empty")
         if self.n_samples < 1:
@@ -64,7 +81,7 @@ class DomainSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
-        check_keys(obj, (f.name for f in fields(DomainSpec)), "domain")
+        check_keys(obj, DomainSpec, "domain")
         # omitted optional keys keep the dataclass defaults
         floats = {k: float(v) for k, v in obj.items() if k not in ("domain_id", "n_samples")}
         return DomainSpec(obj["domain_id"], int(obj["n_samples"]), **floats)

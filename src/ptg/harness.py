@@ -23,6 +23,7 @@ from .datasets import (
     N_CLASSES,
     DomainSpec,
     apply_stats,
+    check_int_fields,
     check_keys,
     feature_stats,
     gen_rotated_moons,
@@ -67,6 +68,7 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if len(self.domains) < 2:
@@ -101,7 +103,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        check_keys(obj, (f.name for f in fields(ExperimentConfig)), "experiment")
+        check_keys(obj, ExperimentConfig, "experiment")
         obj = dict(obj)
         domains = tuple(DomainSpec.from_json(d) for d in obj.pop("domains"))
         train = TrainConfig.from_json(obj.pop("train", {}))

@@ -21,13 +21,13 @@ and leaves every network bitwise at its initialization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .aggregate import cov_dropout, mean_and_cov, moment_match
-from .datasets import DomainDataset, check_keys
+from .datasets import DomainDataset, check_int_fields, check_keys
 from .nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
 from .seeding import stream
 from .variational import (
@@ -66,6 +66,7 @@ class TrainConfig:
     prior_std: float = 1.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.outer_iterations < 1:
             raise ValueError(f"outer_iterations must be >= 1, got {self.outer_iterations}")
         if self.alpha < 0:
@@ -88,7 +89,7 @@ class TrainConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":
-        check_keys(obj, (f.name for f in fields(TrainConfig)), "train")
+        check_keys(obj, TrainConfig, "train")
         return TrainConfig(**obj)
 
 

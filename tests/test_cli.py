@@ -296,8 +296,13 @@ class TestExitCodes:
         del {"top": obj, "domain": obj["domains"][0]}[where][key]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        assert main(["summarize", "--config", str(bad), str(tmp_path / "rows.csv")]) == 1
-        assert repr(key) in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        what = {"top": "experiment", "domain": "domain"}[where]
+        assert f"error: missing {what} config keys [{key!r}]" in err
+        assert "Traceback" not in err
+        assert not (out / "results.csv").exists()
 
     def test_summarize_has_no_seed(self, config_path, tmp_path):
         with pytest.raises(SystemExit) as ei:
@@ -390,6 +395,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("where, value", [
         ("alpha_grid", 0.1), ("outer_iterations", "10"), ("domain", ["a", 100]),
+        # an integer field takes a JSON integer only, not a float or a bool
+        ("outer_iterations", 3.0), ("batch_size", 64.0), ("n_seeds", 1.0), ("d_inv", 5.0),
+        ("base_seed", 0.5), ("feat_hidden", [32.7, 16]), ("n_seeds", True),
     ])
     def test_config_value_of_the_wrong_type_names_the_file(
         self, config_path, tmp_path, capsys, where, value

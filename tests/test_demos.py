@@ -1,8 +1,8 @@
 """The demos run to completion as scripts.
 
 Demos 01-04 take a few seconds together.  Demo 05 is left out: it runs the
-full default benchmark (about 50 s), which tests/test_acceptance.py already
-covers through run_experiment.
+default benchmark, which tests/test_acceptance.py already covers through
+run_experiment; the CI workflow runs its single-seed pass as its own step.
 """
 from __future__ import annotations
 

@@ -321,3 +321,59 @@ def test_grad_check_report_matches_reference(seed, capsys):
 def test_oracle_check_report_matches_reference(seed, capsys):
     assert main(["oracle-check", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == json.dumps(ref_oracle_report(seed), indent=2) + "\n"
+
+
+# --- the classifier blocks against the full composition ----------------------
+
+def ref_elbo_instance(rng):
+    """One instance of the ELBO sweep, drawn in the sweep's rng order."""
+    while True:
+        feat, cls, x, y = _draw_instance(rng)
+        q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
+        q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
+        eps = rng.standard_normal(q.mu.shape)
+        ws = sample_weights(q, eps)
+        feats, _ = forward(ws, x)
+        if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
+            break
+    klw = float(rng.uniform(0.1, 1.0))
+    prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
+    return q, cls, x, y, eps, klw, prior
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classifier_block_differences_match_the_full_composition_bitwise(seed, monkeypatch):
+    # every classifier-block vector, not only the max error over all blocks
+    recorded = []
+
+    def recording(f, x, h=FD_STEP):
+        recorded.append(central_difference(f, x, h))
+        return recorded[-1]
+
+    monkeypatch.setattr(checks, "central_difference", recording)
+    checks.run_backward_checks(seed, 20)
+    checks.run_elbo_checks(seed, 20)
+    assert len(recorded) == 120
+    # blocks come per instance as (featurizer, classifier, input) and (mu, rho, classifier)
+    backward_cls, elbo_cls = recorded[1:60:3], recorded[62::3]
+
+    rng = np.random.default_rng(seed)
+    for got in backward_cls:
+        feat, cls, x, y = _draw_instance(rng)
+        f0 = feat.flatten()
+
+        def composed(cls_flat):
+            feats, _ = forward(WeightSet.wrap(feat.spec, f0), x)
+            logits, _ = forward(WeightSet.wrap(cls.spec, cls_flat), feats)
+            return cross_entropy(logits, y)[0]
+
+        assert central_difference(composed, cls.flatten()).tobytes() == got.tobytes()
+
+    rng = np.random.default_rng(seed)
+    for got in elbo_cls:
+        q, cls, x, y, eps, klw, prior = ref_elbo_instance(rng)
+        want = central_difference(
+            lambda v: checks._elbo_value(q, WeightSet.wrap(cls.spec, v), x, y, klw, eps, prior),
+            cls.flatten(),
+        )
+        assert want.tobytes() == got.tobytes()
