@@ -7,16 +7,21 @@ kink are redrawn, since the loss is not differentiable there.
 
 Both checks run one sweep: per instance, a case builder returns three
 (objective, point, analytic gradient) blocks.  The gradients come from one
-loss_and_gradients or elbo_loss call; each objective evaluates the loss value
-alone, and a classifier block reruns only the classifier, on features
-computed once per instance.  A sweep reports the worst error, NaN if any
-error is NaN, so a NaN fails the tolerance.
+loss_and_gradients or elbo_loss call.  central_difference hands an objective
+all 2n perturbed points of a block at once, and the objective evaluates the
+loss value alone at every point in one stacked forward pass (a leading model
+axis on the weights or on the input), which gives each point the bits of its
+own unstacked evaluation.  A classifier block reruns only the classifier, on
+features computed once per instance.  A sweep reports the worst error, NaN if
+any error is NaN, so a NaN fails the tolerance.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .nets import NetworkSpec, WeightSet, cross_entropy, forward, init_weights, loss_and_gradients
+from .nets import (
+    ForwardTape, NetworkSpec, WeightSet, cross_entropy_value, forward, init_weights, loss_and_gradients,
+)
 from .variational import (
     GaussianVariational, PriorSpec, elbo_loss, init_from_deterministic, kl_to_prior, sample_weights,
 )
@@ -25,16 +30,17 @@ FD_STEP = 1e-5
 
 
 def central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Gradient of scalar f at x, one coordinate at a time."""
+    """Gradient at the 1-d point x of a function of one point, from one call
+    f(points): points is the (2n, n) stack of x + h e_j (rows 0..n-1) and
+    x - h e_j (rows n..2n-1), and f returns one value per row."""
     x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[j] += h
-        lo[j] -= h
-        g[j] = (f(hi) - f(lo)) / (2.0 * h)
-    return g
+    n = x.size
+    points = np.tile(x, (2 * n, 1))
+    j = np.arange(n)
+    points[j, j] += h
+    points[j + n, j] -= h
+    values = f(points)
+    return (values[:n] - values[n:]) / (2.0 * h)
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
@@ -55,14 +61,14 @@ def _sweep(seed: int, n_instances: int, draw_cases) -> dict:
     return {"instances": n_instances, "max_rel_err": float(np.max(errors, initial=0.0)), "fd_step": FD_STEP}
 
 
-def _kink_margin(ws: WeightSet, x: np.ndarray) -> float:
-    _, tape = forward(ws, x)
-    margins = [np.abs(z).min() for z in tape.preacts[:-1]]
-    return min(margins) if margins else np.inf
+def _kink_margin(*tapes: ForwardTape) -> float:
+    """Smallest |pre-activation| at a hidden ReLU of the recorded passes."""
+    return min((np.abs(z).min() for tape in tapes for z in tape.preacts[:-1]), default=np.inf)
 
 
 def _draw_instance(rng: np.random.Generator):
-    """A small random net pair, batch and labels, away from ReLU kinks."""
+    """A small random net pair, batch and labels, away from ReLU kinks, and
+    the featurizer's outputs on the batch."""
     feat_spec = NetworkSpec((int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 4))))
     cls_spec = NetworkSpec((feat_spec.layer_dims[-1], int(rng.integers(2, 5)), int(rng.integers(2, 4))))
     while True:
@@ -71,32 +77,29 @@ def _draw_instance(rng: np.random.Generator):
         n = int(rng.integers(3, 8))
         x = rng.standard_normal((n, feat_spec.layer_dims[0]))
         y = rng.integers(0, cls_spec.layer_dims[-1], size=n)
-        feats, _ = forward(feat, x)
-        margin = min(_kink_margin(feat, x), _kink_margin(cls, feats))
-        if margin > 1e-3:  # far beyond the FD step
-            return feat, cls, x, y
+        feats, tape = forward(feat, x)
+        if _kink_margin(tape, forward(cls, feats)[1]) > 1e-3:  # far beyond the FD step
+            return feat, cls, x, y, feats
 
 
-def _head_value(cls: WeightSet, cls_flat: np.ndarray, feats: np.ndarray, y: np.ndarray) -> float:
-    """Cross-entropy of the classifier at cls_flat, adopted without a copy, on fixed features."""
-    logits, _ = forward(WeightSet.wrap(cls.spec, cls_flat), feats)
-    return cross_entropy(logits, y)[0]
+def _head_values(cls: WeightSet, feats: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy of the classifier on features, per model of a stack."""
+    return cross_entropy_value(forward(cls, feats)[0], y)
 
 
 def _backward_cases(rng: np.random.Generator) -> list:
     """One instance's featurizer, classifier and input blocks."""
-    feat, cls, x, y = _draw_instance(rng)
+    feat, cls, x, y, feats = _draw_instance(rng)
     _, g_feat, g_cls, dz0 = loss_and_gradients(feat, cls, x, y)
-    f0, c0 = feat.flatten(), cls.flatten()
-    feats, _ = forward(feat, x)
 
-    def loss_of(feat_flat, xin):  # a fresh copy from central_difference, so adopted as is
-        return _head_value(cls, c0, forward(WeightSet.wrap(feat.spec, feat_flat), xin)[0], y)
+    def loss_of(feat_ws, xin):
+        return _head_values(cls, forward(feat_ws, xin)[0], y)
 
     return [
-        (lambda v: loss_of(v, x), f0, g_feat),
-        (lambda v: _head_value(cls, v, feats, y), c0, g_cls),
-        (lambda v: loss_of(f0, v.reshape(x.shape)), x.ravel(), (dz0 @ feat.weights[0].T).ravel()),
+        (lambda v: loss_of(WeightSet.wrap(feat.spec, v), x), feat.flat, g_feat),
+        (lambda v: _head_values(WeightSet.wrap(cls.spec, v), feats, y), cls.flat, g_cls),
+        (lambda v: loss_of(feat, v.reshape(len(v), *x.shape)), x.ravel(),
+         (dz0 @ feat.weights[0].T).ravel()),
     ]
 
 
@@ -105,38 +108,38 @@ def run_backward_checks(seed: int = 0, n_instances: int = 20) -> dict:
     return _sweep(seed, n_instances, _backward_cases)
 
 
-def _elbo_value(q, classifier, x, y, kl_weight, eps, prior) -> float:
-    """elbo_loss(q, classifier, (x, y), kl_weight, eps, prior).loss, in the
-    same order and so to the same bits, without the gradients."""
+def _elbo_value(q, classifier, x, y, kl_weight, eps, prior) -> np.ndarray:
+    """elbo_loss(q_j, classifier, (x, y), kl_weight, eps, prior).loss for each
+    model q_j of a stacked q, in the same order and so to the same bits,
+    without the gradients."""
     feats, _ = forward(sample_weights(q, eps), x)
-    logits, _ = forward(classifier, feats)
-    return cross_entropy(logits, y)[0] + kl_weight * kl_to_prior(q, prior)
+    return _head_values(classifier, feats, y) + kl_weight * kl_to_prior(q, prior)
 
 
 def _elbo_cases(rng: np.random.Generator) -> list:
     """One instance's mu, rho and classifier blocks, with eps held fixed."""
     while True:
-        feat, cls, x, y = _draw_instance(rng)
+        feat, cls, x, y, _ = _draw_instance(rng)
         q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
         q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
         eps = rng.standard_normal(q.mu.shape)
         # the kink margin matters at the sampled weights, where FD runs
-        ws = sample_weights(q, eps)
-        feats, _ = forward(ws, x)
-        if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
+        feats, tape = forward(sample_weights(q, eps), x)
+        if _kink_margin(tape, forward(cls, feats)[1]) > 1e-3:
             break
     klw = float(rng.uniform(0.1, 1.0))
     prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
     res = elbo_loss(q, cls, (x, y), klw, eps, prior)
 
-    def loss_of(mu, rho):
-        qq = GaussianVariational.wrap(q.spec, np.concatenate([mu, rho]))
+    def loss_of(mu, rho):  # one of them stacked, the other held at q
+        qq = GaussianVariational.wrap(q.spec, np.concatenate(np.broadcast_arrays(mu, rho), axis=1))
         return _elbo_value(qq, cls, x, y, klw, eps, prior)
 
     return [
         (lambda v: loss_of(v, q.rho), q.mu, res.grad_mu),
         (lambda v: loss_of(q.mu, v), q.rho, res.grad_rho),
-        (lambda v: _head_value(cls, v, feats, y) + klw * res.kl, cls.flatten(), res.grad_classifier),
+        (lambda v: _head_values(WeightSet.wrap(cls.spec, v), feats, y) + klw * res.kl,
+         cls.flat, res.grad_classifier),
     ]
 
 

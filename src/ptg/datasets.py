@@ -46,14 +46,31 @@ def check_keys(obj: dict, config_class: type, what: str) -> None:
         raise ValueError(f"missing {what} config keys {missing}")
 
 
-def check_int_fields(config) -> None:
-    """Raise TypeError naming a field annotated int or tuple[int, ...] that holds
-    anything but integers; a bool is not an integer here, and neither is 3.0."""
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+# annotation -> (the types an entry may have, whether the value is a tuple of entries)
+_NUMBER_FIELDS = {
+    "int": (_INTEGER, False),
+    "tuple[int, ...]": (_INTEGER, True),
+    "float": (_REAL, False),
+    "float | None": (_REAL, False),
+    "tuple[float, ...]": (_REAL, True),
+}
+
+
+def check_number_fields(config) -> None:
+    """Raise TypeError naming a field annotated int, float or a tuple of either
+    that holds anything else: a bool is neither, an int field does not take
+    3.0, and nothing is coerced.  A float | None field also takes None."""
     for f in fields(config):
         value = getattr(config, f.name)
-        items = value if f.type == "tuple[int, ...]" else (value,) if f.type == "int" else ()
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items):
-            raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        if f.type not in _NUMBER_FIELDS or (value is None and f.type == "float | None"):
+            continue
+        types, is_tuple = _NUMBER_FIELDS[f.type]
+        items = value if is_tuple else (value,)
+        if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
+            kind = "an integer" if types is _INTEGER else "a number"
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +84,7 @@ class DomainSpec:
     noise_std: float = 0.5
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_number_fields(self)
         if not self.domain_id:
             raise ValueError("domain_id must be non-empty")
         if self.n_samples < 1:
@@ -82,9 +99,8 @@ class DomainSpec:
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
         check_keys(obj, DomainSpec, "domain")
-        # omitted optional keys keep the dataclass defaults
-        floats = {k: float(v) for k, v in obj.items() if k not in ("domain_id", "n_samples")}
-        return DomainSpec(obj["domain_id"], int(obj["n_samples"]), **floats)
+        # omitted optional keys keep the dataclass defaults; values are taken as given
+        return DomainSpec(**obj)
 
 
 @dataclass

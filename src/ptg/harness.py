@@ -23,8 +23,8 @@ from .datasets import (
     N_CLASSES,
     DomainSpec,
     apply_stats,
-    check_int_fields,
     check_keys,
+    check_number_fields,
     feature_stats,
     gen_rotated_moons,
     gen_spurious_blobs,
@@ -68,7 +68,7 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_number_fields(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if len(self.domains) < 2:

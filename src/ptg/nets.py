@@ -14,6 +14,13 @@ the tape ``forward`` records holds the weights it ran, so ``backward`` needs
 only the tape and the upstream gradient.  There is one implementation of the
 forward and backward pass: ``loss_and_gradients`` composes the public
 ``forward``, ``cross_entropy`` and ``backward`` for every training loss.
+``forward`` also runs k models at once: a flat of shape (k, param_count)
+wraps to W of shape (k, d_in, d_out) and b of shape (k, 1, d_out), and an
+input may carry the same leading model axis, (k, n, d_in).  Model j of such a
+pass gives the bits of its own unstacked pass, and ``cross_entropy_value``
+reads one mean cross-entropy per model off the stacked logits, through the
+log-softmax that ``cross_entropy`` uses.  Finite differences evaluate all
+their perturbed points this way; ``backward`` takes single-model tapes only.
 Gradients are flat float64 vectors in the ``WeightSet`` flat order.  The
 gradient w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``,
 formed only where something reads it.  Adam runs at the fixed settings
@@ -92,7 +99,8 @@ class WeightSet:
     aggregation, checkpoints) relies on.  The set owns one float64 vector
     ``flat`` in that order and every W and b is a view of it, so updating
     ``flat`` in place updates the layers.  Values entering from outside are
-    checked; ``wrap`` adopts a vector this package computed itself.
+    checked; ``wrap`` adopts a vector this package computed itself, or a
+    (k, param_count) stack of them, one model per row.
     """
 
     spec: NetworkSpec
@@ -111,12 +119,18 @@ class WeightSet:
     def _bind(self, flat: np.ndarray) -> None:
         layers = self.spec.layer_slices
         self.flat = flat
-        self.weights = [flat[w].reshape(shape) for w, _, shape in layers]
-        self.biases = [flat[b] for _, b, _ in layers]
+        if flat.ndim == 1:
+            self.weights = [flat[w].reshape(shape) for w, _, shape in layers]
+            self.biases = [flat[b] for _, b, _ in layers]
+        else:  # a leading model axis: W is (k, d_in, d_out), b is (k, 1, d_out)
+            k = len(flat)
+            self.weights = [flat[:, w].reshape(k, *shape) for w, _, shape in layers]
+            self.biases = [flat[:, b].reshape(k, 1, -1) for _, b, _ in layers]
 
     @classmethod
     def wrap(cls, spec: NetworkSpec, flat: np.ndarray) -> "WeightSet":
-        """Layer views over a float64 ``flat`` without copying or checking it."""
+        """Layer views over a float64 ``flat`` of shape (param_count,), or
+        (k, param_count) for k models, without copying or checking it."""
         ws = cls.__new__(cls)
         ws.spec = spec
         ws._bind(flat)
@@ -163,11 +177,13 @@ def forward(ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     """Run the net on a batch; returns (outputs, tape).
 
     x has shape (n, d_in); outputs have shape (n, d_out).  Hidden layers are
-    ReLU, the last layer is linear.
+    ReLU, the last layer is linear.  Stacked weights (a wrapped (k,
+    param_count) flat) or a stacked input (k, n, d_in) give outputs (k, n,
+    d_out); the two broadcast against each other as in ``matmul``.
     """
     spec = ws.spec
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.layer_dims[0]:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.layer_dims[0]:
         raise ValueError(f"expected input shape (n, {spec.layer_dims[0]}), got {x.shape}")
     inputs, preacts = [], []
     h = x
@@ -233,6 +249,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of (n, c) or stacked (k, n, c) logits.
+
+    Row reductions column by column.  A row max is exact in any order, and
+    numpy sums fewer than 8 values per row left to right, as this does.
+    """
+    if logits.shape[-1] < 8:
+        shifted = logits - reduce(np.maximum, logits.T).T[..., None]
+        total = reduce(np.add, np.exp(shifted).T).T
+    else:
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        total = np.exp(shifted).sum(axis=-1)
+    return shifted - np.log(total)[..., None]
+
+
+def cross_entropy_value(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """cross_entropy(logits, labels)[0] without the gradient, and one value
+    per model for stacked logits (k, n, c), each to the bits of its own
+    unstacked call.  The labels are the package's own and are not checked."""
+    n = labels.size
+    # the gather comes out column-major; numpy sums a contiguous row pairwise, as cross_entropy's
+    picked = np.ascontiguousarray(_log_softmax(logits)[..., np.arange(n), labels])
+    return -(np.add.reduce(picked, axis=-1) / n)
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch plus the gradient w.r.t. logits.
 
@@ -246,15 +287,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise ValueError(f"labels must lie in [0, {c})")
-    # Row reductions column by column.  A row max is exact in any order, and
-    # numpy sums fewer than 8 values per row left to right, as this does.
-    if c < 8:
-        shifted = logits - reduce(np.maximum, logits.T)[:, None]
-        total = reduce(np.add, np.exp(shifted).T)
-    else:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        total = np.exp(shifted).sum(axis=1)
-    log_probs = shifted - np.log(total)[:, None]
+    log_probs = _log_softmax(logits)
     rows = np.arange(n)
     loss = -float(np.add.reduce(log_probs[rows, labels]) / n)  # .mean(), without its wrapper
     d_logits = np.exp(log_probs)

@@ -69,6 +69,15 @@ class DiscreteGenerativeModel:
             raise ValueError(f"likelihood rows must sum to 1 within {_NORM_TOL}")
         self.likelihood = lik
 
+    @classmethod
+    def wrap(cls, p_omega, p_causal, p_variant, likelihood) -> "DiscreteGenerativeModel":
+        """Adopt float64 tables this package normalized itself, without copying
+        or checking them; tables from outside go through the constructor."""
+        model = cls.__new__(cls)
+        model.p_omega, model.p_causal, model.p_variant = p_omega, p_causal, p_variant
+        model.likelihood = likelihood
+        return model
+
     @property
     def n_omega(self) -> int:
         return self.p_omega.size
@@ -184,13 +193,14 @@ def random_model(
     n_variant: int = 3,
     n_obs: int = 3,
 ) -> DiscreteGenerativeModel:
-    """A fully random valid model; tables are normalized uniform draws."""
+    """A fully random valid model; tables are normalized uniform draws, so
+    they are adopted without the constructor's checks."""
 
     def pmf(*shape):
         t = rng.random(shape) + 1e-3  # keep supports full so conditioning stays valid
         return t / t.sum(axis=-1, keepdims=True)
 
-    return DiscreteGenerativeModel(
+    return DiscreteGenerativeModel.wrap(
         p_omega=pmf(n_omega),
         p_causal=pmf(n_causal),
         p_variant=pmf(n_variant),

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregate import cov_dropout, mean_and_cov, moment_match
-from .datasets import DomainDataset, check_int_fields, check_keys
+from .datasets import DomainDataset, check_keys, check_number_fields
 from .nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
 from .seeding import stream
 from .variational import (
@@ -66,7 +66,7 @@ class TrainConfig:
     prior_std: float = 1.0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_number_fields(self)
         if self.outer_iterations < 1:
             raise ValueError(f"outer_iterations must be >= 1, got {self.outer_iterations}")
         if self.alpha < 0:

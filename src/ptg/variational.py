@@ -61,6 +61,8 @@ class GaussianVariational:
 
     One packed float64 vector ``theta = [mu | rho]`` holds the parameters and
     mu, rho are views of its halves: step theta in place, never rebind them.
+    ``wrap`` also adopts a (k, 2 * param_count) stack of k posteriors, one per
+    row, which ``sample_weights`` and ``kl_to_prior`` evaluate model by model.
     """
 
     spec: NetworkSpec
@@ -75,11 +77,12 @@ class GaussianVariational:
 
     def _bind(self, theta: np.ndarray) -> None:
         n = self.spec.param_count
-        self.theta, self.mu, self.rho = theta, theta[:n], theta[n:]
+        self.theta, self.mu, self.rho = theta, theta[..., :n], theta[..., n:]
 
     @classmethod
     def wrap(cls, spec: NetworkSpec, theta: np.ndarray) -> "GaussianVariational":
-        """Adopt a packed [mu | rho] vector without copying or checking it."""
+        """Adopt a packed [mu | rho] vector, or a stack of them, without
+        copying or checking it."""
         q = cls.__new__(cls)
         q.spec = spec
         q._bind(theta)
@@ -103,20 +106,22 @@ def init_from_deterministic(ws: WeightSet, sigma0: float = 0.01) -> GaussianVari
 
 def _checked_eps(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != q.mu.shape:
-        raise ValueError(f"eps must have shape {q.mu.shape}, got {eps.shape}")
+    if eps.shape != (q.spec.param_count,):
+        raise ValueError(f"eps must have shape ({q.spec.param_count},), got {eps.shape}")
     return eps
 
 
 def sample_weights(q: GaussianVariational, eps: np.ndarray) -> WeightSet:
-    """Reparameterized draw omega = mu + sigma * eps as a WeightSet."""
+    """Reparameterized draw omega = mu + sigma * eps as a WeightSet; a
+    stacked q gives stacked weights, every model drawn with the same eps."""
     return WeightSet.wrap(q.spec, q.mu + q.sigma * _checked_eps(q, eps))
 
 
-def _kl(mu: np.ndarray, sigma: np.ndarray, prior: PriorSpec) -> float:
+def _kl(mu: np.ndarray, sigma: np.ndarray, prior: PriorSpec) -> np.ndarray:
+    """Summed over the last axis: a scalar, or one KL per row of a stack."""
     s = prior.std
     terms = np.log(s / sigma) + (sigma**2 + (mu - prior.mean) ** 2) / (2.0 * s**2) - 0.5
-    return float(terms.sum())
+    return np.add.reduce(terms, axis=-1)
 
 
 def _kl_grad(mu: np.ndarray, sigma: np.ndarray, sig_rho: np.ndarray, prior: PriorSpec) -> np.ndarray:
@@ -130,13 +135,14 @@ def _kl_grad(mu: np.ndarray, sigma: np.ndarray, sig_rho: np.ndarray, prior: Prio
     return out
 
 
-def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float:
+def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float | np.ndarray:
     """Closed-form KL(q || prior) for the factorized Gaussian pair.
 
     Per coordinate: log(s/sigma) + (sigma^2 + (mu - m)^2) / (2 s^2) - 1/2.
-    Exactly zero when q equals the prior.
+    Exactly zero when q equals the prior.  A stacked q gives one KL per model.
     """
-    return _kl(q.mu, q.sigma, prior)
+    kl = _kl(q.mu, q.sigma, prior)
+    return kl if kl.ndim else float(kl)
 
 
 @dataclass
@@ -178,7 +184,7 @@ def elbo_loss(
     eps = _checked_eps(q, eps)
     sigma = softplus(q.rho)
     sig_rho = sigmoid(q.rho)
-    kl = _kl(q.mu, sigma, prior)
+    kl = float(_kl(q.mu, sigma, prior))
     grad_theta = _kl_grad(q.mu, sigma, sig_rho, prior)
     grad_theta *= kl_weight
     if batch is None:

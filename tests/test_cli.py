@@ -398,6 +398,9 @@ class TestExitCodes:
         # an integer field takes a JSON integer only, not a float or a bool
         ("outer_iterations", 3.0), ("batch_size", 64.0), ("n_seeds", 1.0), ("d_inv", 5.0),
         ("base_seed", 0.5), ("feat_hidden", [32.7, 16]), ("n_seeds", True),
+        # a domain's values are not coerced, and a float field does not take a bool
+        ("n_samples", 20.7), ("n_samples", 10.0), ("n_samples", True), ("n_samples", "20"),
+        ("alpha", True),
     ])
     def test_config_value_of_the_wrong_type_names_the_file(
         self, config_path, tmp_path, capsys, where, value
@@ -405,6 +408,8 @@ class TestExitCodes:
         obj = json.loads(Path(config_path).read_text())
         if where == "domain":
             obj["domains"][0] = value
+        elif where == "n_samples":
+            obj["domains"][0][where] = value
         else:
             (obj["train"] if where in obj["train"] else obj)[where] = value
         bad = tmp_path / "bad.json"

@@ -111,16 +111,23 @@ class TestExperimentConfig:
     def test_omitted_optional_keys_take_the_dataclass_defaults(self):
         obj = {
             "family": "spurious_blobs",
-            "domains": [{"domain_id": "a", "n_samples": 10}, {"domain_id": "b", "n_samples": "20"}],
+            "domains": [{"domain_id": "a", "n_samples": 10}, {"domain_id": "b", "n_samples": 20}],
         }
         cfg = ExperimentConfig.from_json(obj)
         assert cfg == ExperimentConfig("spurious_blobs", (DomainSpec("a", 10), DomainSpec("b", 20)))
         assert cfg.train == TrainConfig() and cfg.train.prior == PriorSpec()
         assert ExperimentConfig.from_json({**obj, "train": {}}) == cfg
-        # the keys that are present keep their coercion
-        domain = DomainSpec.from_json({"domain_id": "a", "n_samples": 10.0, "noise_std": 1})
-        assert type(domain.n_samples) is int and type(domain.noise_std) is float
+        # the keys that are present are taken as given: a JSON integer is a number, nothing is coerced
+        domain = DomainSpec.from_json({"domain_id": "a", "n_samples": 10, "noise_std": 1})
+        assert type(domain.n_samples) is int and type(domain.noise_std) is int
         assert TrainConfig.from_json({"prior_std": 2.0}).prior == PriorSpec(std=2.0)
+        for bad in (20.7, 10.0, True, "20"):
+            with pytest.raises(TypeError, match="n_samples must be an integer"):
+                DomainSpec.from_json({"domain_id": "a", "n_samples": bad})
+        with pytest.raises(TypeError, match="noise_std must be a number"):
+            DomainSpec.from_json({"domain_id": "a", "n_samples": 10, "noise_std": True})
+        with pytest.raises(TypeError, match="alpha must be a number"):
+            TrainConfig.from_json({"alpha": True})
 
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()

@@ -25,6 +25,7 @@ from ptg.nets import (
     adam_step,
     backward,
     cross_entropy,
+    cross_entropy_value,
     forward,
     init_weights,
     loss_and_gradients,
@@ -48,6 +49,8 @@ from ptg.variational import (
     PriorSpec,
     elbo_loss,
     init_from_deterministic,
+    kl_to_prior,
+    sample_weights,
     sigmoid,
     softplus,
 )
@@ -194,6 +197,19 @@ class TestCrossEntropy:
             assert_bits(loss, ref_loss)
             assert_bits(grad, ref_grad)
 
+    @pytest.mark.parametrize("classes", [2, 3, 5, 9])
+    @pytest.mark.parametrize("n", [3, 7, 8, 192])
+    def test_stacked_value_matches_separate_calls(self, classes, n):
+        rng = np.random.default_rng(classes * n)
+        logits = rng.standard_normal((6, n, classes)) * 30.0
+        labels = rng.integers(0, classes, n)
+        values = cross_entropy_value(logits, labels)
+        assert values.shape == (6,)
+        for j in range(6):
+            assert_bits(values[j], np.float64(cross_entropy(logits[j], labels)[0]))
+        one = cross_entropy_value(logits[0], labels)  # unstacked logits give the scalar
+        assert_bits(one, np.float64(cross_entropy(logits[0], labels)[0]))
+
     @pytest.mark.parametrize("labels", [[0, 2], [-1, 0], [1, 3]])
     def test_out_of_range_labels(self, labels):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
@@ -213,6 +229,33 @@ class TestForwardBackward:
             assert_bits(out, ref_out)
             for a, b in zip(tape.preacts + tape.inputs, ref_tape.preacts + ref_tape.inputs):
                 assert_bits(a, b)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_stacked_forward_matches_separate_calls(self, k):
+        # stacked weights, stacked inputs and both: model j gives its own call's bits
+        rng = np.random.default_rng(k)
+        for dims in ((10, 32, 16), (16, 16, 2), (3, 2), (4, 5, 6, 3)):
+            spec = NetworkSpec(dims)
+            for n in (3, 64):
+                flats = rng.standard_normal((k, spec.param_count))
+                xs = rng.standard_normal((k, n, dims[0]))
+                stacked = WeightSet.wrap(spec, flats)
+                assert [w.shape for w in stacked.weights] == [(k, a, b) for a, b in zip(dims, dims[1:])]
+                assert [b.shape for b in stacked.biases] == [(k, 1, b) for b in dims[1:]]
+                single = [WeightSet.wrap(spec, flats[j]) for j in range(k)]
+                cases = [
+                    (stacked, xs[0], [(single[j], xs[0]) for j in range(k)]),
+                    (single[0], xs, [(single[0], xs[j]) for j in range(k)]),
+                    (stacked, xs, list(zip(single, xs))),
+                ]
+                for ws, x, separate in cases:
+                    out, tape = forward(ws, x)
+                    assert out.shape == (k, n, dims[-1])
+                    for j, (ws_j, x_j) in enumerate(separate):
+                        out_j, tape_j = forward(ws_j, x_j)
+                        assert_bits(out[j], out_j)
+                        for a, b in zip(tape.preacts, tape_j.preacts):
+                            assert_bits(a[j], b)
 
     def test_backward_against_copy(self):
         rng = np.random.default_rng(1)
@@ -310,6 +353,22 @@ class TestElbo:
             assert_bits(res.kl, kl)
             assert_bits(res.grad_theta, grad_theta)
             assert_bits(res.grad_classifier, grad_cls)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (10, 32, 16)])
+    def test_stacked_posterior_matches_separate_calls(self, dims):
+        rng = np.random.default_rng(len(dims))
+        spec = NetworkSpec(dims)
+        n = spec.param_count
+        thetas = np.concatenate([rng.standard_normal((5, n)), rng.uniform(-8.0, 2.0, (5, n))], axis=1)
+        eps = rng.standard_normal(n)
+        stacked = GaussianVariational.wrap(spec, thetas)
+        prior = PriorSpec(0.3, 2.5)
+        kls, draws = kl_to_prior(stacked, prior), sample_weights(stacked, eps).flat
+        assert kls.shape == (5,) and draws.shape == (5, n)
+        for j in range(5):
+            q = GaussianVariational.wrap(spec, thetas[j])
+            assert_bits(kls[j], kl_to_prior(q, prior))
+            assert_bits(draws[j], sample_weights(q, eps).flat)
 
 
 class TestMeanAndCov:

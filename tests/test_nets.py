@@ -13,6 +13,7 @@ from ptg.nets import (
     adam_step,
     backward,
     cross_entropy,
+    cross_entropy_value,
     forward,
     init_weights,
     load_weights,
@@ -169,9 +170,9 @@ class TestBackward:
                 continue
             done += 1
 
-            def loss_of(flat):
-                out, _ = forward(WeightSet.from_flat(spec, flat), x)
-                return cross_entropy(out, y)[0]
+            def loss_of(flats):  # one loss per row, from one stacked forward pass
+                out, _ = forward(WeightSet.wrap(spec, flats), x)
+                return cross_entropy_value(out, y)
 
             out, tape = forward(ws, x)
             _, d_logits = cross_entropy(out, y)
@@ -187,9 +188,9 @@ class TestBackward:
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 2, size=4)
 
-        def loss_of(flat_x):
-            out, _ = forward(ws, flat_x.reshape(4, 3))
-            return cross_entropy(out, y)[0]
+        def loss_of(flat_xs):  # one loss per row, from one stacked input batch
+            out, _ = forward(ws, flat_xs.reshape(-1, 4, 3))
+            return cross_entropy_value(out, y)
 
         out, tape = forward(ws, x)
         _, d_logits = cross_entropy(out, y)

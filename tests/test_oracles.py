@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestValidation:
                 p_variant=np.array([1.0]),
                 likelihood=lik,
             )
+
+    def test_random_model_tables_pass_every_constructor_check(self):
+        # random_model adopts its tables unchecked; the checked constructor takes each one as is
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            sizes = [int(n) for n in rng.integers(1, 7, size=4)]
+            m = random_model(rng, *sizes)
+            tables = {f.name: getattr(m, f.name) for f in fields(m)}
+            rebuilt = DiscreteGenerativeModel(**tables)
+            for name, table in tables.items():
+                assert table.dtype == np.float64
+                assert getattr(rebuilt, name).tobytes() == table.tobytes(), name
 
     def test_index_range_checks(self):
         m = hand_model()

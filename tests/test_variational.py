@@ -24,6 +24,16 @@ from ptg.variational import (
 SPEC = NetworkSpec((2, 3, 2))  # param_count 17
 
 
+def stacked_q(mu, rho, spec=SPEC):
+    """The posteriors (mu_j, rho_j), one per row; one of mu, rho may be a single vector."""
+    return GaussianVariational.wrap(spec, np.hstack(np.broadcast_arrays(mu, rho)))
+
+
+def rowwise(f):
+    """A function of one point as a function of a stack of points."""
+    return lambda points: np.array([f(p) for p in points])
+
+
 def make_q(seed=0, spec=SPEC, scale=0.5):
     rng = np.random.default_rng(seed)
     n = spec.param_count
@@ -166,12 +176,8 @@ class TestKl:
         cls = init_weights(NetworkSpec((SPEC.layer_dims[-1], 3, 2)), np.random.default_rng(31))
         res = elbo_loss(q, cls, None, 1.0, np.zeros(SPEC.param_count), prior)
         g_mu, g_rho = res.grad_mu, res.grad_rho
-        fd_mu = central_difference(
-            lambda v: kl_to_prior(GaussianVariational(SPEC, v, q.rho), prior), q.mu
-        )
-        fd_rho = central_difference(
-            lambda v: kl_to_prior(GaussianVariational(SPEC, q.mu, v), prior), q.rho
-        )
+        fd_mu = central_difference(lambda v: kl_to_prior(stacked_q(v, q.rho), prior), q.mu)
+        fd_rho = central_difference(lambda v: kl_to_prior(stacked_q(q.mu, v), prior), q.rho)
         assert max_relative_error(fd_mu, g_mu) < 1e-7
         assert max_relative_error(fd_rho, g_rho) < 1e-7
 
@@ -212,12 +218,16 @@ class TestElbo:
         eps = rng.standard_normal(SPEC.param_count)
         res = elbo_loss(q, cls, (x, y), 0.3, eps)
 
+        # elbo_loss itself at every perturbed point, one point at a time
+        @rowwise
         def loss_mu(v):
             return elbo_loss(GaussianVariational(SPEC, v, q.rho), cls, (x, y), 0.3, eps).loss
 
+        @rowwise
         def loss_rho(v):
             return elbo_loss(GaussianVariational(SPEC, q.mu, v), cls, (x, y), 0.3, eps).loss
 
+        @rowwise
         def loss_cls(v):
             cw = WeightSet.from_flat(cls.spec, v)
             return elbo_loss(q, cw, (x, y), 0.3, eps).loss

@@ -1,12 +1,15 @@
 """Bitwise pins of the verification paths against copies of their earlier code.
 
 The oracle gaps build one likelihood table and run both posterior routes on
-it, and the ELBO finite differences evaluate the loss value alone.  Each must
-give the same bits as the code it replaced; the references below are the
-earlier implementations, kept verbatim.  The grad-check and oracle-check
-reports are compared with reports built from these references in the same
-process rather than with recorded numbers, because their last digits depend
-on the BLAS kernel of the machine.
+it, and the finite differences evaluate the loss value alone, at all the
+perturbed points of a block in one stacked pass.  Each must give the same
+bits as the code it replaced; the references below are the earlier
+implementations, kept verbatim: the coordinate-by-coordinate central
+difference and the sweeps that run the full composition at every point.
+The grad-check and oracle-check reports are compared with reports built
+from these references in the same process rather than with recorded
+numbers, because their last digits depend on the BLAS kernel of the
+machine.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from ptg import checks
-from ptg.checks import FD_STEP, _draw_instance, _kink_margin, central_difference, max_relative_error
+from ptg.checks import FD_STEP, _draw_instance, central_difference, max_relative_error
 from ptg.cli import GRAD_TOLERANCE, ORACLE_TOLERANCE, main
 from ptg.nets import WeightSet, cross_entropy, forward, loss_and_gradients
 from ptg.oracles import (
@@ -101,11 +104,41 @@ def ref_data_conditioned_gap(model, causal, observations):
 
 # --- the finite-difference sweeps before the value-only objective -----------
 
-def ref_run_backward_checks(seed=0, n_instances=20):
+def ref_central_difference(f, x, h=FD_STEP):
+    """Gradient of scalar f at x, one coordinate at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    for j in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[j] += h
+        lo[j] -= h
+        g[j] = (f(hi) - f(lo)) / (2.0 * h)
+    return g
+
+
+def ref_kink_margin(ws, x):
+    _, tape = forward(ws, x)
+    margins = [np.abs(z).min() for z in tape.preacts[:-1]]
+    return min(margins) if margins else np.inf
+
+
+def recorder(blocks):
+    """ref_central_difference, keeping each vector it returns in blocks."""
+    def recording(f, x, h=FD_STEP):
+        blocks.append(ref_central_difference(f, x, h))
+        return blocks[-1]
+
+    return recording
+
+
+def ref_run_backward_checks(seed=0, n_instances=20, blocks=None):
+    """blocks, if given, collects every difference vector in sweep order."""
+    central_difference = recorder([] if blocks is None else blocks)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
-        feat, cls, x, y = _draw_instance(rng)
+        feat, cls, x, y, _ = _draw_instance(rng)
 
         def loss_of(feat_flat, cls_flat, xin):
             fw = WeightSet.wrap(feat.spec, feat_flat)
@@ -130,18 +163,19 @@ def ref_run_backward_checks(seed=0, n_instances=20):
     return {"instances": n_instances, "max_rel_err": worst, "fd_step": FD_STEP}
 
 
-def ref_run_elbo_checks(seed=0, n_instances=20):
+def ref_run_elbo_checks(seed=0, n_instances=20, blocks=None):
+    central_difference = recorder([] if blocks is None else blocks)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
         while True:
-            feat, cls, x, y = _draw_instance(rng)
+            feat, cls, x, y, _ = _draw_instance(rng)
             q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
             q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
             eps = rng.standard_normal(q.mu.shape)
             ws = sample_weights(q, eps)
             feats, _ = forward(ws, x)
-            if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
+            if min(ref_kink_margin(ws, x), ref_kink_margin(cls, feats)) > 1e-3:
                 break
         klw = float(rng.uniform(0.1, 1.0))
         prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
@@ -300,9 +334,12 @@ def test_elbo_value_objective_matches_elbo_loss_bitwise(seed, monkeypatch):
     value = checks._elbo_value
 
     def compared(q, classifier, x, y, kl_weight, eps, prior):
+        # a stack of 2n posteriors, one per perturbed point; each row against its own elbo_loss
         got = value(q, classifier, x, y, kl_weight, eps, prior)
-        want = elbo_loss(q, classifier, (x, y), kl_weight, eps, prior).loss
-        evaluations.append(got.hex() == want.hex())
+        for theta, v in zip(q.theta, got):
+            qj = GaussianVariational.wrap(q.spec, theta)
+            want = elbo_loss(qj, classifier, (x, y), kl_weight, eps, prior).loss
+            evaluations.append(v.hex() == want.hex())
         return got
 
     monkeypatch.setattr(checks, "_elbo_value", compared)
@@ -323,18 +360,51 @@ def test_oracle_check_report_matches_reference(seed, capsys):
     assert capsys.readouterr().out == json.dumps(ref_oracle_report(seed), indent=2) + "\n"
 
 
+# --- every block against the reference loop ---------------------------------
+
+def test_central_difference_evaluates_one_stack_of_points():
+    x, h = np.array([1.0, -2.0, 0.5]), 0.25
+    calls = []
+
+    def f(points):
+        calls.append(points.copy())
+        return (points**3).sum(axis=1)
+
+    g = central_difference(f, x, h)
+    (points,) = calls
+    want = np.concatenate([x + h * np.eye(3), x - h * np.eye(3)])
+    assert same_bits(points, want)
+    assert same_bits(g, ref_central_difference(lambda v: (v**3).sum(), x, h))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_block_difference_matches_the_reference_loop_bitwise(seed, monkeypatch):
+    # every difference vector of both sweeps, not only the max error over all blocks
+    got, want = [], []
+
+    def recording(f, x, h=FD_STEP):
+        got.append(central_difference(f, x, h))
+        return got[-1]
+
+    monkeypatch.setattr(checks, "central_difference", recording)
+    assert checks.run_backward_checks(seed, 20) == ref_run_backward_checks(seed, 20, want)
+    assert checks.run_elbo_checks(seed, 20) == ref_run_elbo_checks(seed, 20, want)
+    assert len(got) == len(want) == 120
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 # --- the classifier blocks against the full composition ----------------------
 
 def ref_elbo_instance(rng):
     """One instance of the ELBO sweep, drawn in the sweep's rng order."""
     while True:
-        feat, cls, x, y = _draw_instance(rng)
+        feat, cls, x, y, _ = _draw_instance(rng)
         q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
         q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
         eps = rng.standard_normal(q.mu.shape)
         ws = sample_weights(q, eps)
         feats, _ = forward(ws, x)
-        if min(_kink_margin(ws, x), _kink_margin(cls, feats)) > 1e-3:
+        if min(ref_kink_margin(ws, x), ref_kink_margin(cls, feats)) > 1e-3:
             break
     klw = float(rng.uniform(0.1, 1.0))
     prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
@@ -359,7 +429,7 @@ def test_classifier_block_differences_match_the_full_composition_bitwise(seed, m
 
     rng = np.random.default_rng(seed)
     for got in backward_cls:
-        feat, cls, x, y = _draw_instance(rng)
+        feat, cls, x, y, _ = _draw_instance(rng)
         f0 = feat.flatten()
 
         def composed(cls_flat):
@@ -367,12 +437,12 @@ def test_classifier_block_differences_match_the_full_composition_bitwise(seed, m
             logits, _ = forward(WeightSet.wrap(cls.spec, cls_flat), feats)
             return cross_entropy(logits, y)[0]
 
-        assert central_difference(composed, cls.flatten()).tobytes() == got.tobytes()
+        assert ref_central_difference(composed, cls.flatten()).tobytes() == got.tobytes()
 
     rng = np.random.default_rng(seed)
     for got in elbo_cls:
         q, cls, x, y, eps, klw, prior = ref_elbo_instance(rng)
-        want = central_difference(
+        want = ref_central_difference(
             lambda v: checks._elbo_value(q, WeightSet.wrap(cls.spec, v), x, y, klw, eps, prior),
             cls.flatten(),
         )
