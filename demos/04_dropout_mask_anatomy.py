@@ -14,7 +14,6 @@ import dataclasses
 
 import numpy as np
 
-from ptg.aggregate import cov_dropout, mean_and_cov
 from ptg.harness import default_benchmark_config, prepare_split
 from ptg.nets import WeightSet
 from ptg.training import train_algorithm
@@ -29,10 +28,9 @@ tcfg = dataclasses.replace(cfg.train, outer_iterations=400, seed=0, alpha=0.05, 
 _, _, history, bank = train_algorithm("ptg_lite", trains, feat_spec, cls_spec, tcfg)
 
 # --- read the final mask by input block ----------------------------------
-# the per-domain weights of the last aggregation: the merged step after it
-# moves only the shared featurizer and the classifier
-mean_w, cov = mean_and_cov(list(bank.per_domain.values()))
-_, report = cov_dropout(mean_w, cov, tcfg.beta)
+# the bank keeps the last aggregation's mask report
+report = bank.last_aggregate
+cov = report.cov
 
 d_inv = cfg.d_inv
 w1_mask = WeightSet.from_flat(feat_spec, report.kept_mask.astype(float)).weights[0]
@@ -50,8 +48,8 @@ print(f"median relative spread: invariant {np.median(cov_w1[:d_inv]):.3f},",
 # --- the mask loosens monotonically in beta ------------------------------
 print("\nbeta sweep on the same per-domain weights:")
 for beta in (0.02, 0.05, 0.1, 0.3):
-    _, rep = cov_dropout(mean_w, cov, beta)
-    print(f"  beta={beta:<5} dropped {rep.dropped_count:4d}")
+    # cov_dropout keeps a coordinate where cov <= beta
+    print(f"  beta={beta:<5} dropped {np.count_nonzero(cov > beta):4d}")
 
 print("\ndrop counts over training:",
       " ".join(str(h["dropped_count"]) for h in history[:: len(history) // 8]))

@@ -121,7 +121,7 @@ def _elbo_cases(rng: np.random.Generator) -> list:
     while True:
         feat, cls, x, y, _ = _draw_instance(rng)
         q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
-        q = GaussianVariational(q.spec, q.mu, q.rho + 0.1 * rng.standard_normal(q.rho.shape))
+        q.rho += 0.1 * rng.standard_normal(q.rho.shape)  # q owns a fresh theta
         eps = rng.standard_normal(q.mu.shape)
         # the kink margin matters at the sampled weights, where FD runs
         feats, tape = forward(sample_weights(q, eps), x)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, oracles
-from .aggregate import cov_dropout, mean_and_cov, save_cov_report
+from .aggregate import CovReport, save_cov_report
 from .datasets import save_dataset_csv
 from .harness import (
     ExperimentConfig,
@@ -99,10 +99,8 @@ def _cmd_train(args) -> int:
     trains, _, _ = prepare_split(config, config.test_domain, 0)
     cfg = replace(config.train, seed=seed)
     feat, cls, history, bank = train_algorithm(algorithm, trains, *config.network_specs(), cfg)
-    if algorithm == "ptg_lite":
-        models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
-        _, report = cov_dropout(*mean_and_cov(models), cfg.beta)
-        save_cov_report(out / "cov_report.json", report)
+    if isinstance(getattr(bank, "last_aggregate", None), CovReport):
+        save_cov_report(out / "cov_report.json", bank.last_aggregate)
     save_feat = save_gaussian if isinstance(feat, GaussianVariational) else save_weights
     save_feat(out / "featurizer.json", feat)
     save_weights(out / "classifier.json", cls)
@@ -244,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDiverged as exc:

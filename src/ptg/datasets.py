@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,10 +31,17 @@ SPUR_SEPARATION = 2.0
 DIRECTION_MIX = 1.0  # weight of the per-domain offset vs the common direction
 
 
-def check_keys(obj: dict, config_class: type, what: str) -> None:
-    """Raise ValueError naming every key of a config object that is not a field
-    of config_class, or every field without a default that it lacks; raise
-    TypeError if obj is not a JSON object at all."""
+_field_types = cache(get_type_hints)  # once per class: load_config is on the set-up path
+
+
+def read_config(config_class: type, obj):
+    """config_class from the JSON object obj, each field read by its annotation:
+    a config dataclass takes an object, read the same way, and a tuple a JSON
+    array only.  Other values go to the constructor as given, and its checks
+    apply.  Unknown keys, or missing keys without a default, are a ValueError
+    naming them all, and a wrong JSON type is a TypeError; either names the
+    config by its class (DomainSpec is "domain", TrainConfig is "train")."""
+    what = config_class.__name__.removesuffix("Config").removesuffix("Spec").lower()
     if not isinstance(obj, dict):
         raise TypeError(f"{what} config must be a JSON object, got {type(obj).__name__}")
     known = fields(config_class)
@@ -44,33 +52,50 @@ def check_keys(obj: dict, config_class: type, what: str) -> None:
                if f.name not in obj and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"missing {what} config keys {missing}")
+    types = _field_types(config_class)
+    return config_class(**{key: _read_value(key, types[key], value) for key, value in obj.items()})
+
+
+def _read_value(key: str, kind, value):
+    """The value of field key, annotated kind, as read_config reads it."""
+    if is_dataclass(kind):
+        return read_config(kind, value)
+    if get_origin(kind) is not tuple:
+        return value
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON array, got {value!r}")
+    return tuple(_read_value(key, get_args(kind)[0], item) for item in value)
 
 
 _INTEGER = (int, np.integer)
 _REAL = (int, float, np.integer, np.floating)
 # annotation -> (the types an entry may have, whether the value is a tuple of entries)
-_NUMBER_FIELDS = {
+_TYPED_FIELDS = {
     "int": (_INTEGER, False),
     "tuple[int, ...]": (_INTEGER, True),
     "float": (_REAL, False),
     "float | None": (_REAL, False),
     "tuple[float, ...]": (_REAL, True),
+    "str": (str, False),
+    "str | None": (str, False),
+    "tuple[str, ...]": (str, True),
 }
+_KIND = {_INTEGER: "an integer", _REAL: "a number", str: "a string"}
 
 
-def check_number_fields(config) -> None:
-    """Raise TypeError naming a field annotated int, float or a tuple of either
-    that holds anything else: a bool is neither, an int field does not take
-    3.0, and nothing is coerced.  A float | None field also takes None."""
+def check_field_types(config) -> None:
+    """Raise TypeError naming a field annotated int, float, str or a tuple of
+    one of them that holds anything else: a bool is neither an int nor a
+    float, an int field does not take 3.0, and nothing is coerced.  A
+    float | None or str | None field also takes None."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type not in _NUMBER_FIELDS or (value is None and f.type == "float | None"):
+        if f.type not in _TYPED_FIELDS or (value is None and f.type.endswith("| None")):
             continue
-        types, is_tuple = _NUMBER_FIELDS[f.type]
+        types, is_tuple = _TYPED_FIELDS[f.type]
         items = value if is_tuple else (value,)
         if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
-            kind = "an integer" if types is _INTEGER else "a number"
-            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+            raise TypeError(f"{f.name} must be {_KIND[types]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +109,7 @@ class DomainSpec:
     noise_std: float = 0.5
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if not self.domain_id:
             raise ValueError("domain_id must be non-empty")
         if self.n_samples < 1:
@@ -95,12 +120,6 @@ class DomainSpec:
             )
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-
-    @staticmethod
-    def from_json(obj: dict) -> "DomainSpec":
-        check_keys(obj, DomainSpec, "domain")
-        # omitted optional keys keep the dataclass defaults; values are taken as given
-        return DomainSpec(**obj)
 
 
 @dataclass

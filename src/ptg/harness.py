@@ -23,11 +23,11 @@ from .datasets import (
     N_CLASSES,
     DomainSpec,
     apply_stats,
-    check_keys,
-    check_number_fields,
+    check_field_types,
     feature_stats,
     gen_rotated_moons,
     gen_spurious_blobs,
+    read_config,
     split_train_val,
 )
 from .nets import NetworkSpec, TrainingDiverged
@@ -68,7 +68,7 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if len(self.domains) < 2:
@@ -101,17 +101,6 @@ class ExperimentConfig:
         cls = NetworkSpec((self.feat_hidden[-1],) + tuple(self.cls_hidden) + (N_CLASSES,))
         return feat, cls
 
-    @staticmethod
-    def from_json(obj: dict) -> "ExperimentConfig":
-        check_keys(obj, ExperimentConfig, "experiment")
-        obj = dict(obj)
-        domains = tuple(DomainSpec.from_json(d) for d in obj.pop("domains"))
-        train = TrainConfig.from_json(obj.pop("train", {}))
-        for key in ("algorithms", "alpha_grid", "beta_grid", "feat_hidden", "cls_hidden"):
-            if key in obj:
-                obj[key] = tuple(obj[key])
-        return ExperimentConfig(obj.pop("family"), domains, train=train, **obj)
-
 
 def load_config(path) -> ExperimentConfig:
     """The config in a JSON file; a value of the wrong JSON type raises
@@ -119,7 +108,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        return ExperimentConfig.from_json(obj)
+        return read_config(ExperimentConfig, obj)
     except TypeError as exc:
         raise ValueError(f"{path}: a config value has the wrong type ({exc})") from exc
 

@@ -154,14 +154,11 @@ class WeightSet:
 
 def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
     """Glorot-uniform weights, zero biases, drawn in a fixed layer order."""
-    weights, biases = [], []
-    dims = spec.layer_dims
-    for i in range(spec.n_layers):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    flat = np.zeros(spec.param_count)
+    for w, _, (fan_in, fan_out) in spec.layer_slices:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return WeightSet(spec, weights, biases)
+        flat[w] = rng.uniform(-limit, limit, size=(fan_in, fan_out)).ravel()
+    return WeightSet.wrap(spec, flat)
 
 
 @dataclass

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import cov_dropout, mean_and_cov, moment_match
-from .datasets import DomainDataset, check_keys, check_number_fields
+from .aggregate import AggregateResult, CovReport, cov_dropout, mean_and_cov, moment_match
+from .datasets import DomainDataset, check_field_types
 from .nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
 from .seeding import stream
 from .variational import (
@@ -66,7 +66,7 @@ class TrainConfig:
     prior_std: float = 1.0
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if self.outer_iterations < 1:
             raise ValueError(f"outer_iterations must be >= 1, got {self.outer_iterations}")
         if self.alpha < 0:
@@ -86,11 +86,6 @@ class TrainConfig:
         if self.erm_steps < 0 or self.bayes_steps < 0:
             raise ValueError("step counts must be >= 0")
         object.__setattr__(self, "prior", PriorSpec(self.prior_mean, self.prior_std))
-
-    @staticmethod
-    def from_json(obj: dict) -> "TrainConfig":
-        check_keys(obj, TrainConfig, "train")
-        return TrainConfig(**obj)
 
 
 class MinibatchStream:
@@ -143,11 +138,16 @@ def _check_domains(domains: Sequence[DomainDataset], minimum: int) -> list[Domai
 @dataclass
 class FeaturizerBank:
     """Output of the aggregation loops: shared featurizer, per-domain models,
-    and the one classifier head they all feed."""
+    the one classifier head they all feed, and what the last aggregation
+    reported: moment_match's variance split for ptg (its q0 is f0 itself),
+    cov_dropout's mask report for ptg_lite.  The merged step after that
+    aggregation moves only f0 and the classifier, so the report describes
+    the per-domain models as returned."""
 
     f0: GaussianVariational | WeightSet
     per_domain: dict[str, GaussianVariational | WeightSet]
     classifier: WeightSet
+    last_aggregate: AggregateResult | CovReport
 
 
 def predict(
@@ -327,20 +327,21 @@ def erm_bayesian_train(
 
 def _match_posteriors(models: list[GaussianVariational], config: TrainConfig):
     """ptg's aggregate: the moment-matched posterior, nothing dropped."""
-    return moment_match(models).q0, None, 0
+    result = moment_match(models)
+    return result.q0, None, 0, result
 
 
 def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
     """ptg_lite's aggregate: the coordinate mean with high-CoV coordinates
-    zeroed, the dropped mask and its count."""
+    zeroed, the dropped mask, its count and the mask report."""
     f0, report = cov_dropout(*mean_and_cov(models), config.beta)
-    return f0, ~report.kept_mask, report.dropped_count
+    return f0, ~report.kept_mask, report.dropped_count, report
 
 
 def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate):
     """The outer loop of ptg and ptg_lite (see ptg_train); make_step is as in
     _pooled_loop, and aggregate(models, config) returns (shared model, mask of
-    the coordinates it dropped or None, their count)."""
+    the coordinates it dropped or None, their count, the aggregation's report)."""
     domains = _check_domains(domains, minimum=2)
     ids = [d.domain_id for d in domains]
     per = {i: init_feat.copy() for i in ids}
@@ -369,7 +370,7 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
             adam_step(_params(per[i]), g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
-        f0, dropped, dropped_count = aggregate([per[i] for i in ids], config)
+        f0, dropped, dropped_count, result = aggregate([per[i] for i in ids], config)
 
         merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
         loss, g_feat, g_cls, kl = merged_step(f0, cls, merged, klw_m)
@@ -384,7 +385,7 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=kl, merged_loss=loss, dropped_count=dropped_count)
         history.append(row)
-    return FeaturizerBank(f0, per, cls), history
+    return FeaturizerBank(f0, per, cls, result), history
 
 
 def ptg_train(

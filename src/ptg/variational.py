@@ -98,10 +98,10 @@ class GaussianVariational:
 
 def init_from_deterministic(ws: WeightSet, sigma0: float = 0.01) -> GaussianVariational:
     """Posterior centered on an existing weight set with constant std sigma0."""
-    if not sigma0 > 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    if not 0 < sigma0 < np.inf:  # rho is adopted unchecked: ws is already checked
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
     rho = np.full(ws.flat.shape, softplus_inv(float(sigma0)))
-    return GaussianVariational(ws.spec, ws.flat, rho)
+    return GaussianVariational.wrap(ws.spec, np.concatenate([ws.flat, rho]))
 
 
 def _checked_eps(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:

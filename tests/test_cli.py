@@ -267,6 +267,13 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("argv", [["run", "--config", "{dir}"], ["summarize", "{dir}"]])
+    def test_unreadable_path_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -401,6 +408,9 @@ class TestExitCodes:
         # a domain's values are not coerced, and a float field does not take a bool
         ("n_samples", 20.7), ("n_samples", 10.0), ("n_samples", True), ("n_samples", "20"),
         ("alpha", True),
+        # a tuple field takes a JSON array only, and a string field a JSON string only
+        ("algorithms", "ptg"), ("feat_hidden", 16), ("cls_hidden", None), ("domains", {}),
+        ("domain_id", 5),
     ])
     def test_config_value_of_the_wrong_type_names_the_file(
         self, config_path, tmp_path, capsys, where, value
@@ -408,7 +418,7 @@ class TestExitCodes:
         obj = json.loads(Path(config_path).read_text())
         if where == "domain":
             obj["domains"][0] = value
-        elif where == "n_samples":
+        elif where in ("n_samples", "domain_id"):
             obj["domains"][0][where] = value
         else:
             (obj["train"] if where in obj["train"] else obj)[where] = value
@@ -417,6 +427,7 @@ class TestExitCodes:
         assert main(["summarize", "--config", str(bad), str(tmp_path / "rows.csv")]) == 1
         err = capsys.readouterr().err
         assert f"{bad}: a config value has the wrong type" in err
+        assert where in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("where, what", [("train", "train"), ("domain", "domain"), ("top", "experiment")])

@@ -17,6 +17,7 @@ from ptg.datasets import (
     gen_rotated_moons,
     gen_spurious_blobs,
     load_dataset_csv,
+    read_config,
     save_dataset_csv,
     split_train_val,
 )
@@ -35,7 +36,7 @@ class TestDomainSpec:
 
     def test_json_round_trip(self):
         s = DomainSpec("train_a", 500, spurious_correlation=-0.9, rotation_deg=15.0, noise_std=0.3)
-        assert DomainSpec.from_json(asdict(s)) == s
+        assert read_config(DomainSpec, asdict(s)) == s
 
 
 class TestSpuriousBlobs:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ptg.harness
-from ptg.datasets import DomainSpec
+from ptg.datasets import DomainSpec, read_config
 from ptg.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -113,21 +113,21 @@ class TestExperimentConfig:
             "family": "spurious_blobs",
             "domains": [{"domain_id": "a", "n_samples": 10}, {"domain_id": "b", "n_samples": 20}],
         }
-        cfg = ExperimentConfig.from_json(obj)
+        cfg = read_config(ExperimentConfig, obj)
         assert cfg == ExperimentConfig("spurious_blobs", (DomainSpec("a", 10), DomainSpec("b", 20)))
         assert cfg.train == TrainConfig() and cfg.train.prior == PriorSpec()
-        assert ExperimentConfig.from_json({**obj, "train": {}}) == cfg
+        assert read_config(ExperimentConfig, {**obj, "train": {}}) == cfg
         # the keys that are present are taken as given: a JSON integer is a number, nothing is coerced
-        domain = DomainSpec.from_json({"domain_id": "a", "n_samples": 10, "noise_std": 1})
+        domain = read_config(DomainSpec, {"domain_id": "a", "n_samples": 10, "noise_std": 1})
         assert type(domain.n_samples) is int and type(domain.noise_std) is int
-        assert TrainConfig.from_json({"prior_std": 2.0}).prior == PriorSpec(std=2.0)
+        assert read_config(TrainConfig, {"prior_std": 2.0}).prior == PriorSpec(std=2.0)
         for bad in (20.7, 10.0, True, "20"):
             with pytest.raises(TypeError, match="n_samples must be an integer"):
-                DomainSpec.from_json({"domain_id": "a", "n_samples": bad})
+                read_config(DomainSpec, {"domain_id": "a", "n_samples": bad})
         with pytest.raises(TypeError, match="noise_std must be a number"):
-            DomainSpec.from_json({"domain_id": "a", "n_samples": 10, "noise_std": True})
+            read_config(DomainSpec, {"domain_id": "a", "n_samples": 10, "noise_std": True})
         with pytest.raises(TypeError, match="alpha must be a number"):
-            TrainConfig.from_json({"alpha": True})
+            read_config(TrainConfig, {"alpha": True})
 
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
+from ptg.aggregate import CovReport, coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
 from ptg.nets import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -491,7 +491,8 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
             adam_step(per_q[i].theta, res.grad_theta, states[i], lr)
             row[f"loss_{i}"] = res.loss
 
-        q0 = moment_match([per_q[i] for i in ids]).q0
+        matched = moment_match([per_q[i] for i in ids])
+        q0 = matched.q0
         if inspect is not None:
             inspect(it, q0.copy(), {i: per_q[i].copy() for i in ids})
 
@@ -502,7 +503,7 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
         adam_step(cls.flat, res.grad_classifier, st_c, lr)
         row.update(kl=res.kl, merged_loss=res.loss, dropped_count=0)
         history.append(row)
-    return FeaturizerBank(q0, dict(per_q), cls), history
+    return FeaturizerBank(q0, dict(per_q), cls, matched), history
 
 
 def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
@@ -549,7 +550,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=0.0, merged_loss=loss, dropped_count=report.dropped_count)
         history.append(row)
-    return FeaturizerBank(f0, dict(per_w), cls), history
+    return FeaturizerBank(f0, dict(per_w), cls, report), history
 
 
 LOOP_FEAT, LOOP_CLS = NetworkSpec((4, 8, 4)), NetworkSpec((4, 2))
@@ -565,11 +566,19 @@ def history_bits(history):
     return [[(k, type(v), repr(v)) for k, v in row.items()] for row in history]
 
 
+def report_bits(report):
+    """The last aggregation's report; a moment-matched q0 is the bank's f0."""
+    if isinstance(report, CovReport):
+        return report.beta, report.dropped_count, report.cov.tobytes(), report.kept_mask.tobytes()
+    return report.within_var.tobytes(), report.between_var.tobytes()
+
+
 def bank_bits(bank):
     return (
         model_bits(bank.f0),
         [(i, model_bits(m)) for i, m in bank.per_domain.items()],
         model_bits(bank.classifier),
+        report_bits(bank.last_aggregate),
     )
 
 

@@ -1,14 +1,17 @@
 """Training loops: baselines, aggregation iterations, reproducibility contracts."""
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ptg.training
-from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, moment_match
-from ptg.datasets import DomainSpec, gen_spurious_blobs
+from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
+from ptg.datasets import DomainSpec, gen_spurious_blobs, read_config
 from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, softmax
 from ptg.seeding import stream
 from ptg.training import (
@@ -30,6 +33,7 @@ from ptg.variational import GaussianVariational, PriorSpec, elbo_loss, init_from
 
 FEAT_SPEC = NetworkSpec((4, 8, 4))
 CLS_SPEC = NetworkSpec((4, 2))
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def make_domains(n_per=150, rhos=(0.9, 0.8, 0.7), noise=0.3, seed=0):
@@ -58,7 +62,7 @@ class TestTrainConfig:
 
     def test_json_round_trip(self):
         cfg = TrainConfig(alpha=0.3, beta=0.7, kl_weight=0.5, seed=11)
-        assert TrainConfig.from_json(asdict(cfg)) == cfg
+        assert read_config(TrainConfig, asdict(cfg)) == cfg
 
     def test_zero_prior_std_raises_at_construction(self):
         with pytest.raises(ValueError, match="prior std"):
@@ -422,6 +426,25 @@ class TestTrainAlgorithm:
             else:
                 assert bank is None
 
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    def test_bank_keeps_the_last_aggregation(self, algorithm):
+        # the merged step after it moves only f0 and the classifier, so
+        # aggregating the returned per-domain models again gives its bits
+        domains = make_domains(n_per=60)
+        _, _, _, bank = train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
+        models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
+        kept = bank.last_aggregate
+        if algorithm == "ptg":
+            again = moment_match(models)
+            assert kept.q0 is bank.f0
+            pairs = [(kept.within_var, again.within_var), (kept.between_var, again.between_var)]
+        else:
+            _, again = cov_dropout(*mean_and_cov(models), self.CFG.beta)
+            assert (kept.beta, kept.dropped_count) == (again.beta, again.dropped_count)
+            pairs = [(kept.cov, again.cov), (kept.kept_mask, again.kept_mask)]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             train_algorithm("gradient_descent", make_domains(n_per=20), FEAT_SPEC, CLS_SPEC, self.CFG)
@@ -468,40 +491,37 @@ class TestFlatCore:
 
 
 class TestHotPathCallCounts:
-    """One train_algorithm call makes its hot-path calls in closed form.
-
-    With e, b and o the erm, bayes and outer step counts and D training
-    domains: elbo_loss = b + o(D+1) and adam_step = 2e + 2b + o(D+2) for ptg,
-    one moment_match (ptg) or cov_dropout (ptg_lite) per outer iteration.  A
-    refactor that batches domains or adds a step changes these counts.
+    """One train_algorithm call makes its hot-path calls in the closed form of
+    perfbench/workloads.py:expected_train_counts, the one the benchmark's
+    traced count check uses.  A refactor that batches domains or adds a step
+    changes these counts.
     """
 
-    NAMES = ("elbo_loss", "adam_step", "moment_match", "cov_dropout")
-
     @staticmethod
-    def expected(algorithm, d, cfg):
-        e, b, o = cfg.erm_steps, cfg.bayes_steps, cfg.outer_iterations
-        bayes = algorithm in ("erm_bayesian", "ptg")
-        return {
-            "elbo_loss": (b if bayes else 0) + (o * (d + 1) if algorithm == "ptg" else 0),
-            "adam_step": 2 * e + (2 * b if bayes else 0)
-            + (o * (d + 2) if algorithm in ("ptg", "ptg_lite") else 0),
-            "moment_match": o if algorithm == "ptg" else 0,
-            "cov_dropout": o if algorithm == "ptg_lite" else 0,
-        }
+    def expected_train_counts(monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+        return module.expected_train_counts
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_counts_match_closed_form(self, monkeypatch, algorithm):
-        counts = dict.fromkeys(self.NAMES, 0)
-        for name in self.NAMES:
+        expected = self.expected_train_counts(monkeypatch)
+        domains = make_domains(n_per=60, seed=3)
+        cfg = TrainConfig(outer_iterations=4, erm_steps=3, bayes_steps=5, batch_size=16, seed=3)
+        want = expected(algorithm, len(domains), cfg)
+        # every counted function is called through the training module's namespace
+        counts = dict.fromkeys(want, 0)
+        for target in want:
+            name = target.split(".")[-1]
             original = getattr(ptg.training, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                counts[_name] += 1
+            def counted(*args, _original=original, _target=target, **kwargs):
+                counts[_target] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(ptg.training, name, counted)
-        domains = make_domains(n_per=60, seed=3)
-        cfg = TrainConfig(outer_iterations=4, erm_steps=3, bayes_steps=5, batch_size=16, seed=3)
         train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, cfg)
-        assert counts == self.expected(algorithm, len(domains), cfg)
+        assert counts == want
