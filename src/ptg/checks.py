@@ -109,7 +109,7 @@ def run_backward_checks(seed: int = 0, n_instances: int = 20) -> dict:
 
 
 def _elbo_value(q, classifier, x, y, kl_weight, eps, prior) -> np.ndarray:
-    """elbo_loss(q_j, classifier, (x, y), kl_weight, eps, prior).loss for each
+    """elbo_loss(q_j, classifier, (x, y), kl_weight, eps, prior)[0] for each
     model q_j of a stacked q, in the same order and so to the same bits,
     without the gradients."""
     feats, _ = forward(sample_weights(q, eps), x)
@@ -121,7 +121,7 @@ def _elbo_cases(rng: np.random.Generator) -> list:
     while True:
         feat, cls, x, y, _ = _draw_instance(rng)
         q = init_from_deterministic(feat, sigma0=float(rng.uniform(0.05, 0.3)))
-        q.rho += 0.1 * rng.standard_normal(q.rho.shape)  # q owns a fresh theta
+        q.rho += 0.1 * rng.standard_normal(q.rho.shape)  # q owns a fresh flat
         eps = rng.standard_normal(q.mu.shape)
         # the kink margin matters at the sampled weights, where FD runs
         feats, tape = forward(sample_weights(q, eps), x)
@@ -129,17 +129,17 @@ def _elbo_cases(rng: np.random.Generator) -> list:
             break
     klw = float(rng.uniform(0.1, 1.0))
     prior = PriorSpec(0.0, float(rng.uniform(0.5, 2.0)))
-    res = elbo_loss(q, cls, (x, y), klw, eps, prior)
+    _, grad, grad_cls, kl = elbo_loss(q, cls, (x, y), klw, eps, prior)
+    g_mu, g_rho = np.split(grad, 2)
 
     def loss_of(mu, rho):  # one of them stacked, the other held at q
         qq = GaussianVariational.wrap(q.spec, np.concatenate(np.broadcast_arrays(mu, rho), axis=1))
         return _elbo_value(qq, cls, x, y, klw, eps, prior)
 
     return [
-        (lambda v: loss_of(v, q.rho), q.mu, res.grad_mu),
-        (lambda v: loss_of(q.mu, v), q.rho, res.grad_rho),
-        (lambda v: _head_values(WeightSet.wrap(cls.spec, v), feats, y) + klw * res.kl,
-         cls.flat, res.grad_classifier),
+        (lambda v: loss_of(v, q.rho), q.mu, g_mu),
+        (lambda v: loss_of(q.mu, v), q.rho, g_rho),
+        (lambda v: _head_values(WeightSet.wrap(cls.spec, v), feats, y) + klw * kl, cls.flat, grad_cls),
     ]
 
 

@@ -87,7 +87,8 @@ def check_field_types(config) -> None:
     """Raise TypeError naming a field annotated int, float, str or a tuple of
     one of them that holds anything else: a bool is neither an int nor a
     float, an int field does not take 3.0, and nothing is coerced.  A
-    float | None or str | None field also takes None."""
+    float | None or str | None field also takes None.  A float field that
+    holds NaN or an infinity raises ValueError naming it."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type not in _TYPED_FIELDS or (value is None and f.type.endswith("| None")):
@@ -96,6 +97,8 @@ def check_field_types(config) -> None:
         items = value if is_tuple else (value,)
         if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
             raise TypeError(f"{f.name} must be {_KIND[types]}, got {value!r}")
+        if types is _REAL and not all(isinstance(v, _INTEGER) or np.isfinite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

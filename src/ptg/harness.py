@@ -402,10 +402,19 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
             )
 
 
+def _float_cell(text: str, name: str, accuracy: bool = False) -> float | None:
+    """An optional float cell: empty is None; NaN, an infinity, or an accuracy
+    outside [0, 1] is refused."""
+    value = None if text == "" else float(text)
+    if value is not None and not (0.0 <= value <= 1.0 if accuracy else np.isfinite(value)):
+        raise ValueError(f"{name} must {'lie in [0, 1]' if accuracy else 'be finite'}, got {text!r}")
+    return value
+
+
 def read_results_csv(path) -> list[ResultRow]:
     """Rows of a results.csv; a row without exactly one field per header
-    column, or with a cell that does not parse, raises ValueError naming its
-    line."""
+    column, or with a cell that does not parse or holds an impossible value,
+    raises ValueError naming its line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -424,10 +433,10 @@ def read_results_csv(path) -> list[ResultRow]:
                         algorithm=rec[0],
                         test_domain=rec[1],
                         seed=int(rec[2]),
-                        alpha=None if rec[3] == "" else float(rec[3]),
-                        beta=None if rec[4] == "" else float(rec[4]),
-                        val_acc=None if rec[5] == "" else float(rec[5]),
-                        test_acc=None if rec[6] == "" else float(rec[6]),
+                        alpha=_float_cell(rec[3], "alpha"),
+                        beta=_float_cell(rec[4], "beta"),
+                        val_acc=_float_cell(rec[5], "val_acc", accuracy=True),
+                        test_acc=_float_cell(rec[6], "test_acc", accuracy=True),
                         wall_ms=int(rec[7]),
                     )
                 )

@@ -21,9 +21,10 @@ pass gives the bits of its own unstacked pass, and ``cross_entropy_value``
 reads one mean cross-entropy per model off the stacked logits, through the
 log-softmax that ``cross_entropy`` uses.  Finite differences evaluate all
 their perturbed points this way; ``backward`` takes single-model tapes only.
-Gradients are flat float64 vectors in the ``WeightSet`` flat order.  The
-gradient w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``,
-formed only where something reads it.  Adam runs at the fixed settings
+Gradients are flat float64 vectors in the ``WeightSet`` flat order (a
+posterior's packed ``[mu | rho]`` is named ``flat`` too).  The gradient
+w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``, formed
+only where something reads it.  Adam runs at the fixed settings
 ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` (0.9, 0.999, 1e-8); an
 ``AdamState`` holds only the moments and the step count.
 """
@@ -42,14 +43,18 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture of a dense net: layer widths input -> ... -> output."""
+    """Architecture of a dense net: layer widths input -> ... -> output, each
+    a positive integer (a bool or a float such as 2.5 is refused)."""
 
     layer_dims: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ValueError("need at least an input and an output dimension")
-        if any(int(d) < 1 for d in self.layer_dims):
+        for d in self.layer_dims:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise TypeError(f"layer dim {d!r} must be an integer, got {self.layer_dims}")
+        if any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be positive, got {self.layer_dims}")
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
 

@@ -13,6 +13,10 @@ classifier head:
   L2 pull toward the prior mean, averaged and pruned by
   coefficient-of-variation dropout each iteration.
 
+Every model keeps its parameters in one vector ``model.flat`` (``[mu | rho]``
+for a posterior) that Adam steps in place, and every step returns (loss,
+gradient in the layout of model.flat, classifier gradient, kl).
+
 Every RNG stream is keyed by (seed, purpose, domain_id), aggregation sums in
 a canonical order, and merged batches concatenate domains sorted by id, so a
 run is bitwise reproducible and unchanged under reordering of the domain
@@ -229,12 +233,6 @@ def _map_loss(
     return loss, g, grad_cls, sq / (2.0 * s2)
 
 
-def _params(model: GaussianVariational | WeightSet) -> np.ndarray:
-    """The flat vector Adam steps in place: theta of a posterior, flat of a
-    point estimate."""
-    return model.theta if isinstance(model, GaussianVariational) else model.flat
-
-
 def _ce_step(config: TrainConfig, key: str) -> Callable:
     """Plain cross-entropy; no KL term, so kl is None and no kl column."""
     def step(feat, cls, batch, kl_weight):
@@ -249,9 +247,7 @@ def _elbo_step(config: TrainConfig, key: str) -> Callable:
     eps_rng = stream(config.seed, "eps", key)
     prior = config.prior
     def step(q, cls, batch, kl_weight):
-        eps = eps_rng.standard_normal(q.mu.shape[0])
-        res = elbo_loss(q, cls, batch, kl_weight, eps, prior)
-        return res.loss, res.grad_theta, res.grad_classifier, res.kl
+        return elbo_loss(q, cls, batch, kl_weight, eps_rng.standard_normal(q.mu.shape[0]), prior)
     return step
 
 
@@ -269,8 +265,9 @@ def _pooled_loop(domains, feat, cls, config, steps: int, make_step):
     of the pooled domains; returns (feat, cls, history).
 
     make_step(config, key) returns step(model, classifier, batch, kl_weight)
-    -> (loss, model grad, classifier grad, kl); key names the stream a
-    stochastic step draws from, "merged" here and a domain id per domain.
+    -> (loss, gradient in the layout of model.flat, classifier grad, kl); key
+    names the stream a stochastic step draws from, "merged" here and a domain
+    id per domain.
     """
     domains = _check_domains(domains, minimum=1)  # sorted by id: input order is irrelevant
     x = np.concatenate([d.x for d in domains], axis=0)
@@ -278,13 +275,12 @@ def _pooled_loop(domains, feat, cls, config, steps: int, make_step):
     batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
     step_fn = make_step(config, "merged")
     klw = _auto_kl_weight(config, batches)
-    theta = _params(feat)
-    st_f = AdamState.zeros(theta.size)
+    st_f = AdamState.zeros(feat.flat.size)
     st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(steps):
         loss, g_feat, g_cls, kl = step_fn(feat, cls, batches.next_batch(), klw)
-        adam_step(theta, g_feat, st_f, config.base_lr)
+        adam_step(feat.flat, g_feat, st_f, config.base_lr)
         adam_step(cls.flat, g_cls, st_c, config.base_lr)
         row = {"iteration": it, "merged_loss": loss}
         if kl is not None:
@@ -355,9 +351,8 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
     klw = {i: _auto_kl_weight(config, batch_streams[i]) for i in ids}
     merged_step = make_step(config, "merged")
     klw_m = _auto_kl_weight(config, *batch_streams.values())
-    size = _params(init_feat).size
-    states = {i: AdamState.zeros(size) for i in ids}
-    st_0 = AdamState.zeros(size)
+    states = {i: AdamState.zeros(init_feat.flat.size) for i in ids}
+    st_0 = AdamState.zeros(init_feat.flat.size)
     st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(config.outer_iterations):
@@ -367,21 +362,20 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
             loss, g_feat, _, _ = steps[i](per[i], cls, batch, klw[i])
-            adam_step(_params(per[i]), g_feat, states[i], lr)
+            adam_step(per[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
         f0, dropped, dropped_count, result = aggregate([per[i] for i in ids], config)
 
         merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
         loss, g_feat, g_cls, kl = merged_step(f0, cls, merged, klw_m)
-        theta = _params(f0)
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
         if dropped is not None:
             g_feat[dropped] = 0.0
-        adam_step(theta, g_feat, st_0, lr)
+        adam_step(f0.flat, g_feat, st_0, lr)
         if dropped is not None:
-            theta[dropped] = 0.0
+            f0.flat[dropped] = 0.0
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=kl, merged_loss=loss, dropped_count=dropped_count)
         history.append(row)

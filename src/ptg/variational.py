@@ -59,8 +59,9 @@ class PriorSpec:
 class GaussianVariational:
     """Factorized Gaussian over the flat weight vector of a NetworkSpec.
 
-    One packed float64 vector ``theta = [mu | rho]`` holds the parameters and
-    mu, rho are views of its halves: step theta in place, never rebind them.
+    One packed float64 vector ``flat = [mu | rho]`` holds the parameters, as
+    ``WeightSet.flat`` does for a point estimate, and mu, rho are views of its
+    halves: step flat in place, never rebind them.
     ``wrap`` also adopts a (k, 2 * param_count) stack of k posteriors, one per
     row, which ``sample_weights`` and ``kl_to_prior`` evaluate model by model.
     """
@@ -75,17 +76,17 @@ class GaussianVariational:
             raise ValueError(f"mu/rho must have shape ({n},)")
         self._bind(finite_params(np.concatenate([self.mu, self.rho])))
 
-    def _bind(self, theta: np.ndarray) -> None:
+    def _bind(self, flat: np.ndarray) -> None:
         n = self.spec.param_count
-        self.theta, self.mu, self.rho = theta, theta[..., :n], theta[..., n:]
+        self.flat, self.mu, self.rho = flat, flat[..., :n], flat[..., n:]
 
     @classmethod
-    def wrap(cls, spec: NetworkSpec, theta: np.ndarray) -> "GaussianVariational":
+    def wrap(cls, spec: NetworkSpec, flat: np.ndarray) -> "GaussianVariational":
         """Adopt a packed [mu | rho] vector, or a stack of them, without
         copying or checking it."""
         q = cls.__new__(cls)
         q.spec = spec
-        q._bind(theta)
+        q._bind(flat)
         return q
 
     @property
@@ -93,7 +94,7 @@ class GaussianVariational:
         return softplus(self.rho)
 
     def copy(self) -> "GaussianVariational":
-        return GaussianVariational.wrap(self.spec, self.theta.copy())
+        return GaussianVariational.wrap(self.spec, self.flat.copy())
 
 
 def init_from_deterministic(ws: WeightSet, sigma0: float = 0.01) -> GaussianVariational:
@@ -145,22 +146,6 @@ def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float
     return kl if kl.ndim else float(kl)
 
 
-@dataclass
-class ElboResult:
-    loss: float
-    kl: float
-    grad_theta: np.ndarray  # packed [d/d mu | d/d rho], the layout of q.theta
-    grad_classifier: np.ndarray  # flat, the layout of classifier.flat
-
-    @property
-    def grad_mu(self) -> np.ndarray:
-        return self.grad_theta[: self.grad_theta.size // 2]
-
-    @property
-    def grad_rho(self) -> np.ndarray:
-        return self.grad_theta[self.grad_theta.size // 2 :]
-
-
 def elbo_loss(
     q: GaussianVariational,
     classifier: WeightSet,
@@ -168,16 +153,18 @@ def elbo_loss(
     kl_weight: float,
     eps: np.ndarray,
     prior: PriorSpec = PriorSpec(),
-) -> ElboResult:
+) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Single-sample variational loss kl_weight * KL + cross-entropy.
 
-    The featurizer is sampled with the given eps and feeds the deterministic
-    classifier; gradients flow to (mu, rho) through the reparameterization
-    (d omega / d mu = 1, d omega / d rho = eps * sigmoid(rho)) and to the
-    classifier weights directly.  batch=None drops the likelihood term, in
-    which case the loss is kl_weight * KL alone.  softplus(rho) and
-    sigmoid(rho) are computed once and shared by the sample, the KL and both
-    gradients.
+    Returns the step tuple of every training loss: (loss, gradient in the
+    layout of q.flat, i.e. [d/d mu | d/d rho], gradient in the layout of
+    classifier.flat, the unweighted KL).  The featurizer is sampled with the
+    given eps and feeds the deterministic classifier; gradients flow to
+    (mu, rho) through the reparameterization (d omega / d mu = 1,
+    d omega / d rho = eps * sigmoid(rho)) and to the classifier weights
+    directly.  batch=None drops the likelihood term, in which case the loss is
+    kl_weight * KL alone.  softplus(rho) and sigmoid(rho) are computed once and
+    shared by the sample, the KL and both gradients.
     """
     if kl_weight < 0:
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
@@ -185,19 +172,19 @@ def elbo_loss(
     sigma = softplus(q.rho)
     sig_rho = sigmoid(q.rho)
     kl = float(_kl(q.mu, sigma, prior))
-    grad_theta = _kl_grad(q.mu, sigma, sig_rho, prior)
-    grad_theta *= kl_weight
+    grad = _kl_grad(q.mu, sigma, sig_rho, prior)
+    grad *= kl_weight
     if batch is None:
-        return ElboResult(kl_weight * kl, kl, grad_theta, np.zeros(classifier.spec.param_count))
+        return kl_weight * kl, grad, np.zeros(classifier.spec.param_count), kl
     x, y = batch
     feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
     ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y)
     n = g_omega.size
-    grad_theta[:n] += g_omega
+    grad[:n] += g_omega
     g_rho = g_omega * eps
     g_rho *= sig_rho
-    grad_theta[n:] += g_rho
-    return ElboResult(ce + kl_weight * kl, kl, grad_theta, grad_cls)
+    grad[n:] += g_rho
+    return ce + kl_weight * kl, grad, grad_cls, kl
 
 
 def save_gaussian(path, q: GaussianVariational) -> None:

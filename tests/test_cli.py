@@ -284,6 +284,16 @@ class TestExitCodes:
         bad.write_text(json.dumps({"family": "images", "domains": []}))
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    def test_non_finite_config_value_is_an_error(self, config_path, tmp_path, capsys):
+        obj = json.loads(Path(config_path).read_text())
+        obj["train"]["base_lr"] = float("inf")  # json.dumps writes Infinity
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: base_lr must be finite") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where, key", [
         ("top", "n_clases"), ("top", "n_classes"), ("train", "lr"), ("domain", "spurious_corelation"),
     ])
@@ -388,6 +398,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("row, message", [
         ("erm,c,x,,,0.9,0.8,12", "invalid literal for int() with base 10: 'x'"),
         ("ptg,c,0,high,,0.9,0.8,12", "could not convert string to float: 'high'"),
+        # a cell that parses to NaN, an infinity or an impossible accuracy
+        ("ptg,c,0,nan,,0.9,0.8,12", "alpha must be finite, got 'nan'"),
+        ("ptg_lite,c,0,0.1,inf,0.9,0.8,12", "beta must be finite, got 'inf'"),
+        ("ptg_lite,c,0,0.1,-inf,0.9,0.8,12", "beta must be finite, got '-inf'"),
+        ("ptg,c,0,0.1,,nan,0.8,12", "val_acc must lie in [0, 1], got 'nan'"),
+        ("ptg,c,0,0.1,,inf,0.8,12", "val_acc must lie in [0, 1], got 'inf'"),
+        ("ptg,c,0,0.1,,1.5,0.8,12", "val_acc must lie in [0, 1], got '1.5'"),
+        ("ptg,c,0,0.1,,0.9,-inf,12", "test_acc must lie in [0, 1], got '-inf'"),
+        ("ptg,c,0,0.1,,0.9,-0.1,12", "test_acc must lie in [0, 1], got '-0.1'"),
     ])
     def test_summarize_names_the_line_of_a_cell_that_does_not_parse(
         self, config_path, tmp_path, capsys, row, message

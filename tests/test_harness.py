@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,23 @@ class TestExperimentConfig:
             read_config(DomainSpec, {"domain_id": "a", "n_samples": 10, "noise_std": True})
         with pytest.raises(TypeError, match="alpha must be a number"):
             read_config(TrainConfig, {"alpha": True})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where, key", [
+        ("domain", "spurious_correlation"), ("domain", "rotation_deg"), ("domain", "noise_std"),
+        ("train", "alpha"), ("train", "beta"), ("train", "base_lr"), ("train", "kl_weight"),
+        ("train", "sigma0"), ("train", "prior_mean"), ("train", "prior_std"),
+        ("top", "split_ratio"), ("top", "alpha_grid"), ("top", "beta_grid"),
+    ])
+    def test_non_finite_float_is_refused_naming_the_field(self, tmp_path, where, key, value):
+        # json.load parses NaN, Infinity and -Infinity; no float field takes them
+        obj = json.loads((REPO / "configs" / "default.json").read_text())
+        block = {"top": obj, "train": obj["train"], "domain": obj["domains"][0]}[where]
+        block[key] = [0.1, value] if key.endswith("_grid") else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_config(path)
 
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()

@@ -338,6 +338,10 @@ class TestAdam:
 class TestElbo:
     @pytest.mark.parametrize("with_batch", [True, False])
     def test_against_earlier_composition(self, with_batch):
+        # ref_elbo_loss returns (loss, kl, packed [mu | rho] gradient,
+        # classifier gradient); elbo_loss returns the same four values as the
+        # step tuple (loss, gradient in the layout of q.flat, classifier
+        # gradient, kl)
         rng = np.random.default_rng(5)
         spec = NetworkSpec((10, 32, 16))
         cls = init_weights(NetworkSpec((16, 16, 2)), rng)
@@ -347,12 +351,15 @@ class TestElbo:
         for prior in (PriorSpec(), PriorSpec(0.3, 2.5)):
             eps = rng.standard_normal(n)
             batch = (x, y) if with_batch else None
-            res = elbo_loss(q, cls, batch, 0.02, eps, prior)
+            out = elbo_loss(q, cls, batch, 0.02, eps, prior)
             loss, kl, grad_theta, grad_cls = ref_elbo_loss(q, cls, batch, 0.02, eps, prior)
-            assert_bits(res.loss, loss)
-            assert_bits(res.kl, kl)
-            assert_bits(res.grad_theta, grad_theta)
-            assert_bits(res.grad_classifier, grad_cls)
+            assert isinstance(out, tuple) and len(out) == 4
+            assert [type(v) for v in out] == [float, np.ndarray, np.ndarray, float]
+            assert out[1].shape == q.flat.shape and not np.shares_memory(out[1], q.flat)
+            assert_bits(out[0], loss)
+            assert_bits(out[1], grad_theta)
+            assert_bits(out[2], grad_cls)
+            assert_bits(out[3], kl)
 
     @pytest.mark.parametrize("dims", [(2, 2), (10, 32, 16)])
     def test_stacked_posterior_matches_separate_calls(self, dims):
@@ -451,10 +458,10 @@ def ref_erm_bayesian_train(domains, init_feat, init_cls, config):
     for step in range(config.bayes_steps):
         batch = batches.next_batch()
         eps = eps_rng.standard_normal(n_params)
-        res = elbo_loss(q, cls, batch, klw, eps, config.prior)
-        adam_step(q.theta, res.grad_theta, st_q, config.base_lr)
-        adam_step(cls.flat, res.grad_classifier, st_c, config.base_lr)
-        history.append({"iteration": step, "merged_loss": res.loss, "kl": res.kl})
+        loss, grad, grad_cls, kl = elbo_loss(q, cls, batch, klw, eps, config.prior)
+        adam_step(q.flat, grad, st_q, config.base_lr)
+        adam_step(cls.flat, grad_cls, st_c, config.base_lr)
+        history.append({"iteration": step, "merged_loss": loss, "kl": kl})
     return q, cls, history
 
 
@@ -487,9 +494,9 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
             eps = eps_rngs[i].standard_normal(n_params)
-            res = elbo_loss(per_q[i], cls, batch, klw[i], eps, config.prior)
-            adam_step(per_q[i].theta, res.grad_theta, states[i], lr)
-            row[f"loss_{i}"] = res.loss
+            loss, grad, _, _ = elbo_loss(per_q[i], cls, batch, klw[i], eps, config.prior)
+            adam_step(per_q[i].flat, grad, states[i], lr)
+            row[f"loss_{i}"] = loss
 
         matched = moment_match([per_q[i] for i in ids])
         q0 = matched.q0
@@ -498,10 +505,10 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
 
         merged, klw_m = ref_merged_batch(drawn, n_total, config)
         eps = merged_eps.standard_normal(n_params)
-        res = elbo_loss(q0, cls, merged, klw_m, eps, config.prior)
-        adam_step(q0.theta, res.grad_theta, st_0, lr)
-        adam_step(cls.flat, res.grad_classifier, st_c, lr)
-        row.update(kl=res.kl, merged_loss=res.loss, dropped_count=0)
+        loss, grad, grad_cls, kl = elbo_loss(q0, cls, merged, klw_m, eps, config.prior)
+        adam_step(q0.flat, grad, st_0, lr)
+        adam_step(cls.flat, grad_cls, st_c, lr)
+        row.update(kl=kl, merged_loss=loss, dropped_count=0)
         history.append(row)
     return FeaturizerBank(q0, dict(per_q), cls, matched), history
 
@@ -557,8 +564,7 @@ LOOP_FEAT, LOOP_CLS = NetworkSpec((4, 8, 4)), NetworkSpec((4, 2))
 
 
 def model_bits(model):
-    flat = model.theta if isinstance(model, GaussianVariational) else model.flat
-    return type(model), flat.tobytes()
+    return type(model), model.flat.tobytes()
 
 
 def history_bits(history):

@@ -1,6 +1,8 @@
 """Network core: shapes, hand-checked values, gradient oracles, Adam trace."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,26 @@ class TestSpecAndWeights:
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             NetworkSpec((3, 0, 2))
+
+    @pytest.mark.parametrize("bad", [2.5, True, 2.0])
+    def test_rejects_a_dim_that_is_not_an_integer(self, bad):
+        with pytest.raises(TypeError, match=f"layer dim {bad!r} must be an integer"):
+            NetworkSpec((2, bad))
+
+    def test_numpy_integer_dims_are_plain_ints(self):
+        spec = NetworkSpec((np.int64(3), np.int32(2)))
+        assert spec.layer_dims == (3, 2) and all(type(d) is int for d in spec.layer_dims)
+        assert spec == NetworkSpec((3, 2))
+
+    def test_checkpoint_with_a_fractional_dim_is_refused(self, tmp_path):
+        spec, ws = small_net(dims=(3, 2))
+        path = tmp_path / "w.json"
+        save_weights(path, ws)
+        payload = json.loads(path.read_text())
+        payload["spec"]["dims"] = [3, 2.7]  # used to load as a 3 -> 2 net
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TypeError, match="layer dim 2.7 must be an integer"):
+            load_weights(path)
 
     def test_json_is_relu_only(self):
         spec = NetworkSpec((3, 4, 2))

@@ -75,6 +75,29 @@ class TestSoftplus:
             softplus_inv(np.array([0.5, 0.0]))
 
 
+class TestPackedVector:
+    """A posterior keeps [mu | rho] in one vector named flat, as WeightSet does."""
+
+    def test_wrap_adopts_the_vector_and_views_its_halves(self):
+        n = SPEC.param_count
+        v = np.random.default_rng(1).standard_normal(2 * n)
+        q = GaussianVariational.wrap(SPEC, v)
+        assert q.flat is v
+        assert q.mu.base is v and q.rho.base is v
+        v[0], v[n] = 7.0, -3.0
+        assert (q.mu[0], q.rho[0]) == (7.0, -3.0)
+        assert not hasattr(q, "theta")
+
+    def test_copy_owns_a_fresh_vector(self):
+        q = make_q(2)
+        c = q.copy()
+        assert c.flat is not q.flat and not np.shares_memory(c.flat, q.flat)
+        np.testing.assert_array_equal(c.flat, q.flat)
+        assert c.mu.base is c.flat and c.rho.base is c.flat
+        c.flat += 1.0
+        assert not np.array_equal(c.mu, q.mu)
+
+
 class TestInitAndSampling:
     def test_init_sigma_matches_sigma0(self):
         ws = init_weights(SPEC, np.random.default_rng(0))
@@ -174,8 +197,8 @@ class TestKl:
         q = make_q(31)
         prior = PriorSpec(0.3, 1.4)
         cls = init_weights(NetworkSpec((SPEC.layer_dims[-1], 3, 2)), np.random.default_rng(31))
-        res = elbo_loss(q, cls, None, 1.0, np.zeros(SPEC.param_count), prior)
-        g_mu, g_rho = res.grad_mu, res.grad_rho
+        _, grad, _, _ = elbo_loss(q, cls, None, 1.0, np.zeros(SPEC.param_count), prior)
+        g_mu, g_rho = grad[: SPEC.param_count], grad[SPEC.param_count :]
         fd_mu = central_difference(lambda v: kl_to_prior(stacked_q(v, q.rho), prior), q.mu)
         fd_rho = central_difference(lambda v: kl_to_prior(stacked_q(q.mu, v), prior), q.rho)
         assert max_relative_error(fd_mu, g_mu) < 1e-7
@@ -190,11 +213,11 @@ class TestElbo:
     def test_data_free_loss_is_weighted_kl(self):
         q = make_q(40)
         cls = self.cls_pair(41)
-        res = elbo_loss(q, cls, None, 0.7, np.zeros(SPEC.param_count))
-        assert res.loss == pytest.approx(0.7 * kl_to_prior(q), rel=1e-14)
-        assert isinstance(res.grad_classifier, np.ndarray)
-        assert res.grad_classifier.shape == (cls.spec.param_count,)
-        assert not res.grad_classifier.any()
+        loss, _, grad_cls, _ = elbo_loss(q, cls, None, 0.7, np.zeros(SPEC.param_count))
+        assert loss == pytest.approx(0.7 * kl_to_prior(q), rel=1e-14)
+        assert isinstance(grad_cls, np.ndarray)
+        assert grad_cls.shape == (cls.spec.param_count,)
+        assert not grad_cls.any()
 
     def test_same_eps_is_deterministic(self):
         q = make_q(42)
@@ -205,9 +228,8 @@ class TestElbo:
         eps = rng.standard_normal(SPEC.param_count)
         a = elbo_loss(q, cls, (x, y), 0.5, eps)
         b = elbo_loss(q, cls, (x, y), 0.5, eps)
-        assert a.loss == b.loss
-        np.testing.assert_array_equal(a.grad_mu, b.grad_mu)
-        np.testing.assert_array_equal(a.grad_rho, b.grad_rho)
+        assert a[0] == b[0]
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(45)
@@ -216,26 +238,27 @@ class TestElbo:
         x = rng.standard_normal((5, 2))
         y = rng.integers(0, 2, size=5)
         eps = rng.standard_normal(SPEC.param_count)
-        res = elbo_loss(q, cls, (x, y), 0.3, eps)
+        _, grad, grad_cls, _ = elbo_loss(q, cls, (x, y), 0.3, eps)
+        n = SPEC.param_count
 
         # elbo_loss itself at every perturbed point, one point at a time
         @rowwise
         def loss_mu(v):
-            return elbo_loss(GaussianVariational(SPEC, v, q.rho), cls, (x, y), 0.3, eps).loss
+            return elbo_loss(GaussianVariational(SPEC, v, q.rho), cls, (x, y), 0.3, eps)[0]
 
         @rowwise
         def loss_rho(v):
-            return elbo_loss(GaussianVariational(SPEC, q.mu, v), cls, (x, y), 0.3, eps).loss
+            return elbo_loss(GaussianVariational(SPEC, q.mu, v), cls, (x, y), 0.3, eps)[0]
 
         @rowwise
         def loss_cls(v):
             cw = WeightSet.from_flat(cls.spec, v)
-            return elbo_loss(q, cw, (x, y), 0.3, eps).loss
+            return elbo_loss(q, cw, (x, y), 0.3, eps)[0]
 
-        assert max_relative_error(central_difference(loss_mu, q.mu), res.grad_mu) < 1e-4
-        assert max_relative_error(central_difference(loss_rho, q.rho), res.grad_rho) < 1e-4
+        assert max_relative_error(central_difference(loss_mu, q.mu), grad[:n]) < 1e-4
+        assert max_relative_error(central_difference(loss_rho, q.rho), grad[n:]) < 1e-4
         fd_cls = central_difference(loss_cls, cls.flatten())
-        assert max_relative_error(fd_cls, res.grad_classifier) < 1e-4
+        assert max_relative_error(fd_cls, grad_cls) < 1e-4
 
     def test_data_free_descent_shrinks_kl(self):
         # with only the KL term, Adam should pull q onto the prior
@@ -245,9 +268,8 @@ class TestElbo:
         state = AdamState.zeros(2 * n)
         checkpoints = [kl_to_prior(q)]
         for step in range(100):
-            res = elbo_loss(q, cls, None, 1.0, np.zeros(n))
+            _, grad, _, _ = elbo_loss(q, cls, None, 1.0, np.zeros(n))
             packed = np.concatenate([q.mu, q.rho])
-            grad = np.concatenate([res.grad_mu, res.grad_rho])
             packed, state = adam_step(packed, grad, state, 5e-2)
             q = GaussianVariational(SPEC, packed[:n], packed[n:])
             if (step + 1) % 10 == 0:

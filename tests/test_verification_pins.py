@@ -183,18 +183,19 @@ def ref_run_elbo_checks(seed=0, n_instances=20, blocks=None):
         def loss_of(mu, rho, cls_flat):
             qq = GaussianVariational.wrap(q.spec, np.concatenate([mu, rho]))
             cw = WeightSet.wrap(cls.spec, cls_flat)
-            return elbo_loss(qq, cw, (x, y), klw, eps, prior).loss
+            return elbo_loss(qq, cw, (x, y), klw, eps, prior)[0]
 
-        res = elbo_loss(q, cls, (x, y), klw, eps, prior)
+        _, grad, grad_cls, _ = elbo_loss(q, cls, (x, y), klw, eps, prior)
+        n = q.spec.param_count
         c0 = cls.flatten()
         fd_mu = central_difference(lambda v: loss_of(v, q.rho, c0), q.mu)
         fd_rho = central_difference(lambda v: loss_of(q.mu, v, c0), q.rho)
         fd_cls = central_difference(lambda v: loss_of(q.mu, q.rho, v), c0)
         worst = max(
             worst,
-            max_relative_error(fd_mu, res.grad_mu),
-            max_relative_error(fd_rho, res.grad_rho),
-            max_relative_error(fd_cls, res.grad_classifier),
+            max_relative_error(fd_mu, grad[:n]),
+            max_relative_error(fd_rho, grad[n:]),
+            max_relative_error(fd_cls, grad_cls),
         )
     return {"instances": n_instances, "max_rel_err": worst, "fd_step": FD_STEP}
 
@@ -336,9 +337,9 @@ def test_elbo_value_objective_matches_elbo_loss_bitwise(seed, monkeypatch):
     def compared(q, classifier, x, y, kl_weight, eps, prior):
         # a stack of 2n posteriors, one per perturbed point; each row against its own elbo_loss
         got = value(q, classifier, x, y, kl_weight, eps, prior)
-        for theta, v in zip(q.theta, got):
-            qj = GaussianVariational.wrap(q.spec, theta)
-            want = elbo_loss(qj, classifier, (x, y), kl_weight, eps, prior).loss
+        for flat, v in zip(q.flat, got):
+            qj = GaussianVariational.wrap(q.spec, flat)
+            want = elbo_loss(qj, classifier, (x, y), kl_weight, eps, prior)[0]
             evaluations.append(v.hex() == want.hex())
         return got
 
