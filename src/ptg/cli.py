@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
 def _write_selection(out: Path, selections) -> str:
     """Write selection.json and summary.md; returns the summary table."""
     with open(out / "selection.json", "w") as fh:
-        json.dump(selections_to_json(selections), fh, indent=2)
+        json.dump(selections_to_json(selections), fh, indent=2, allow_nan=False)
     table = summarize(selections)
     (out / "summary.md").write_text(table)
     return table

@@ -69,35 +69,32 @@ def _read_value(key: str, kind, value):
 
 _INTEGER = (int, np.integer)
 _REAL = (int, float, np.integer, np.floating)
-# annotation -> (the types an entry may have, whether the value is a tuple of entries)
-_TYPED_FIELDS = {
-    "int": (_INTEGER, False),
-    "tuple[int, ...]": (_INTEGER, True),
-    "float": (_REAL, False),
-    "float | None": (_REAL, False),
-    "tuple[float, ...]": (_REAL, True),
-    "str": (str, False),
-    "str | None": (str, False),
-    "tuple[str, ...]": (str, True),
-}
-_KIND = {_INTEGER: "an integer", _REAL: "a number", str: "a string"}
+# an entry's annotation -> (the types it may have, how a message names them)
+_KIND = {int: (_INTEGER, "an integer"), float: (_REAL, "a number"), str: (str, "a string")}
 
 
 def check_field_types(config) -> None:
-    """Raise TypeError naming a field annotated int, float, str or a tuple of
-    one of them that holds anything else: a bool is neither an int nor a
-    float, an int field does not take 3.0, and nothing is coerced.  A
-    float | None or str | None field also takes None.  A float field that
-    holds NaN or an infinity raises ValueError naming it."""
+    """Raise TypeError naming a field, read by its resolved annotation, that
+    holds anything else: an int, float or str field (or a tuple of them) takes
+    only that type, where a bool is neither an int nor a float, an int field
+    does not take 3.0, and nothing is coerced; a config field, or a tuple of
+    them, takes only instances of its config class.  A float | None or str | None
+    field also takes None.  A float field that holds NaN or an infinity raises
+    ValueError naming it."""
+    types = _field_types(type(config))
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type not in _TYPED_FIELDS or (value is None and f.type.endswith("| None")):
-            continue
-        types, is_tuple = _TYPED_FIELDS[f.type]
+        kind, value = types[f.name], getattr(config, f.name)
+        if type(None) in get_args(kind):
+            if value is None:
+                continue
+            (kind,) = (k for k in get_args(kind) if k is not type(None))
+        is_tuple = get_origin(kind) is tuple
+        entry = get_args(kind)[0] if is_tuple else kind
         items = value if is_tuple else (value,)
-        if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
-            raise TypeError(f"{f.name} must be {_KIND[types]}, got {value!r}")
-        if types is _REAL and not all(isinstance(v, _INTEGER) or np.isfinite(v) for v in items):
+        allowed, what = (entry, f"a {entry.__name__}") if is_dataclass(entry) else _KIND[entry]
+        if not all(isinstance(v, allowed) and not isinstance(v, bool) for v in items):
+            raise TypeError(f"{f.name} must be {what}, got {value!r}")
+        if entry is float and not all(isinstance(v, _INTEGER) or np.isfinite(v) for v in items):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 

@@ -103,14 +103,16 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """The config in a JSON file; a value of the wrong JSON type raises
-    ValueError naming the file."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    """The config in a JSON file.  Every error the file's contents cause (JSON
+    syntax, an unknown or missing key, a value of the wrong type or out of
+    range) raises ValueError as "<path>: <message>"."""
     try:
-        return read_config(ExperimentConfig, obj)
+        with open(path) as fh:
+            return read_config(ExperimentConfig, json.load(fh))
     except TypeError as exc:
         raise ValueError(f"{path}: a config value has the wrong type ({exc})") from exc
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_config(path, config: ExperimentConfig) -> None:
@@ -457,16 +459,22 @@ def write_training_log(path, history: Sequence[dict]) -> None:
             writer.writerow({k: row.get(k, "") for k in fields})
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if np.isfinite(value) else None
+
+
 def selections_to_json(selections: Sequence[Selection]) -> list[dict]:
+    """Plain JSON values: a mean or std that a diverged repetition left
+    undefined (-inf or NaN) is None, so the file stays strict JSON."""
     return [
         {
             "algorithm": s.algorithm,
             "test_domain": s.test_domain,
             "alpha": s.alpha,
             "beta": s.beta,
-            "mean_val_acc": s.mean_val_acc,
-            "mean_test_acc": s.mean_test_acc,
-            "std_test_acc": s.std_test_acc,
+            "mean_val_acc": _finite_or_none(s.mean_val_acc),
+            "mean_test_acc": _finite_or_none(s.mean_test_acc),
+            "std_test_acc": _finite_or_none(s.std_test_acc),
         }
         for s in selections
     ]

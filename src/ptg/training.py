@@ -14,19 +14,23 @@ classifier head:
   coefficient-of-variation dropout each iteration.
 
 Every model keeps its parameters in one vector ``model.flat`` (``[mu | rho]``
-for a posterior) that Adam steps in place, and every step returns (loss,
-gradient in the layout of model.flat, classifier gradient, kl).
+for a posterior) that Adam steps in place.  A step is a plain function
+step(model, classifier, batch, weight, prior, eps_rng) -> (loss, gradient in
+the layout of model.flat, classifier gradient, kl): _ce_step for erm,
+_elbo_step for erm_bayesian and ptg, _map_loss for ptg_lite.
 
-Every RNG stream is keyed by (seed, purpose, domain_id), aggregation sums in
-a canonical order, and merged batches concatenate domains sorted by id, so a
-run is bitwise reproducible and unchanged under reordering of the domain
-list.  The per-domain refinement rate is alpha * base_lr; alpha = 0 is legal
-and leaves every network bitwise at its initialization.
+The loops create every RNG stream, keyed by (seed, purpose, domain_id or
+"merged", so no training domain may be called "merged"), and pass the eps
+stream to each step call.  Aggregation sums in a canonical order, and merged
+batches concatenate domains sorted by id, so a run is bitwise reproducible
+and unchanged under reordering of the domain list.  The per-domain
+refinement rate is alpha * base_lr; alpha = 0 is legal and leaves every
+network bitwise at its initialization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,6 +137,8 @@ def _check_domains(domains: Sequence[DomainDataset], minimum: int) -> list[Domai
     ids = [d.domain_id for d in domains]
     if len(set(ids)) != len(ids):
         raise ValueError("training domains must have unique ids")
+    if "merged" in ids:
+        raise ValueError("training domain id 'merged' is reserved: it keys the merged step's RNG streams")
     dims = {d.n_features for d in domains}
     if len(dims) != 1:
         raise ValueError(f"domains disagree on feature count: {sorted(dims)}")
@@ -212,17 +218,11 @@ def init_pair(
     return init_weights(feat_spec, rng), init_weights(cls_spec, rng)
 
 
-def _map_loss(
-    feat: WeightSet,
-    classifier: WeightSet,
-    batch: tuple[np.ndarray, np.ndarray],
-    l2_weight: float,
-    prior: PriorSpec,
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Cross-entropy plus l2_weight * ||w - prior.mean||^2 / (2 prior.std^2)
-    on the featurizer; returns (loss, featurizer grad, classifier grad, the
-    unweighted L2 term), the last being the MAP analogue of the ELBO's KL."""
-    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, classifier, *batch)
+def _map_loss(feat, cls, batch, l2_weight, prior, eps_rng):
+    """ptg_lite's step: cross-entropy plus l2_weight * ||w - prior.mean||^2 /
+    (2 prior.std^2) on the featurizer, with the unweighted L2 term (the MAP
+    analogue of the ELBO's KL) as kl.  Deterministic: eps_rng goes unread."""
+    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
     centered = feat.flat - prior.mean
     s2 = prior.std**2
     sq = float(np.add.reduce(centered * centered))
@@ -233,53 +233,38 @@ def _map_loss(
     return loss, g, grad_cls, sq / (2.0 * s2)
 
 
-def _ce_step(config: TrainConfig, key: str) -> Callable:
-    """Plain cross-entropy; no KL term, so kl is None and no kl column."""
-    def step(feat, cls, batch, kl_weight):
-        ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
-        return ce, grad_feat, grad_cls, None
-    return step
+def _ce_step(feat, cls, batch, kl_weight, prior, eps_rng):
+    """erm's step: plain cross-entropy; no KL term, so kl is None and no kl
+    column, and neither prior nor eps_rng is read."""
+    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
+    return ce, grad_feat, grad_cls, None
 
 
-def _elbo_step(config: TrainConfig, key: str) -> Callable:
-    """One reparameterized ELBO evaluation per call, eps drawn from the
-    (seed, "eps", key) stream; key is a domain id or "merged"."""
-    eps_rng = stream(config.seed, "eps", key)
-    prior = config.prior
-    def step(q, cls, batch, kl_weight):
-        return elbo_loss(q, cls, batch, kl_weight, eps_rng.standard_normal(q.mu.shape[0]), prior)
-    return step
+def _elbo_step(q, cls, batch, kl_weight, prior, eps_rng):
+    """The posterior procedures' step: one reparameterized ELBO evaluation
+    with one eps drawn from eps_rng."""
+    return elbo_loss(q, cls, batch, kl_weight, eps_rng.standard_normal(q.mu.shape[0]), prior)
 
 
-def _map_step(config: TrainConfig, key: str) -> Callable:
-    """_map_loss with the KL weight as its L2 weight; deterministic.  Its kl is
-    the unweighted L2 term."""
-    prior = config.prior
-    def step(feat, cls, batch, l2_weight):
-        return _map_loss(feat, cls, batch, l2_weight, prior)
-    return step
-
-
-def _pooled_loop(domains, feat, cls, config, steps: int, make_step):
+def _pooled_loop(domains, feat, cls, config, steps: int, step):
     """steps Adam steps at base_lr on (feat, cls), in place, over minibatches
     of the pooled domains; returns (feat, cls, history).
 
-    make_step(config, key) returns step(model, classifier, batch, kl_weight)
-    -> (loss, gradient in the layout of model.flat, classifier grad, kl); key
-    names the stream a stochastic step draws from, "merged" here and a domain
-    id per domain.
+    step(model, classifier, batch, kl_weight, prior, eps_rng) -> (loss,
+    gradient in the layout of model.flat, classifier grad, kl); batches and
+    eps come from the (seed, "batches" or "eps", "merged") streams.
     """
     domains = _check_domains(domains, minimum=1)  # sorted by id: input order is irrelevant
     x = np.concatenate([d.x for d in domains], axis=0)
     y = np.concatenate([d.y for d in domains], axis=0)
     batches = MinibatchStream(x, y, config.batch_size, stream(config.seed, "batches", "merged"))
-    step_fn = make_step(config, "merged")
+    eps_rng = stream(config.seed, "eps", "merged")
     klw = _auto_kl_weight(config, batches)
     st_f = AdamState.zeros(feat.flat.size)
     st_c = AdamState.zeros(cls.spec.param_count)
     history = []
     for it in range(steps):
-        loss, g_feat, g_cls, kl = step_fn(feat, cls, batches.next_batch(), klw)
+        loss, g_feat, g_cls, kl = step(feat, cls, batches.next_batch(), klw, config.prior, eps_rng)
         adam_step(feat.flat, g_feat, st_f, config.base_lr)
         adam_step(cls.flat, g_cls, st_c, config.base_lr)
         row = {"iteration": it, "merged_loss": loss}
@@ -334,10 +319,11 @@ def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
     return f0, ~report.kept_mask, report.dropped_count, report
 
 
-def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate):
-    """The outer loop of ptg and ptg_lite (see ptg_train); make_step is as in
+def _aggregation_loop(domains, init_feat, init_cls, config, step, aggregate):
+    """The outer loop of ptg and ptg_lite (see ptg_train); step is as in
     _pooled_loop, and aggregate(models, config) returns (shared model, mask of
-    the coordinates it dropped or None, their count, the aggregation's report)."""
+    the coordinates it dropped or None, their count, the aggregation's report).
+    Domain i has its own batch and eps streams; the merged step's key is "merged"."""
     domains = _check_domains(domains, minimum=2)
     ids = [d.domain_id for d in domains]
     per = {i: init_feat.copy() for i in ids}
@@ -347,9 +333,8 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
         i: MinibatchStream(d.x, d.y, config.batch_size, stream(config.seed, "batches", i))
         for i, d in zip(ids, domains)
     }
-    steps = {i: make_step(config, i) for i in ids}
+    eps = {k: stream(config.seed, "eps", k) for k in [*ids, "merged"]}
     klw = {i: _auto_kl_weight(config, batch_streams[i]) for i in ids}
-    merged_step = make_step(config, "merged")
     klw_m = _auto_kl_weight(config, *batch_streams.values())
     states = {i: AdamState.zeros(init_feat.flat.size) for i in ids}
     st_0 = AdamState.zeros(init_feat.flat.size)
@@ -361,14 +346,14 @@ def _aggregation_loop(domains, init_feat, init_cls, config, make_step, aggregate
         for i in ids:
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
-            loss, g_feat, _, _ = steps[i](per[i], cls, batch, klw[i])
+            loss, g_feat, _, _ = step(per[i], cls, batch, klw[i], config.prior, eps[i])
             adam_step(per[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
         f0, dropped, dropped_count, result = aggregate([per[i] for i in ids], config)
 
         merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
-        loss, g_feat, g_cls, kl = merged_step(f0, cls, merged, klw_m)
+        loss, g_feat, g_cls, kl = step(f0, cls, merged, klw_m, config.prior, eps["merged"])
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
         if dropped is not None:
@@ -415,7 +400,7 @@ def ptg_lite_train(
     on (shared featurizer, classifier) cannot resurrect it; the mask is
     recomputed at the next aggregation.
     """
-    return _aggregation_loop(domains, init_feat, init_cls, config, _map_step, _mask_point_estimates)
+    return _aggregation_loop(domains, init_feat, init_cls, config, _map_loss, _mask_point_estimates)
 
 
 ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")

@@ -205,6 +205,28 @@ class TestRunSweepSummarize:
         assert (out / "summary.md").exists()
 
 
+    def test_selection_of_a_diverged_cell_is_strict_json(self, config_path, tmp_path):
+        # erm diverged in one repetition of three: its means and std are undefined
+        obj = json.loads(Path(config_path).read_text())
+        obj.update(algorithms=["erm", "ptg"], n_seeds=3)
+        config = tmp_path / "three.json"
+        config.write_text(json.dumps(obj))
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(RESULTS_HEADER) + "\n" + "\n".join(
+            ["erm,c,0,,,0.9,0.8,12", "erm,c,1,,,,,12", "erm,c,2,,,0.9,0.7,12"]
+            + [f"ptg,c,{rep},0.1,,0.8,0.6,12" for rep in range(3)]
+        ) + "\n")
+        out = tmp_path / "summary"
+        assert main(["summarize", "--config", str(config), "--out", str(out), str(rows)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"selection.json holds {constant}")
+
+        erm, ptg = json.loads((out / "selection.json").read_text(), parse_constant=refuse)
+        assert erm["mean_val_acc"] is None and erm["mean_test_acc"] is None and erm["std_test_acc"] is None
+        assert ptg["mean_val_acc"] == pytest.approx(0.8) and ptg["std_test_acc"] == 0.0
+
+
 class TestVerificationCommands:
     def test_oracle_check_passes(self, capsys):
         assert main(["oracle-check", "--trials", "25"]) == 0
@@ -291,7 +313,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(obj))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: base_lr must be finite") and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: base_lr must be finite") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where, key", [
@@ -317,7 +339,7 @@ class TestExitCodes:
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         what = {"top": "experiment", "domain": "domain"}[where]
-        assert f"error: missing {what} config keys [{key!r}]" in err
+        assert f"error: {bad}: missing {what} config keys [{key!r}]" in err
         assert "Traceback" not in err
         assert not (out / "results.csv").exists()
 
@@ -358,6 +380,17 @@ class TestExitCodes:
         out = tmp_path / "results"
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_run_rejects_a_training_domain_named_merged(self, config_path, tmp_path, capsys):
+        obj = json.loads(Path(config_path).read_text())
+        obj["domains"][0]["domain_id"] = "merged"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: training domain id 'merged' is reserved" in err and "Traceback" not in err
         assert not (out / "results.csv").exists()
 
     def test_unknown_subcommand(self):

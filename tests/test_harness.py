@@ -85,6 +85,16 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="must not repeat a value"):
                 tiny_config(**grids)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("train", None, "train must be a TrainConfig, got None"),
+        ("train", {"alpha": 0.1}, "train must be a TrainConfig, got {'alpha': 0.1}"),
+        ("domains", (DomainSpec("a", 10), "b"), "domains must be a DomainSpec, got (DomainSpec("),
+    ])
+    def test_nested_config_field_takes_only_its_class(self, field, value, message):
+        with pytest.raises(TypeError) as ei:
+            dataclasses.replace(default_benchmark_config(), **{field: value})
+        assert str(ei.value).startswith(message)
+
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.json"
@@ -146,6 +156,21 @@ class TestExperimentConfig:
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             load_config(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"family"', "family", "Expecting property name enclosed in double quotes"),
+        ('"family"', '"famly"', "unknown experiment config keys ['famly']"),
+        ('"base_lr": 0.005', '"base_lr": -1', "base_lr must be positive, got -1"),
+        ('"training_domain"', '"oracle"', "unknown selection mode 'oracle'"),
+    ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode"])
+    def test_every_load_error_names_the_file(self, tmp_path, old, new, message):
+        text = (REPO / "configs" / "default.json").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as ei:
+            load_config(path)
+        assert str(ei.value).startswith(f"{path}: {message}")
 
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()

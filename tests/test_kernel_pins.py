@@ -539,7 +539,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
         for i in ids:
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
-            loss, g_feat, _, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior)
+            loss, g_feat, _, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior, None)
             adam_step(per_w[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
@@ -548,7 +548,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
             inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
 
         merged, klw_m = ref_merged_batch(drawn, n_total, config)
-        loss, g_feat, g_cls, _ = _map_loss(f0, cls, merged, klw_m, config.prior)
+        loss, g_feat, g_cls, _ = _map_loss(f0, cls, merged, klw_m, config.prior, None)
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
         g_feat[~report.kept_mask] = 0.0

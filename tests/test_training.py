@@ -317,6 +317,13 @@ class TestPtg:
         with pytest.raises(ValueError):
             ptg_train(domains[:1], q_init, cls0, self.CFG)
 
+    def test_merged_is_a_reserved_domain_id(self):
+        # a domain called "merged" would share the merged step's eps stream
+        domains, q_init, cls0 = ptg_setup()
+        domains = [replace(domains[0], domain_id="merged")] + domains[1:]
+        with pytest.raises(ValueError, match="training domain id 'merged' is reserved"):
+            ptg_train(domains, q_init, cls0, self.CFG)
+
 
 class TestPtgLite:
     CFG = TrainConfig(
@@ -335,7 +342,7 @@ class TestPtgLite:
                 d.x, d.y, 32, stream(21, "batches", d.domain_id)
             ).next_batch()
             drawn.append(batch)
-            _, g, _, _ = _map_loss(feat0, cls0, batch, 0.1, self.CFG.prior)
+            _, g, _, _ = _map_loss(feat0, cls0, batch, 0.1, self.CFG.prior, None)
             new_f, _ = adam_step(
                 feat0.flatten(), g, AdamState.zeros(g.size), 0.5 * 1e-3
             )
@@ -348,7 +355,7 @@ class TestPtgLite:
             map_mean(models), coefficient_of_variation(models), 0.05
         )
         merged = tuple(np.concatenate(part) for part in zip(*drawn))
-        _, g, g_cls, _ = _map_loss(f0, cls0, merged, 0.1, self.CFG.prior)
+        _, g, g_cls, _ = _map_loss(f0, cls0, merged, 0.1, self.CFG.prior, None)
         g[~report.kept_mask] = 0.0
         adam_step(f0.flat, g, AdamState.zeros(g.size), 0.5 * 1e-3)
         f0.flat[~report.kept_mask] = 0.0
