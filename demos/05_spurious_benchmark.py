@@ -31,7 +31,7 @@ if "--full" not in sys.argv:
 t0 = time.time()
 rows = run_experiment(cfg, progress=lambda r: print(
     f"  {r.algorithm:13s} seed={r.seed} alpha={r.alpha} beta={r.beta} "
-    f"val={r.val_acc:.4f} test={r.test_acc:.4f}"))
+    f"val={r.val_acc} test={r.test_acc}"))
 print(f"\n{len(rows)} runs in {time.time() - t0:.0f}s")
 
 # --- model selection on training-domain validation -----------------------

@@ -32,9 +32,9 @@ from .harness import (
     write_results_csv,
     write_training_log,
 )
-from .nets import TrainingDiverged, save_weights
+from .nets import TrainingDiverged
 from .training import ALGORITHMS, train_algorithm
-from .variational import GaussianVariational, save_gaussian
+from .variational import save_model
 
 GRAD_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-12
@@ -101,9 +101,8 @@ def _cmd_train(args) -> int:
     feat, cls, history, bank = train_algorithm(algorithm, trains, *config.network_specs(), cfg)
     if isinstance(getattr(bank, "last_aggregate", None), CovReport):
         save_cov_report(out / "cov_report.json", bank.last_aggregate)
-    save_feat = save_gaussian if isinstance(feat, GaussianVariational) else save_weights
-    save_feat(out / "featurizer.json", feat)
-    save_weights(out / "classifier.json", cls)
+    save_model(out / "featurizer.json", feat)
+    save_model(out / "classifier.json", cls)
     write_training_log(out / "training_log.csv", history)
     print(f"trained {algorithm} on {len(trains)} domains; artifacts in {out}")
     return 0

@@ -164,7 +164,7 @@ def _spurious_center(domain_id: str, d_spur: int) -> np.ndarray:
     raw = _fixed_unit(f"spur-offset:{d_spur}:{domain_id}", d_spur)
     offset = raw - (raw @ common) * common
     norm = np.linalg.norm(offset)
-    if norm < 1e-12:  # degenerate draw, effectively impossible but stay defined
+    if norm < 1e-12:  # d_spur = 1: both directions are +-1, so the offset is exactly 0
         offset = np.zeros(d_spur)
     else:
         offset = offset / norm

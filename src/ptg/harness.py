@@ -313,6 +313,10 @@ def sort_rows(rows: Sequence[ResultRow]) -> list[ResultRow]:
 
 @dataclass(frozen=True)
 class Selection:
+    """The grid point picked for one (algorithm, held-out domain).  test_accs
+    has one held-out accuracy per repetition, NaN where the run diverged; the
+    mean and std cover the repetitions that finished, NaN when none did."""
+
     algorithm: str
     test_domain: str
     alpha: float | None
@@ -320,13 +324,22 @@ class Selection:
     mean_val_acc: float
     test_accs: tuple[float, ...]
 
+    def _finished(self) -> list[float]:
+        return [a for a in self.test_accs if not np.isnan(a)]
+
+    @property
+    def n_diverged(self) -> int:
+        return len(self.test_accs) - len(self._finished())
+
     @property
     def mean_test_acc(self) -> float:
-        return float(np.mean(self.test_accs))
+        finished = self._finished()
+        return float(np.mean(finished)) if finished else np.nan
 
     @property
     def std_test_acc(self) -> float:
-        return float(np.std(self.test_accs))  # population std across repetitions
+        finished = self._finished()
+        return float(np.std(finished)) if finished else np.nan  # population std
 
 
 def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Selection]:
@@ -363,23 +376,29 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
     return out
 
 
+def _summary_cell(s: Selection) -> str:
+    n, bad = len(s.test_accs), s.n_diverged
+    if bad == n:
+        return f"diverged ({n} of {n})"
+    cell = f"{s.mean_test_acc:.4f} ± {s.std_test_acc:.4f}"
+    return f"{cell} ({bad} of {n} diverged)" if bad else cell
+
+
 def summarize(selections: Sequence[Selection]) -> str:
     """Markdown table: one row per algorithm, one column per held-out domain,
     cells are mean +/- population std of held-out accuracy at the selected
-    grid point, plus the across-domain average."""
+    grid point over the repetitions that finished, with a count of those that
+    diverged, plus the average of the cells that have a mean."""
     algorithms = sorted({s.algorithm for s in selections})
     domains = sorted({s.test_domain for s in selections})
     by_key = {(s.algorithm, s.test_domain): s for s in selections}
     lines = ["| algorithm | " + " | ".join(domains) + " | average |"]
     lines.append("|" + " --- |" * (len(domains) + 2))
     for a in algorithms:
-        cells = []
-        means = []
-        for d in domains:
-            s = by_key[(a, d)]
-            cells.append(f"{s.mean_test_acc:.4f} ± {s.std_test_acc:.4f}")
-            means.append(s.mean_test_acc)
-        lines.append(f"| {a} | " + " | ".join(cells) + f" | {np.mean(means):.4f} |")
+        row = [by_key[(a, d)] for d in domains]
+        means = [s.mean_test_acc for s in row if not np.isnan(s.mean_test_acc)]
+        average = f"{np.mean(means):.4f}" if means else "diverged"
+        lines.append(f"| {a} | " + " | ".join(map(_summary_cell, row)) + f" | {average} |")
     return "\n".join(lines) + "\n"
 
 
@@ -464,7 +483,7 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def selections_to_json(selections: Sequence[Selection]) -> list[dict]:
-    """Plain JSON values: a mean or std that a diverged repetition left
+    """Plain JSON values: a mean or std that diverged repetitions left
     undefined (-inf or NaN) is None, so the file stays strict JSON."""
     return [
         {
@@ -475,6 +494,7 @@ def selections_to_json(selections: Sequence[Selection]) -> list[dict]:
             "mean_val_acc": _finite_or_none(s.mean_val_acc),
             "mean_test_acc": _finite_or_none(s.mean_test_acc),
             "std_test_acc": _finite_or_none(s.std_test_acc),
+            "n_diverged": s.n_diverged,
         }
         for s in selections
     ]

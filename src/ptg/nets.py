@@ -6,8 +6,9 @@ hidden layers and identity at the output; downstream code composes a sampled
 featurizer with a deterministic classifier head.
 
 The gradient step is the hot path, so four rules hold here.  Values are
-checked where they enter the package (constructors, ``from_flat``,
-checkpoints, the labels of ``cross_entropy``, the gradient of ``adam_step``).
+checked where they enter the package: constructors and ``from_flat`` (which
+checkpoints load through), the labels of ``cross_entropy`` and the gradient of
+``adam_step``.
 Values the package computed itself are adopted without a copy or a check
 (``WeightSet.wrap``).  Each fact is passed once: weights carry their spec, and
 the tape ``forward`` records holds the weights it ran, so ``backward`` needs
@@ -30,7 +31,6 @@ only where something reads it.  Adam runs at the fixed settings
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -76,15 +76,6 @@ class NetworkSpec:
             out.append((slice(k, w_end), slice(w_end, w_end + d_out), (d_in, d_out)))
             k = w_end + d_out
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {"dims": list(self.layer_dims), "activation": "relu"}
-
-    @staticmethod
-    def from_json(obj: dict) -> "NetworkSpec":
-        if obj.get("activation", "relu") != "relu":  # the only activation there is
-            raise ValueError(f"unsupported activation {obj['activation']!r}")
-        return NetworkSpec(tuple(obj["dims"]))
 
 
 def finite_params(values) -> np.ndarray:
@@ -352,23 +343,3 @@ def adam_step(
     flat -= step
     return flat, state
 
-
-def save_weights(path, ws: WeightSet) -> None:
-    """Write a JSON checkpoint; floats round-trip bitwise through repr."""
-    payload = {
-        "spec": ws.spec.to_json(),
-        "layers": [
-            {"w": w.tolist(), "b": b.tolist()} for w, b in zip(ws.weights, ws.biases)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_weights(path) -> WeightSet:
-    with open(path) as fh:
-        payload = json.load(fh)
-    spec = NetworkSpec.from_json(payload["spec"])
-    weights = [np.asarray(layer["w"], dtype=np.float64) for layer in payload["layers"]]
-    biases = [np.asarray(layer["b"], dtype=np.float64) for layer in payload["layers"]]
-    return WeightSet(spec, weights, biases)

@@ -3,7 +3,9 @@
 A posterior is (mu, rho) per scalar parameter with sigma = softplus(rho), so
 sigma stays positive under unconstrained gradient steps.  Sampling uses the
 reparameterization omega = mu + sigma * eps, which keeps the loss a
-deterministic function of (mu, rho) once eps is drawn.
+deterministic function of (mu, rho) once eps is drawn.  ``save_model`` and
+``load_model`` checkpoint either kind of model, a posterior or a ``WeightSet``,
+as its spec's widths plus its flat vector.
 """
 from __future__ import annotations
 
@@ -187,19 +189,24 @@ def elbo_loss(
     return ce + kl_weight * kl, grad, grad_cls, kl
 
 
-def save_gaussian(path, q: GaussianVariational) -> None:
-    """JSON checkpoint with mu/rho in the flat parameter order."""
-    payload = {"spec": q.spec.to_json(), "mu": q.mu.tolist(), "rho": q.rho.tolist()}
+def save_model(path, model: WeightSet | GaussianVariational) -> None:
+    """JSON checkpoint {"dims": layer widths, "flat": model.flat} for either
+    kind of model; floats round-trip bitwise through repr."""
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump({"dims": list(model.spec.layer_dims), "flat": model.flat.tolist()}, fh)
 
 
-def load_gaussian(path) -> GaussianVariational:
+def load_model(path) -> WeightSet | GaussianVariational:
+    """The model a save_model checkpoint holds, its kind read from the vector's
+    length: param_count values are a WeightSet, twice that a posterior."""
     with open(path) as fh:
         payload = json.load(fh)
-    spec = NetworkSpec.from_json(payload["spec"])
-    return GaussianVariational(
-        spec,
-        np.asarray(payload["mu"], dtype=np.float64),
-        np.asarray(payload["rho"], dtype=np.float64),
-    )
+    spec = NetworkSpec(tuple(payload["dims"]))
+    flat = np.asarray(payload["flat"], dtype=np.float64)
+    n = spec.param_count
+    if flat.shape == (n,):
+        return WeightSet.from_flat(spec, flat)
+    if flat.shape == (2 * n,):
+        return GaussianVariational(spec, flat[:n], flat[n:])
+    raise ValueError(f"a {spec.layer_dims} checkpoint holds {n} values (weights) or {2 * n}"
+                     f" (posterior), got shape {flat.shape}")

@@ -219,6 +219,10 @@ class TestCoefficientOfVariation:
         with pytest.raises(ValueError):
             coefficient_of_variation(_weight_rows([[1.0, 2.0]]))
 
+    def test_rejects_negative_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be >= 0, got -1e-08"):
+            coefficient_of_variation(_weight_rows([[1.0, 2.0], [2.0, 1.0]]), epsilon=-1e-8)
+
 
 class TestCovDropout:
     def test_mask_matches_recomputed_threshold(self):
@@ -266,3 +270,9 @@ class TestCovDropout:
         models = _weight_rows([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError):
             cov_dropout(map_mean(models), np.zeros(5), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_rejects_a_cov_that_is_negative_or_not_finite(self, bad):
+        models = _weight_rows([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="cov entries must be finite and >= 0"):
+            cov_dropout(map_mean(models), np.array([0.1, bad]), 0.1)

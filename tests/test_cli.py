@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ptg.cli
 import ptg.training
 from ptg import checks, oracles
 from ptg.cli import main
@@ -25,9 +26,10 @@ from ptg.harness import (
     read_results_csv,
     save_config,
 )
-from ptg.nets import load_weights
+from ptg.nets import TrainingDiverged, WeightSet
 from ptg.seeding import derive_seed
-from ptg.training import TrainConfig, ptg_lite_train, train_algorithm
+from ptg.training import ALGORITHMS, TrainConfig, ptg_lite_train, train_algorithm
+from ptg.variational import GaussianVariational, load_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,32 +106,49 @@ class TestTrain:
         code = main(["train", "--config", config_path, "--algorithm", "erm", "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "featurizer.json").read_text())
-        assert "layers" in payload
+        assert set(payload) == {"dims", "flat"}
         assert (out / "classifier.json").exists()
         assert (out / "training_log.csv").read_text().startswith("iteration,")
 
     @staticmethod
-    def assert_trains_erm(out, config, cfg):
+    def assert_trains(out, config, cfg, algorithm="erm"):
+        """The checkpoints in out load to the bits train_algorithm gives on
+        repetition 0's split, the featurizer as a posterior where it is one."""
         trains, _, _ = prepare_split(config, "c", 0)
-        feat, cls, _, _ = train_algorithm("erm", trains, *config.network_specs(), cfg)
-        saved = load_weights(out / "featurizer.json")
+        feat, cls, _, _ = train_algorithm(algorithm, trains, *config.network_specs(), cfg)
+        saved = load_model(out / "featurizer.json")
+        posterior = algorithm in ("erm_bayesian", "ptg")
+        assert type(saved) is (GaussianVariational if posterior else WeightSet)
         np.testing.assert_array_equal(saved.flat.view(np.uint64), feat.flat.view(np.uint64))
-        saved = load_weights(out / "classifier.json")
+        saved = load_model(out / "classifier.json")
+        assert type(saved) is WeightSet
         np.testing.assert_array_equal(saved.flat.view(np.uint64), cls.flat.view(np.uint64))
 
-    def test_erm_trains_on_the_benchmark_split(self, config_path, tmp_path):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_trains_on_the_benchmark_split(self, config_path, tmp_path, algorithm):
         # the model `ptg run` scores: repetition 0's standardized training splits
         out = tmp_path / "run"
-        assert main(["train", "--config", config_path, "--algorithm", "erm", "--out", str(out)]) == 0
+        argv = ["train", "--config", config_path, "--algorithm", algorithm]
+        assert main(argv + ["--out", str(out)]) == 0
         config = load_config(config_path)
-        self.assert_trains_erm(out, config, config.train)
+        self.assert_trains(out, config, config.train, algorithm)
 
     def test_seed_is_the_training_seed(self, config_path, tmp_path):
         out = tmp_path / "run"
         argv = ["train", "--config", config_path, "--algorithm", "erm", "--seed", "5"]
         assert main(argv + ["--out", str(out)]) == 0
         config = load_config(config_path)  # the data stay at the base seed
-        self.assert_trains_erm(out, config, replace(config.train, seed=5))
+        self.assert_trains(out, config, replace(config.train, seed=5))
+
+    def test_diverged_training_exits_2(self, config_path, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged("3 non-finite gradient entries at step 1")
+
+        monkeypatch.setattr(ptg.cli, "train_algorithm", diverge)
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "training failed: 3 non-finite gradient entries at step 1\n"
+        assert not (out / "featurizer.json").exists()
 
     @pytest.mark.parametrize("held_out", ["nope", None])
     def test_needs_a_held_out_domain(self, config_path, tmp_path, capsys, held_out):
@@ -147,7 +166,8 @@ class TestTrain:
         code = main(["train", "--config", config_path, "--algorithm", "ptg", "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "featurizer.json").read_text())
-        assert {"mu", "rho"} <= set(payload)
+        feat_spec, _ = load_config(config_path).network_specs()
+        assert len(payload["flat"]) == 2 * feat_spec.param_count  # [mu | rho]
 
     def test_ptg_lite_exports_mask_report(self, config_path, tmp_path, monkeypatch):
         runs = []
@@ -206,7 +226,8 @@ class TestRunSweepSummarize:
 
 
     def test_selection_of_a_diverged_cell_is_strict_json(self, config_path, tmp_path):
-        # erm diverged in one repetition of three: its means and std are undefined
+        # erm diverged in one repetition of three: its validation mean is undefined,
+        # its held-out mean and std cover the two that finished
         obj = json.loads(Path(config_path).read_text())
         obj.update(algorithms=["erm", "ptg"], n_seeds=3)
         config = tmp_path / "three.json"
@@ -223,8 +244,11 @@ class TestRunSweepSummarize:
             raise ValueError(f"selection.json holds {constant}")
 
         erm, ptg = json.loads((out / "selection.json").read_text(), parse_constant=refuse)
-        assert erm["mean_val_acc"] is None and erm["mean_test_acc"] is None and erm["std_test_acc"] is None
+        assert erm["mean_val_acc"] is None and erm["n_diverged"] == 1
+        assert erm["mean_test_acc"] == pytest.approx(0.75) and erm["std_test_acc"] == pytest.approx(0.05)
         assert ptg["mean_val_acc"] == pytest.approx(0.8) and ptg["std_test_acc"] == 0.0
+        assert ptg["n_diverged"] == 0
+        assert "| erm | 0.7500 ± 0.0500 (1 of 3 diverged) |" in (out / "summary.md").read_text()
 
 
 class TestVerificationCommands:

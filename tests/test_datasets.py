@@ -106,6 +106,15 @@ class TestSpuriousBlobs:
         with pytest.raises(ValueError):
             gen_spurious_blobs(self.SPECS, 0, 3, seed=0)
 
+    def test_one_spurious_column_gives_finite_data(self):
+        # with d_spur = 1 the common and offset directions are both +-1, so the
+        # orthogonal offset is exactly zero and every domain shares one center
+        assert abs(_spurious_center("a", 1)[0]) == 1.0
+        assert _spurious_center("a", 1)[0] == _spurious_center("b", 1)[0]
+        for d in gen_spurious_blobs(self.SPECS, d_inv=2, d_spur=1, seed=0):
+            assert d.x.shape == (400, 3) and np.isfinite(d.x).all()
+            np.testing.assert_array_equal(np.abs(d.x[:, 2]), SPUR_SEPARATION)
+
 
 class TestRotatedMoons:
     def test_noiseless_points_lie_on_arcs(self):
@@ -138,6 +147,30 @@ class TestRotatedMoons:
         (d,) = gen_rotated_moons([DomainSpec("m", 50)], seed=0)
         assert d.invariant_cols == ()
         assert d.spurious_cols == (0, 1)
+
+    def test_rejects_duplicate_domain_ids(self):
+        with pytest.raises(ValueError, match="domain ids must be unique"):
+            gen_rotated_moons([DomainSpec("m", 5), DomainSpec("m", 6)], seed=0)
+
+
+class TestDomainDataset:
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros(4), np.zeros(4)),            # x is not a matrix
+        (np.zeros((4, 2)), np.zeros(3)),       # one label short
+        (np.zeros((4, 2)), np.zeros((4, 1))),  # labels not a vector
+    ])
+    def test_rejects_a_shape_mismatch(self, x, y):
+        with pytest.raises(ValueError, match=r"x must be \(n, d\) with one label per row"):
+            DomainDataset("d", x, y, (0,), (1,))
+
+    @pytest.mark.parametrize("inv, spur", [((0,), ()), ((0, 1), (1,)), ((0,), (2,))])
+    def test_rejects_columns_that_do_not_partition_the_features(self, inv, spur):
+        with pytest.raises(ValueError, match="must partition the features"):
+            DomainDataset("d", np.zeros((3, 2)), np.zeros(3), inv, spur)
+
+    def test_rejects_a_negative_label(self):
+        with pytest.raises(ValueError, match="labels must be non-negative"):
+            DomainDataset("d", np.zeros((3, 2)), np.array([0, -1, 1]), (0,), (1,))
 
 
 class TestSplit:

@@ -80,6 +80,10 @@ class TestExperimentConfig:
             tiny_config(alpha_grid=(-0.1,))
         with pytest.raises(ValueError):
             tiny_config(n_seeds=0)
+        with pytest.raises(ValueError, match="domain ids must be unique"):
+            tiny_config(domains=(DomainSpec("a", 10), DomainSpec("a", 20)), test_domain=None)
+        with pytest.raises(ValueError, match="need at least one algorithm"):
+            tiny_config(algorithms=())
         for grids in ({"alpha_grid": (0.1, 0.1)}, {"alpha_grid": (0.5, 0.1, 0.5)},
                       {"beta_grid": (0.2, 0.2)}):
             with pytest.raises(ValueError, match="must not repeat a value"):
@@ -204,6 +208,10 @@ class TestGrid:
         assert grid_for("ptg_lite", cfg) == [
             (0.1, 0.1), (0.1, 0.2), (0.5, 0.1), (0.5, 0.2)
         ]
+
+    def test_unknown_algorithm_has_no_grid(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'mystery'"):
+            grid_for("mystery", tiny_config())
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +444,19 @@ class TestSelectModel:
         (sel,) = select_model(rows, self.CFG)
         assert sel.alpha == 0.5
 
+    def test_held_out_mean_covers_the_finished_repetitions(self):
+        cfg = tiny_config(algorithms=("ptg",), n_seeds=3, alpha_grid=(0.1,))
+        rows = [
+            fabricate("ptg", 0.1, None, 0, 0.9, 0.70),
+            fabricate("ptg", 0.1, None, 1, None, None),
+            fabricate("ptg", 0.1, None, 2, 0.9, 0.80),
+        ]
+        (sel,) = select_model(rows, cfg)
+        assert sel.mean_val_acc == -np.inf  # scoring still counts the failed run
+        assert sel.n_diverged == 1
+        assert sel.mean_test_acc == pytest.approx(0.75)
+        assert sel.std_test_acc == pytest.approx(0.05)
+
     def test_duplicate_row_rejected(self):
         rows = [fabricate("ptg", 0.1, None, 0, 0.8)] * 2
         with pytest.raises(ValueError):
@@ -471,11 +492,33 @@ class TestSummarize:
         assert "| erm | 0.6000 ± 0.1000 | 0.9000 ± 0.0000 | 0.7500 |" in lines
         assert "| ptg | 0.8000 ± 0.0000 | 1.0000 ± 0.0000 | 0.9000 |" in lines
 
+    def test_diverged_repetitions_are_counted_not_averaged(self, recwarn):
+        nan = float("nan")
+        sels = [
+            Selection("erm", "a", None, None, -np.inf, (0.7, nan, 0.8)),
+            Selection("erm", "b", None, None, -np.inf, (nan, nan, nan)),
+            Selection("ptg", "a", 0.1, None, -np.inf, (nan, nan, nan)),
+            Selection("ptg", "b", 0.1, None, -np.inf, (nan, nan, nan)),
+        ]
+        lines = summarize(sels).strip().split("\n")
+        assert "| erm | 0.7500 ± 0.0500 (1 of 3 diverged) | diverged (3 of 3) | 0.7500 |" in lines
+        assert "| ptg | diverged (3 of 3) | diverged (3 of 3) | diverged |" in lines
+        assert not recwarn.list
+        assert [s.n_diverged for s in sels] == [1, 3, 3, 3]
+        assert np.isnan(sels[1].mean_test_acc) and np.isnan(sels[1].std_test_acc)
+
     def test_json_export(self):
         sels = [Selection("erm", "a", None, None, 0.9, (0.5, 0.7))]
         (obj,) = selections_to_json(sels)
         assert obj["mean_test_acc"] == pytest.approx(0.6)
         assert obj["alpha"] is None
+        assert obj["n_diverged"] == 0
+
+    def test_json_export_of_a_cell_that_never_finished(self):
+        nan = float("nan")
+        (obj,) = selections_to_json([Selection("erm", "a", None, None, -np.inf, (nan, nan))])
+        assert obj["mean_val_acc"] is None and obj["mean_test_acc"] is None
+        assert obj["std_test_acc"] is None and obj["n_diverged"] == 2
 
 
 class TestResultsCsv:

@@ -18,10 +18,9 @@ from ptg.nets import (
     cross_entropy_value,
     forward,
     init_weights,
-    load_weights,
-    save_weights,
     softmax,
 )
+from ptg.variational import load_model, save_model
 
 
 def small_net(seed=0, dims=(3, 4, 2)):
@@ -55,19 +54,12 @@ class TestSpecAndWeights:
     def test_checkpoint_with_a_fractional_dim_is_refused(self, tmp_path):
         spec, ws = small_net(dims=(3, 2))
         path = tmp_path / "w.json"
-        save_weights(path, ws)
+        save_model(path, ws)
         payload = json.loads(path.read_text())
-        payload["spec"]["dims"] = [3, 2.7]  # used to load as a 3 -> 2 net
+        payload["dims"] = [3, 2.7]  # used to load as a 3 -> 2 net
         path.write_text(json.dumps(payload))
         with pytest.raises(TypeError, match="layer dim 2.7 must be an integer"):
-            load_weights(path)
-
-    def test_json_is_relu_only(self):
-        spec = NetworkSpec((3, 4, 2))
-        assert spec.to_json() == {"dims": [3, 4, 2], "activation": "relu"}
-        assert NetworkSpec.from_json(spec.to_json()) == spec
-        with pytest.raises(ValueError, match="tanh"):
-            NetworkSpec.from_json({"dims": [3, 4, 2], "activation": "tanh"})
+            load_model(path)
 
     def test_flatten_roundtrip(self):
         spec, ws = small_net()
@@ -92,6 +84,16 @@ class TestSpecAndWeights:
         with pytest.raises(ValueError):
             WeightSet(spec, [np.full((2, 2), np.nan)], [np.zeros(2)])
 
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.zeros((2, 3))], [np.zeros(3)]),                   # W of the wrong shape
+        ([np.zeros((2, 2))], [np.zeros(3)]),                   # b of the wrong shape
+        ([np.zeros((2, 2))], []),                              # a layer without b
+        ([np.zeros((2, 2)), np.zeros((2, 2))], [np.zeros(2)]),  # one W too many
+    ])
+    def test_rejects_layers_that_do_not_match_the_spec(self, weights, biases):
+        with pytest.raises(ValueError, match="do not match the spec's"):
+            WeightSet(NetworkSpec((2, 2)), weights, biases)
+
     def test_glorot_bounds_and_determinism(self):
         spec = NetworkSpec((30, 20))
         ws1 = init_weights(spec, np.random.default_rng(7))
@@ -104,10 +106,10 @@ class TestSpecAndWeights:
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         _, ws = small_net(3)
         path = tmp_path / "weights.json"
-        save_weights(path, ws)
-        back = load_weights(path)
-        assert back.spec == ws.spec
-        np.testing.assert_array_equal(back.flatten(), ws.flatten())
+        save_model(path, ws)
+        back = load_model(path)
+        assert type(back) is WeightSet and back.spec == ws.spec
+        np.testing.assert_array_equal(back.flat.view(np.uint64), ws.flat.view(np.uint64))
 
 
 class TestForward:
@@ -169,6 +171,11 @@ class TestCrossEntropy:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((1, 2)), np.array([2]))
+
+    @pytest.mark.parametrize("labels", [np.array([0]), np.array([0, 1, 0]), np.array([[0], [1]])])
+    def test_rejects_a_label_count_that_is_not_one_per_row(self, labels):
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            cross_entropy(np.zeros((2, 2)), labels)
 
     def test_softmax_rows_normalized(self):
         logits = np.random.default_rng(0).standard_normal((50, 4)) * 30

@@ -67,6 +67,28 @@ class TestValidation:
                 likelihood=np.ones((3, 1, 1, 2)) / 2,
             )
 
+    @pytest.mark.parametrize("p_omega", [np.array([]), np.array([[0.5, 0.5]])])
+    def test_rejects_a_pmf_that_is_not_a_non_empty_vector(self, p_omega):
+        with pytest.raises(ValueError, match="p_omega must be a non-empty 1-d table"):
+            DiscreteGenerativeModel(
+                p_omega=p_omega,
+                p_causal=np.array([1.0]),
+                p_variant=np.array([1.0]),
+                likelihood=np.ones((2, 1, 1, 2)) / 2,
+            )
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_likelihood(self, bad):
+        lik = np.ones((2, 1, 1, 2)) / 2
+        lik[1, 0, 0] = [1.0 - bad, bad]
+        with pytest.raises(ValueError, match="likelihood has negative or non-finite entries"):
+            DiscreteGenerativeModel(
+                p_omega=np.array([0.5, 0.5]),
+                p_causal=np.array([1.0]),
+                p_variant=np.array([1.0]),
+                likelihood=lik,
+            )
+
     def test_rejects_unnormalized_likelihood_rows(self):
         lik = np.ones((2, 1, 1, 2)) / 2
         lik[0, 0, 0] = [0.3, 0.3]

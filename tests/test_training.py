@@ -60,6 +60,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(sigma0=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("outer_iterations", 0, "outer_iterations must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("mc_eval_samples", 0, "mc_eval_samples must be >= 1, got 0"),
+        ("erm_steps", -1, "step counts must be >= 0"),
+        ("bayes_steps", -1, "step counts must be >= 0"),
+    ])
+    def test_counts_out_of_range_are_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
     def test_json_round_trip(self):
         cfg = TrainConfig(alpha=0.3, beta=0.7, kl_weight=0.5, seed=11)
         assert read_config(TrainConfig, asdict(cfg)) == cfg
@@ -454,6 +465,17 @@ class TestTrainAlgorithm:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             train_algorithm("gradient_descent", make_domains(n_per=20), FEAT_SPEC, CLS_SPEC, self.CFG)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_domains_must_agree_on_feature_count(self, algorithm):
+        wide = gen_spurious_blobs([DomainSpec("wide", 20)], d_inv=2, d_spur=3, seed=0)
+        domains = make_domains(n_per=20)[:2] + wide
+        with pytest.raises(ValueError, match=r"domains disagree on feature count: \[4, 5\]"):
+            train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
+
+    def test_classifier_must_take_the_featurizer_output(self):
+        with pytest.raises(ValueError, match="featurizer output dim must match classifier input dim"):
+            init_pair(FEAT_SPEC, NetworkSpec((3, 2)), seed=0)
 
     def test_bank_shape_mismatch_rejected(self):
         # a classifier that does not fit the featurizer fails on the first step

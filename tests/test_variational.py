@@ -1,6 +1,8 @@
 """Posterior layer: softplus bridge, sampling, KL against quadrature, ELBO."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,9 +15,9 @@ from ptg.variational import (
     elbo_loss,
     init_from_deterministic,
     kl_to_prior,
-    load_gaussian,
+    load_model,
     sample_weights,
-    save_gaussian,
+    save_model,
     sigmoid,
     softplus,
     softplus_inv,
@@ -97,6 +99,11 @@ class TestPackedVector:
         c.flat += 1.0
         assert not np.array_equal(c.mu, q.mu)
 
+    @pytest.mark.parametrize("mu_len, rho_len", [(17, 16), (16, 17), (34, 0)])
+    def test_constructor_refuses_halves_of_the_wrong_shape(self, mu_len, rho_len):
+        with pytest.raises(ValueError, match=r"mu/rho must have shape \(17,\)"):
+            GaussianVariational(SPEC, np.zeros(mu_len), np.zeros(rho_len))
+
 
 class TestInitAndSampling:
     def test_init_sigma_matches_sigma0(self):
@@ -104,6 +111,12 @@ class TestInitAndSampling:
         q = init_from_deterministic(ws, sigma0=0.01)
         np.testing.assert_array_equal(q.mu, ws.flatten())
         np.testing.assert_allclose(q.sigma, 0.01, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma0", [0.0, -0.01, np.inf, np.nan])
+    def test_init_refuses_a_sigma0_that_is_not_positive_and_finite(self, sigma0):
+        ws = init_weights(SPEC, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+            init_from_deterministic(ws, sigma0=sigma0)
 
     def test_zero_eps_returns_mean(self):
         q = make_q(3)
@@ -284,14 +297,52 @@ class TestElbo:
 
 
 class TestSerialization:
+    """One checkpoint format for both kinds of model: the spec's widths and the
+    flat vector, the kind read from the vector's length."""
+
     def test_roundtrip_bitwise(self, tmp_path):
         q = make_q(50)
         path = tmp_path / "posterior.json"
-        save_gaussian(path, q)
-        back = load_gaussian(path)
-        assert back.spec == q.spec
-        np.testing.assert_array_equal(back.mu, q.mu)
-        np.testing.assert_array_equal(back.rho, q.rho)
+        save_model(path, q)
+        back = load_model(path)
+        assert type(back) is GaussianVariational and back.spec == q.spec
+        np.testing.assert_array_equal(back.flat.view(np.uint64), q.flat.view(np.uint64))
+        assert back.mu.base is back.flat and back.rho.base is back.flat
+
+    def test_file_holds_the_widths_and_the_flat_vector(self, tmp_path):
+        q = make_q(51)
+        path = tmp_path / "posterior.json"
+        save_model(path, q)
+        assert json.loads(path.read_text()) == {"dims": [2, 3, 2], "flat": q.flat.tolist()}
+
+    @pytest.mark.parametrize("flat", [[0.0] * 16, [0.0] * 18, [0.0] * 33, [0.0] * 51, [[0.0] * 17] * 2])
+    def test_refuses_a_vector_of_neither_kind(self, tmp_path, flat):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dims": [2, 3, 2], "flat": flat}))
+        with pytest.raises(ValueError, match=r"holds 17 values \(weights\) or 34 \(posterior\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("posterior", [False, True])
+    def test_refuses_a_non_finite_value(self, tmp_path, bad, posterior):
+        model = make_q(52) if posterior else init_weights(SPEC, np.random.default_rng(52))
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["flat"][-1] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite parameter values"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_refuses_a_dim_that_is_not_an_integer(self, tmp_path, dim):
+        path = tmp_path / "model.json"
+        save_model(path, make_q(53))
+        payload = json.loads(path.read_text())
+        payload["dims"][1] = dim
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TypeError, match=f"layer dim {dim!r} must be an integer"):
+            load_model(path)
 
 
 def test_sigmoid_matches_reference():
