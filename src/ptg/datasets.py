@@ -7,12 +7,16 @@ rotation.  The spurious block is built so that merged-data training picks it
 up while per-domain models disagree on it: each domain's spurious class
 center shares a common direction but carries its own orthogonal offset, and
 a domain with negative correlation flips the block against the label.
+
+read_config and check_field_types read and check every config dataclass: a
+field's annotation is its type, and its range, if any, is its metadata.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -71,6 +75,9 @@ _INTEGER = (int, np.integer)
 _REAL = (int, float, np.integer, np.floating)
 # an entry's annotation -> (the types it may have, how a message names them)
 _KIND = {int: (_INTEGER, "an integer"), float: (_REAL, "a number"), str: (str, "a string")}
+# a bound's metadata key -> (the test a value must pass, how a message names it)
+_BOUND = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+          "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
 
 def check_field_types(config) -> None:
@@ -80,7 +87,9 @@ def check_field_types(config) -> None:
     does not take 3.0, and nothing is coerced; a config field, or a tuple of
     them, takes only instances of its config class.  A float | None or str | None
     field also takes None.  A float field that holds NaN or an infinity raises
-    ValueError naming it."""
+    ValueError naming it, and so does a field whose value (every entry, for a
+    tuple) breaks a bound in its metadata, field(metadata={"ge": 0}) with the
+    keys ge, gt, le and lt, as "alpha must be >= 0, got -1"."""
     types = _field_types(type(config))
     for f in fields(config):
         kind, value = types[f.name], getattr(config, f.name)
@@ -96,6 +105,11 @@ def check_field_types(config) -> None:
             raise TypeError(f"{f.name} must be {what}, got {value!r}")
         if entry is float and not all(isinstance(v, _INTEGER) or np.isfinite(v) for v in items):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for key, bound in f.metadata.items():
+            passes, sign = _BOUND[key]
+            for v in items:
+                if not passes(v, bound):
+                    raise ValueError(f"{f.name} must be {sign} {bound}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -103,23 +117,15 @@ class DomainSpec:
     """One domain of a synthetic family."""
 
     domain_id: str
-    n_samples: int
-    spurious_correlation: float = 0.0
+    n_samples: int = field(metadata={"ge": 1})
+    spurious_correlation: float = field(default=0.0, metadata={"ge": -1, "le": 1})
     rotation_deg: float = 0.0
-    noise_std: float = 0.5
+    noise_std: float = field(default=0.5, metadata={"ge": 0})
 
     def __post_init__(self):
         check_field_types(self)
         if not self.domain_id:
             raise ValueError("domain_id must be non-empty")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not -1.0 <= self.spurious_correlation <= 1.0:
-            raise ValueError(
-                f"spurious_correlation must lie in [-1, 1], got {self.spurious_correlation}"
-            )
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
 
 @dataclass
@@ -250,17 +256,24 @@ def gen_rotated_moons(specs: Sequence[DomainSpec], seed: int) -> list[DomainData
     return out
 
 
+def train_rows(domain_id: str, n: int, ratio: float) -> int:
+    """floor(n * ratio), the train side of an n-row domain split at ratio;
+    ValueError unless ratio lies in (0, 1) and leaves both sides non-empty."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    n_train = int(n * ratio + 1e-9)  # guard n*ratio landing an ulp under an integer
+    if n_train == 0 or n_train == n:
+        raise ValueError(f"domain {domain_id!r}: a split of {n} samples at ratio {ratio}"
+                         " leaves an empty side")
+    return n_train
+
+
 def split_train_val(
     ds: DomainDataset, ratio: float = 0.8, seed: int = 0
 ) -> tuple[DomainDataset, DomainDataset]:
-    """Seeded shuffle, then the first floor(n * ratio) rows train."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    n = ds.n_samples
-    n_train = int(n * ratio + 1e-9)  # guard n*ratio landing an ulp under an integer
-    if n_train == 0 or n_train == n:
-        raise ValueError(f"split of {n} samples at ratio {ratio} leaves an empty side")
-    perm = np.random.default_rng(seed).permutation(n)
+    """Seeded shuffle, then the first train_rows(...) rows train."""
+    n_train = train_rows(ds.domain_id, ds.n_samples, ratio)
+    perm = np.random.default_rng(seed).permutation(ds.n_samples)
     tr, va = perm[:n_train], perm[n_train:]
     make = lambda idx: DomainDataset(
         ds.domain_id, ds.x[idx], ds.y[idx], ds.invariant_cols, ds.spurious_cols

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .datasets import (
     gen_spurious_blobs,
     read_config,
     split_train_val,
+    train_rows,
 )
 from .nets import NetworkSpec, TrainingDiverged
 from .seeding import derive_seed
@@ -48,21 +49,23 @@ class ExperimentConfig:
     it as the single held-out domain.  selection chooses how the winning grid
     point is picked: "training_domain" (default) scores on pooled training
     validation splits, "leave_one_out" scores each candidate by holding out
-    each training domain in turn.
+    each training domain in turn.  Beyond the ranges declared on its fields,
+    it refuses what a run would fail on: a training domain that split_ratio
+    splits with an empty side, and layer widths that NetworkSpec refuses.
     """
 
     family: str
     domains: tuple[DomainSpec, ...]
     algorithms: tuple[str, ...] = ALGORITHMS
     test_domain: str | None = None
-    n_seeds: int = 3
+    n_seeds: int = field(default=3, metadata={"ge": 1})
     base_seed: int = 0
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
+    alpha_grid: tuple[float, ...] = field(default=DEFAULT_ALPHA_GRID, metadata={"ge": 0})
+    beta_grid: tuple[float, ...] = field(default=DEFAULT_BETA_GRID, metadata={"gt": 0})
     selection: str = "training_domain"
-    split_ratio: float = 0.8
-    d_inv: int = 5
-    d_spur: int = 5
+    split_ratio: float = field(default=0.8, metadata={"gt": 0, "lt": 1})
+    d_inv: int = field(default=5, metadata={"ge": 1})
+    d_spur: int = field(default=5, metadata={"ge": 1})
     feat_hidden: tuple[int, ...] = (16, 8)
     cls_hidden: tuple[int, ...] = (16,)
     train: TrainConfig = TrainConfig()
@@ -83,14 +86,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {unknown}; expected from {ALGORITHMS}")
         if len(self.algorithms) == 0:
             raise ValueError("need at least one algorithm")
-        if self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         if any(not g or len(set(g)) < len(g) for g in (self.alpha_grid, self.beta_grid)):
             raise ValueError("alpha and beta grids must be non-empty and must not repeat a value")
-        if any(a < 0 for a in self.alpha_grid) or any(not b > 0 for b in self.beta_grid):
-            raise ValueError("alpha grid must be >= 0 and beta grid > 0")
         if self.selection not in ("training_domain", "leave_one_out"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
+        for d in self.domains:
+            if d.domain_id != self.test_domain:  # a pinned held-out domain is never split
+                train_rows(d.domain_id, d.n_samples, self.split_ratio)
+        self.network_specs()  # NetworkSpec refuses an empty featurizer or a width below 1
 
     @property
     def feature_dim(self) -> int:

@@ -29,7 +29,7 @@ network bitwise at its initialization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,43 +56,26 @@ class TrainConfig:
     scales the learning rate of the per-domain and merged refinement steps
     only; the baseline phases run at base_lr.  prior is the derived
     PriorSpec(prior_mean, prior_std), built and validated once at construction;
-    it is not a field, so the fields are exactly the JSON keys.
+    it is not a field, so the fields are exactly the JSON keys.  PriorSpec
+    checks prior_std; every other range is declared in its field's metadata.
     """
 
-    outer_iterations: int = 100
-    alpha: float = 0.1
-    beta: float = 0.1
-    base_lr: float = 1e-3
-    batch_size: int = 64
-    kl_weight: float | None = None
-    mc_eval_samples: int = 10
-    sigma0: float = 0.01
+    outer_iterations: int = field(default=100, metadata={"ge": 1})
+    alpha: float = field(default=0.1, metadata={"ge": 0})
+    beta: float = field(default=0.1, metadata={"gt": 0})
+    base_lr: float = field(default=1e-3, metadata={"gt": 0})
+    batch_size: int = field(default=64, metadata={"ge": 1})
+    kl_weight: float | None = field(default=None, metadata={"ge": 0})
+    mc_eval_samples: int = field(default=10, metadata={"ge": 1})
+    sigma0: float = field(default=0.01, metadata={"gt": 0})
     seed: int = 0
-    erm_steps: int = 500
-    bayes_steps: int = 500
+    erm_steps: int = field(default=500, metadata={"ge": 0})
+    bayes_steps: int = field(default=500, metadata={"ge": 0})
     prior_mean: float = 0.0
     prior_std: float = 1.0
 
     def __post_init__(self):
         check_field_types(self)
-        if self.outer_iterations < 1:
-            raise ValueError(f"outer_iterations must be >= 1, got {self.outer_iterations}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.base_lr > 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.kl_weight is not None and self.kl_weight < 0:
-            raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
-        if self.mc_eval_samples < 1:
-            raise ValueError(f"mc_eval_samples must be >= 1, got {self.mc_eval_samples}")
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.erm_steps < 0 or self.bayes_steps < 0:
-            raise ValueError("step counts must be >= 0")
         object.__setattr__(self, "prior", PriorSpec(self.prior_mean, self.prior_std))
 
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ from ptg.training import TrainConfig, accuracy, train_algorithm
 from ptg.variational import PriorSpec
 
 REPO = Path(__file__).resolve().parents[1]
+# the layer widths as configs/default.json spells them, one entry a line
+FEAT_HIDDEN = '"feat_hidden": [\n    32,\n    16\n  ]'
+CLS_HIDDEN = '"cls_hidden": [\n    16\n  ]'
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -164,9 +169,17 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("old, new, message", [
         ('"family"', "family", "Expecting property name enclosed in double quotes"),
         ('"family"', '"famly"', "unknown experiment config keys ['famly']"),
-        ('"base_lr": 0.005', '"base_lr": -1', "base_lr must be positive, got -1"),
+        ('"base_lr": 0.005', '"base_lr": -1', "base_lr must be > 0, got -1"),
         ('"training_domain"', '"oracle"', "unknown selection mode 'oracle'"),
-    ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode"])
+        ('"split_ratio": 0.8', '"split_ratio": 1.5', "split_ratio must be < 1, got 1.5"),
+        ('"d_inv": 5', '"d_inv": 0', "d_inv must be >= 1, got 0"),
+        (FEAT_HIDDEN, '"feat_hidden": [0, 16]', "layer dims must be positive, got (10, 0, 16)"),
+        (FEAT_HIDDEN, '"feat_hidden": []', "need at least an input and an output dimension"),
+        (CLS_HIDDEN, '"cls_hidden": [0]', "layer dims must be positive, got (16, 0, 2)"),
+        ('"train_a",\n      "n_samples": 4000', '"train_a",\n      "n_samples": 1',
+         "domain 'train_a': a split of 1 samples at ratio 0.8 leaves an empty side"),
+    ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode", "split-ratio", "d-inv",
+            "zero-width", "no-featurizer-layer", "zero-width-head", "empty-split-side"])
     def test_every_load_error_names_the_file(self, tmp_path, old, new, message):
         text = (REPO / "configs" / "default.json").read_text()
         assert text.count(old) == 1
@@ -191,6 +204,61 @@ class TestExperimentConfig:
         save_config(tmp_path / name, config)
         assert (tmp_path / name).read_bytes() == shipped.read_bytes()
         check_domain_counts(config)  # every algorithm gets enough training domains
+
+
+def _bounds():
+    """(class, field, key, bound) for every range declared on a config field."""
+    return [(cls, f, key, bound) for cls in (TrainConfig, ExperimentConfig, DomainSpec)
+            for f in dataclasses.fields(cls) for key, bound in f.metadata.items()]
+
+
+def _build(cls, name, value):
+    if cls is TrainConfig:
+        return TrainConfig(**{name: value})
+    if cls is DomainSpec:
+        return DomainSpec("a", **{"n_samples": 10, name: value})
+    return dataclasses.replace(default_benchmark_config(), **{name: value})
+
+
+class TestDeclaredBounds:
+    def test_the_declared_ranges(self):
+        declared = {(cls.__name__, f.name, key, bound) for cls, f, key, bound in _bounds()}
+        assert declared == {
+            ("TrainConfig", "outer_iterations", "ge", 1), ("TrainConfig", "batch_size", "ge", 1),
+            ("TrainConfig", "mc_eval_samples", "ge", 1), ("TrainConfig", "alpha", "ge", 0),
+            ("TrainConfig", "erm_steps", "ge", 0), ("TrainConfig", "bayes_steps", "ge", 0),
+            ("TrainConfig", "kl_weight", "ge", 0), ("TrainConfig", "beta", "gt", 0),
+            ("TrainConfig", "base_lr", "gt", 0), ("TrainConfig", "sigma0", "gt", 0),
+            ("ExperimentConfig", "n_seeds", "ge", 1), ("ExperimentConfig", "alpha_grid", "ge", 0),
+            ("ExperimentConfig", "beta_grid", "gt", 0), ("ExperimentConfig", "split_ratio", "gt", 0),
+            ("ExperimentConfig", "split_ratio", "lt", 1), ("ExperimentConfig", "d_inv", "ge", 1),
+            ("ExperimentConfig", "d_spur", "ge", 1), ("DomainSpec", "n_samples", "ge", 1),
+            ("DomainSpec", "spurious_correlation", "ge", -1),
+            ("DomainSpec", "spurious_correlation", "le", 1), ("DomainSpec", "noise_std", "ge", 0),
+        }
+
+    @pytest.mark.parametrize("cls, f, key, bound", _bounds(),
+                             ids=lambda v: getattr(v, "name", getattr(v, "__name__", str(v))))
+    def test_edge_and_the_nearest_value_past_it(self, cls, f, key, bound):
+        # an inclusive bound takes its edge and refuses the nearest value outside;
+        # an exclusive bound refuses its edge.  A tuple field holds the value
+        # after its default's first entry, so the bound must hold past entry 0.
+        kind = get_type_hints(cls)[f.name]
+        if type(None) in get_args(kind):
+            (kind,) = (k for k in get_args(kind) if k is not type(None))
+        entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
+        wrap = (lambda v: (f.default[0], v)) if entry is not kind else (lambda v: v)
+        edge = entry(bound)
+        if key in ("ge", "le"):
+            assert getattr(_build(cls, f.name, wrap(edge)), f.name) == wrap(edge)
+            outward = -1 if key == "ge" else 1
+            past = edge + outward if entry is int else math.nextafter(edge, outward * math.inf)
+        else:
+            past = edge
+        sign = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}[key]
+        with pytest.raises(ValueError) as ei:
+            _build(cls, f.name, wrap(past))
+        assert str(ei.value) == f"{f.name} must be {sign} {bound}, got {past}"
 
 
 class TestGrid:

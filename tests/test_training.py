@@ -64,8 +64,8 @@ class TestTrainConfig:
         ("outer_iterations", 0, "outer_iterations must be >= 1, got 0"),
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ("mc_eval_samples", 0, "mc_eval_samples must be >= 1, got 0"),
-        ("erm_steps", -1, "step counts must be >= 0"),
-        ("bayes_steps", -1, "step counts must be >= 0"),
+        ("erm_steps", -1, "erm_steps must be >= 0, got -1"),
+        ("bayes_steps", -1, "bayes_steps must be >= 0, got -1"),
     ])
     def test_counts_out_of_range_are_refused(self, field, value, message):
         with pytest.raises(ValueError, match=message):
