@@ -51,7 +51,8 @@ class ExperimentConfig:
     validation splits, "leave_one_out" scores each candidate by holding out
     each training domain in turn.  Beyond the ranges declared on its fields,
     it refuses what a run would fail on: a training domain that split_ratio
-    splits with an empty side, and layer widths that NetworkSpec refuses.
+    splits with an empty side, a training domain named "merged" (the key of
+    the merged step's RNG streams), and an empty feat_hidden.
     """
 
     family: str
@@ -66,8 +67,8 @@ class ExperimentConfig:
     split_ratio: float = field(default=0.8, metadata={"gt": 0, "lt": 1})
     d_inv: int = field(default=5, metadata={"ge": 1})
     d_spur: int = field(default=5, metadata={"ge": 1})
-    feat_hidden: tuple[int, ...] = (16, 8)
-    cls_hidden: tuple[int, ...] = (16,)
+    feat_hidden: tuple[int, ...] = field(default=(16, 8), metadata={"ge": 1})
+    cls_hidden: tuple[int, ...] = field(default=(16,), metadata={"ge": 1})
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
@@ -81,6 +82,10 @@ class ExperimentConfig:
             raise ValueError("domain ids must be unique")
         if self.test_domain is not None and self.test_domain not in ids:
             raise ValueError(f"test_domain {self.test_domain!r} is not one of {ids}")
+        if "merged" in ids and self.test_domain != "merged":  # a pinned test_domain never trains
+            raise ValueError(
+                "training domain id 'merged' is reserved: it keys the merged step's RNG streams"
+            )
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; expected from {ALGORITHMS}")
@@ -93,7 +98,8 @@ class ExperimentConfig:
         for d in self.domains:
             if d.domain_id != self.test_domain:  # a pinned held-out domain is never split
                 train_rows(d.domain_id, d.n_samples, self.split_ratio)
-        self.network_specs()  # NetworkSpec refuses an empty featurizer or a width below 1
+        if not self.feat_hidden:
+            raise ValueError("feat_hidden must not be empty")
 
     @property
     def feature_dim(self) -> int:

@@ -14,8 +14,8 @@ functions build their own table and run the same route code.  The identity
 is checked without observations: there the table is all ones and both routes
 equal the prior p(omega) whatever the causal index, so it is one route pair
 per model.  The data-conditioned gap is the number that varies.
-mixture_moments_mc streams its draws in fixed blocks instead of holding every
-draw at once.
+mixture_moments_mc draws its samples, component indices and normals alike,
+block by block, so its memory is two blocks whatever the sample count.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 _NORM_TOL = 1e-12
-MC_BLOCK_ROWS = 1 << 15  # samples per block in mixture_moments_mc
+MC_BLOCK_ROWS = 1 << 13  # samples per block in mixture_moments_mc
 
 
 def _check_pmf(p: np.ndarray, name: str) -> np.ndarray:
@@ -218,12 +218,18 @@ def mixture_moments_mc(
     components is a sequence of (mean, std) arrays of one shared shape.  A
     single sample returns that sample and zero variance.
 
-    The draws are streamed in blocks of MC_BLOCK_ROWS samples: only the
-    component index of each sample (8 bytes) is held for all of them.  Each
-    block's sum starts from the running total,
-    which is numpy's own row-by-row order for an axis-0 sum; the variance pass
-    rewinds the generator and redraws the same blocks.  Whenever a sample has
-    two or more entries, the results equal ``draws.mean(axis=0)`` and
+    The draws are those of one generator seeded with seed: every sample's
+    component index, then every sample's standard normals.  They are made
+    MC_BLOCK_ROWS samples at a time, so a call holds two blocks of samples
+    and no per-sample state whatever n_samples is.  One generator draws the
+    indices; a second draws the normals, starting from the state after all
+    n_samples indices, which it reaches by drawing them in blocks and
+    discarding them.  integers and standard_normal keep any spare bits in
+    the generator state, so draws made in blocks equal one draw of them
+    all.  Each block's sum starts from the running total, which is numpy's
+    own row-by-row order for an axis-0 sum; the variance pass rewinds both
+    generators and redraws the same blocks.  Whenever a sample has two or
+    more entries, the results equal ``draws.mean(axis=0)`` and
     ``draws.var(axis=0)`` over all draws at once, bit for bit.  For a
     one-entry sample numpy sums pairwise instead, and the two agree to
     roundoff.
@@ -236,19 +242,28 @@ def mixture_moments_mc(
     stds = np.stack([np.asarray(s, dtype=np.float64) for _, s in components])
     if np.any(stds <= 0):
         raise ValueError("component stds must be positive")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(components), size=n_samples)
-    after_idx = rng.bit_generator.state
+    k = len(components)
+    starts = range(0, n_samples, MC_BLOCK_ROWS)
+    idx_rng = np.random.default_rng(seed)
+    eps_rng = np.random.default_rng(seed)
+    for lo in starts:
+        eps_rng.integers(0, k, size=min(MC_BLOCK_ROWS, n_samples - lo))
+    idx_start, eps_start = idx_rng.bit_generator.state, eps_rng.bit_generator.state
+    eps = np.empty((min(n_samples, MC_BLOCK_ROWS),) + means.shape[1:])
+    block = np.empty_like(eps)
 
     def column_mean(centre=None) -> np.ndarray:
         """Mean over all draws of draw, or of (draw - centre)^2 if given."""
-        rng.bit_generator.state = after_idx
+        idx_rng.bit_generator.state = idx_start
+        eps_rng.bit_generator.state = eps_start
         total = None
-        for lo in range(0, n_samples, MC_BLOCK_ROWS):
-            j = idx[lo : lo + MC_BLOCK_ROWS]
-            b = stds[j]
-            b *= rng.standard_normal(b.shape)
-            b += means[j]
+        for lo in starts:
+            rows = min(MC_BLOCK_ROWS, n_samples - lo)
+            j = idx_rng.integers(0, k, size=rows)
+            # mode="clip": the default "raise" buffers out; j is in range anyway
+            b = np.take(stds, j, axis=0, out=block[:rows], mode="clip")
+            b *= eps_rng.standard_normal(out=eps[:rows])
+            b += np.take(means, j, axis=0, out=eps[:rows], mode="clip")
             if centre is not None:
                 b -= centre
                 b *= b

@@ -158,9 +158,8 @@ def predict(
     rng is None.
     """
     if isinstance(featurizer, WeightSet):
-        feats, _ = forward(featurizer, x)
-        logits, _ = forward(classifier, feats)
-        return softmax(logits)
+        feats = forward(featurizer, x)[0]  # [0]: each tape is freed once its output is read
+        return softmax(forward(classifier, feats)[0])
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     n_params = featurizer.mu.shape[0]
@@ -171,9 +170,8 @@ def predict(
     total = None
     for k in range(mc_samples):
         ws = sample_weights(featurizer, eps[k])
-        feats, _ = forward(ws, x)
-        logits, _ = forward(classifier, feats)
-        probs = softmax(logits)
+        feats = forward(ws, x)[0]
+        probs = softmax(forward(classifier, feats)[0])
         total = probs if total is None else total + probs
     return total / mc_samples
 

@@ -412,10 +412,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         out = tmp_path / "results"
+        message = f"error: {bad}: training domain id 'merged' is reserved"
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error: training domain id 'merged' is reserved" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
         assert not (out / "results.csv").exists()
+        # the config is refused as it loads, so gen-data refuses it too
+        assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err and not out.exists()
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as ei:

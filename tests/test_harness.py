@@ -89,6 +89,11 @@ class TestExperimentConfig:
             tiny_config(domains=(DomainSpec("a", 10), DomainSpec("a", 20)), test_domain=None)
         with pytest.raises(ValueError, match="need at least one algorithm"):
             tiny_config(algorithms=())
+        with pytest.raises(ValueError, match="training domain id 'merged' is reserved"):
+            tiny_config(domains=(DomainSpec("a", 10), DomainSpec("merged", 20)), test_domain=None)
+        # a pinned held-out domain is never trained on, so it may take the name
+        domains = tiny_config().domains[:2] + (DomainSpec("merged", 120),)
+        assert tiny_config(domains=domains, test_domain="merged").test_domain == "merged"
         for grids in ({"alpha_grid": (0.1, 0.1)}, {"alpha_grid": (0.5, 0.1, 0.5)},
                       {"beta_grid": (0.2, 0.2)}):
             with pytest.raises(ValueError, match="must not repeat a value"):
@@ -173,13 +178,15 @@ class TestExperimentConfig:
         ('"training_domain"', '"oracle"', "unknown selection mode 'oracle'"),
         ('"split_ratio": 0.8', '"split_ratio": 1.5', "split_ratio must be < 1, got 1.5"),
         ('"d_inv": 5', '"d_inv": 0', "d_inv must be >= 1, got 0"),
-        (FEAT_HIDDEN, '"feat_hidden": [0, 16]', "layer dims must be positive, got (10, 0, 16)"),
-        (FEAT_HIDDEN, '"feat_hidden": []', "need at least an input and an output dimension"),
-        (CLS_HIDDEN, '"cls_hidden": [0]', "layer dims must be positive, got (16, 0, 2)"),
+        (FEAT_HIDDEN, '"feat_hidden": [0, 16]', "feat_hidden must be >= 1, got 0"),
+        (FEAT_HIDDEN, '"feat_hidden": []', "feat_hidden must not be empty"),
+        (CLS_HIDDEN, '"cls_hidden": [0]', "cls_hidden must be >= 1, got 0"),
         ('"train_a",\n      "n_samples": 4000', '"train_a",\n      "n_samples": 1',
          "domain 'train_a': a split of 1 samples at ratio 0.8 leaves an empty side"),
+        ('"train_a"', '"merged"', "training domain id 'merged' is reserved"),
     ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode", "split-ratio", "d-inv",
-            "zero-width", "no-featurizer-layer", "zero-width-head", "empty-split-side"])
+            "zero-width", "no-featurizer-layer", "zero-width-head", "empty-split-side",
+            "domain-named-merged"])
     def test_every_load_error_names_the_file(self, tmp_path, old, new, message):
         text = (REPO / "configs" / "default.json").read_text()
         assert text.count(old) == 1
@@ -232,7 +239,8 @@ class TestDeclaredBounds:
             ("ExperimentConfig", "n_seeds", "ge", 1), ("ExperimentConfig", "alpha_grid", "ge", 0),
             ("ExperimentConfig", "beta_grid", "gt", 0), ("ExperimentConfig", "split_ratio", "gt", 0),
             ("ExperimentConfig", "split_ratio", "lt", 1), ("ExperimentConfig", "d_inv", "ge", 1),
-            ("ExperimentConfig", "d_spur", "ge", 1), ("DomainSpec", "n_samples", "ge", 1),
+            ("ExperimentConfig", "d_spur", "ge", 1), ("ExperimentConfig", "feat_hidden", "ge", 1),
+            ("ExperimentConfig", "cls_hidden", "ge", 1), ("DomainSpec", "n_samples", "ge", 1),
             ("DomainSpec", "spurious_correlation", "ge", -1),
             ("DomainSpec", "spurious_correlation", "le", 1), ("DomainSpec", "noise_std", "ge", 0),
         }

@@ -323,10 +323,11 @@ def random_components(rng, n, shape):
 class TestMixtureMCStreaming:
     SIZES = [1, 2, MC_BLOCK_ROWS, 2 * MC_BLOCK_ROWS, 2 * MC_BLOCK_ROWS + 5]
 
+    @pytest.mark.parametrize("n_components", [2, 3, 5])
     @pytest.mark.parametrize("n_samples", SIZES)
     @pytest.mark.parametrize("shape", [(2,), (6,), (2, 3), (4, 1)])
-    def test_equals_one_shot_bitwise(self, shape, n_samples):
-        comps = random_components(np.random.default_rng(n_samples), 3, shape)
+    def test_equals_one_shot_bitwise(self, shape, n_samples, n_components):
+        comps = random_components(np.random.default_rng(n_samples), n_components, shape)
         got = mixture_moments_mc(comps, n_samples, seed=9)
         want = one_shot_moments(comps, n_samples, seed=9)
         for g, w in zip(got, want):
@@ -341,15 +342,30 @@ class TestMixtureMCStreaming:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
 
-    def test_peak_memory_does_not_hold_every_draw(self):
+    @pytest.mark.parametrize("n", [400_000, 4_000_000])
+    def test_peak_memory_does_not_hold_every_draw(self, n):
         comps = random_components(np.random.default_rng(0), 3, (6,))
-        n = 400_000
         tracemalloc.start()
         try:
             mixture_moments_mc(comps, n, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one float64 array of every draw alone is n * 6 * 8 bytes (19.2 MB);
-        # the stream holds the sample indices (n * 8 bytes) and a few blocks
-        assert peak < n * 8 + 8 * MC_BLOCK_ROWS * 6 * 8
+        # one float64 array of every draw alone is n * 6 * 8 bytes (19.2 MB at
+        # 400,000); the stream holds two blocks and one block of indices
+        assert peak < 4 * MC_BLOCK_ROWS * 6 * 8
+
+    @pytest.mark.parametrize("block", [1, 3, 4097])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 2**20 + 3])
+    def test_integers_drawn_in_blocks_equal_one_draw(self, k, block):
+        # the stream relies on this: the generator keeps any spare bits in its
+        # state, so the indices and the state after them do not depend on the
+        # block size
+        n = 3 * 4097 + 2
+        whole = np.random.default_rng(k)
+        want = whole.integers(0, k, size=n)
+        blocks = np.random.default_rng(k)
+        got = np.concatenate([blocks.integers(0, k, size=min(block, n - lo))
+                              for lo in range(0, n, block)])
+        assert got.tobytes() == want.tobytes()
+        assert blocks.bit_generator.state == whole.bit_generator.state
