@@ -117,9 +117,8 @@ def _write_selection(out: Path, selections) -> str:
     return table
 
 
-def _cmd_rows(args) -> int:
-    """run and sweep: the grid's rows, then the selection and summary when
-    args.write_summary is set."""
+def _cmd_run(args) -> int:
+    """The grid's rows, then the selection and summary."""
     config = _load(args)
     out = _outdir(args.out)
     rows = run_experiment(config, progress=lambda r: print(
@@ -128,9 +127,8 @@ def _cmd_rows(args) -> int:
     ))
     write_results_csv(out / "results.csv", rows)
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
-    if args.write_summary:
-        _write_selection(out, select_model(rows, config))
-        print(f"wrote {out / 'selection.json'} and {out / 'summary.md'}")
+    _write_selection(out, select_model(rows, config))
+    print(f"wrote {out / 'selection.json'} and {out / 'summary.md'}")
     return 0
 
 
@@ -167,9 +165,6 @@ def _cmd_oracle_check(args) -> int:
         "ok": bool(worst_identity < ORACLE_TOLERANCE),
     }
     print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
     return 0 if report["ok"] else 2
 
 
@@ -211,21 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-domain", help="domain to hold out (default from config)")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("run", help="full protocol: sweep, selection, summary")
-    base_seed(common(p, "results")).set_defaults(fn=_cmd_rows, write_summary=True)
-
-    p = sub.add_parser("sweep", help="grid sweep only; writes the raw rows CSV")
-    base_seed(common(p, "results")).set_defaults(fn=_cmd_rows, write_summary=False)
+    p = sub.add_parser("run", help="full protocol: the grid's rows CSV, selection, summary")
+    base_seed(common(p, "results")).set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("summarize", help="selection and summary table from a rows CSV")
     common(p, "results")
-    p.add_argument("results", help="rows CSV produced by run or sweep")
+    p.add_argument("results", help="rows CSV produced by run")
     p.set_defaults(fn=_cmd_summarize)
 
     p = sub.add_parser("oracle-check", help="enumeration sweep of the posterior identity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=positive_int, default=1000)
-    p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")

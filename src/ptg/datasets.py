@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .seeding import derive_seed, stable_hash64
+from .seeding import stable_hash64, stream
 
 N_CLASSES = 2  # both families are binary; sets the classifier head's width
 
@@ -200,7 +200,7 @@ def gen_spurious_blobs(
     inv_dir = _fixed_unit(f"inv-direction:{d_inv}", d_inv)
     out = []
     for spec in specs:
-        rng = np.random.default_rng(derive_seed(seed, "blobs", spec.domain_id))
+        rng = stream(seed, "blobs", spec.domain_id)
         n = spec.n_samples
         y = rng.integers(0, 2, size=n)
         signs = 2.0 * y - 1.0
@@ -234,7 +234,7 @@ def gen_rotated_moons(specs: Sequence[DomainSpec], seed: int) -> list[DomainData
         raise ValueError("domain ids must be unique")
     out = []
     for spec in specs:
-        rng = np.random.default_rng(derive_seed(seed, "moons", spec.domain_id))
+        rng = stream(seed, "moons", spec.domain_id)
         n = spec.n_samples
         y = rng.integers(0, 2, size=n)
         t = rng.uniform(0.0, np.pi, size=n)
@@ -275,10 +275,7 @@ def split_train_val(
     n_train = train_rows(ds.domain_id, ds.n_samples, ratio)
     perm = np.random.default_rng(seed).permutation(ds.n_samples)
     tr, va = perm[:n_train], perm[n_train:]
-    make = lambda idx: DomainDataset(
-        ds.domain_id, ds.x[idx], ds.y[idx], ds.invariant_cols, ds.spurious_cols
-    )
-    return make(tr), make(va)
+    return replace(ds, x=ds.x[tr], y=ds.y[tr]), replace(ds, x=ds.x[va], y=ds.y[va])
 
 
 def feature_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from .datasets import (
     train_rows,
 )
 from .nets import NetworkSpec, TrainingDiverged
-from .seeding import derive_seed
+from .seeding import derive_seed, stream
 from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, train_algorithm
 
 DEFAULT_ALPHA_GRID = (0.05, 0.1, 0.5)
@@ -213,9 +213,7 @@ def prepare_split(
         trains.append(tr)
         vals.append(va)
     mean, std = feature_stats(np.concatenate([t.x for t in trains], axis=0))
-    scale = lambda ds: DomainDataset(
-        ds.domain_id, apply_stats(ds.x, mean, std), ds.y, ds.invariant_cols, ds.spurious_cols
-    )
+    scale = lambda ds: replace(ds, x=apply_stats(ds.x, mean, std))
     return [scale(t) for t in trains], [scale(v) for v in vals], scale(by_id[test_domain])
 
 
@@ -231,7 +229,7 @@ def _train_and_score(algorithm, domains, specs, cfg, scored) -> list[float] | No
         feat, cls, _, _ = train_algorithm(algorithm, domains, *specs, cfg)
     except TrainingDiverged:
         return None
-    rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
+    rng = stream(cfg.seed, "eval")
     return [accuracy(feat, cls, x, y, cfg.mc_eval_samples, rng) for x, y in scored]
 
 

@@ -158,22 +158,19 @@ def predict(
     rng is None.
     """
     if isinstance(featurizer, WeightSet):
-        feats = forward(featurizer, x)[0]  # [0]: each tape is freed once its output is read
-        return softmax(forward(classifier, feats)[0])
-    if mc_samples < 1:
+        draws = [featurizer]
+    elif mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    n_params = featurizer.mu.shape[0]
-    if rng is None:
-        eps = np.zeros((mc_samples, n_params))
     else:
-        eps = rng.standard_normal((mc_samples, n_params))
-    total = None
-    for k in range(mc_samples):
-        ws = sample_weights(featurizer, eps[k])
-        feats = forward(ws, x)[0]
-        probs = softmax(forward(classifier, feats)[0])
-        total = probs if total is None else total + probs
-    return total / mc_samples
+        shape = (mc_samples, featurizer.mu.shape[0])
+        eps = np.zeros(shape) if rng is None else rng.standard_normal(shape)
+        draws = [sample_weights(featurizer, e) for e in eps]
+    # 0.0 + p and p / 1 are bitwise p for probabilities, so one draw is exact
+    total = 0.0
+    for ws in draws:
+        feats = forward(ws, x)[0]  # [0]: each tape is freed once its output is read
+        total = total + softmax(forward(classifier, feats)[0])
+    return total / len(draws)
 
 
 def accuracy(

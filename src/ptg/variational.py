@@ -53,6 +53,8 @@ class PriorSpec:
     std: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.mean):
+            raise ValueError(f"prior mean must be finite, got {self.mean}")
         if not (np.isfinite(self.std) and self.std > 0):
             raise ValueError(f"prior std must be positive, got {self.std}")
 
@@ -168,7 +170,7 @@ def elbo_loss(
     kl_weight * KL alone.  softplus(rho) and sigmoid(rho) are computed once and
     shared by the sample, the KL and both gradients.
     """
-    if kl_weight < 0:
+    if not kl_weight >= 0:  # a NaN weight fails this too
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
     eps = _checked_eps(q, eps)
     sigma = softplus(q.rho)

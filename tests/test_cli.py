@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -206,19 +207,13 @@ class TestRunSweepSummarize:
         assert {s["algorithm"] for s in selections} == {"erm", "erm_bayesian", "ptg", "ptg_lite"}
         assert (out / "summary.md").read_text().startswith("| algorithm |")
 
-    def test_sweep_writes_rows_only(self, config_path, tmp_path):
-        out = tmp_path / "sweep"
-        assert main(["sweep", "--config", config_path, "--out", str(out)]) == 0
-        assert (out / "results.csv").exists()
-        assert not (out / "selection.json").exists()
-
     def test_summarize_from_csv(self, config_path, tmp_path):
-        sweep_out = tmp_path / "sweep"
-        main(["sweep", "--config", config_path, "--out", str(sweep_out)])
+        run_out = tmp_path / "run"
+        main(["run", "--config", config_path, "--out", str(run_out)])
         out = tmp_path / "summary"
         code = main([
             "summarize", "--config", config_path, "--out", str(out),
-            str(sweep_out / "results.csv"),
+            str(run_out / "results.csv"),
         ])
         assert code == 0
         assert (out / "selection.json").exists()
@@ -255,13 +250,8 @@ class TestVerificationCommands:
     def test_oracle_check_passes(self, capsys):
         assert main(["oracle-check", "--trials", "25"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
+        assert report["ok"] is True and report["trials"] == 25
         assert report["max_identity_gap"] < 1e-12
-
-    def test_oracle_check_writes_report(self, tmp_path):
-        path = tmp_path / "oracle.json"
-        assert main(["oracle-check", "--trials", "5", "--out", str(path)]) == 0
-        assert json.loads(path.read_text())["trials"] == 5
 
     def test_grad_check_passes(self, capsys):
         assert main(["grad-check", "--instances", "3"]) == 0
@@ -431,6 +421,22 @@ class TestExitCodes:
             main(["oracle-check", "--frobnicate"])
         assert ei.value.code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--config", "{config}", "--out", "x"], "argument command: invalid choice: 'sweep'"),
+        (["oracle-check", "--trials", "1", "--out", "x"], "unrecognized arguments: --out x"),
+    ], ids=["sweep", "oracle-check-out"])
+    def test_removed_second_paths_are_usage_errors(
+        self, argv, message, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # run writes the rows CSV that sweep wrote; stdout carries the oracle report
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as ei:
+            main([a.format(config=config_path) for a in argv])
+        assert ei.value.code == 1
+        out, err = capsys.readouterr()
+        assert f"error: {message}" in err and out == ""
+        assert not (tmp_path / "x").exists()
+
     def test_no_arguments(self):
         with pytest.raises(SystemExit) as ei:
             main([])
@@ -537,8 +543,10 @@ class TestEntryPoint:
             [sys.executable, "-m", "ptg.cli", "--help"], capture_output=True, text=True, env=src_env
         )
         assert proc.returncode == 0
-        for command in ("gen-data", "train", "run", "sweep", "summarize", "oracle-check", "grad-check"):
-            assert command in proc.stdout
+        listed = re.search(r"\{([a-z,-]+)\}", proc.stdout).group(1)
+        assert listed.split(",") == [
+            "gen-data", "train", "run", "summarize", "oracle-check", "grad-check"
+        ]
 
     def test_console_script_on_path(self):
         assert shutil.which("ptg") is not None

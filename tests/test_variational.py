@@ -181,6 +181,11 @@ class TestKl:
         got = single_coordinate_kl(0.0, 2.0, PriorSpec(0.0, 1.0))
         assert got == pytest.approx(0.8068528194400547, abs=1e-12)
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -float("inf")])
+    def test_prior_refuses_a_non_finite_mean(self, mean):
+        with pytest.raises(ValueError, match=f"prior mean must be finite, got {mean}"):
+            PriorSpec(mean, 1.0)
+
     def test_prior_vs_prior_is_exactly_zero(self):
         prior = PriorSpec(0.0, 1.0)
         q = GaussianVariational(
@@ -294,6 +299,11 @@ class TestElbo:
     def test_rejects_negative_kl_weight(self):
         with pytest.raises(ValueError):
             elbo_loss(make_q(), self.cls_pair(), None, -0.1, np.zeros(SPEC.param_count))
+
+    def test_rejects_a_nan_kl_weight(self):
+        # a NaN weight passes a `kl_weight < 0` guard and makes the loss NaN
+        with pytest.raises(ValueError, match="kl_weight must be >= 0, got nan"):
+            elbo_loss(make_q(), self.cls_pair(), None, float("nan"), np.zeros(SPEC.param_count))
 
 
 class TestSerialization:
