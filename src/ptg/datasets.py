@@ -9,7 +9,7 @@ center shares a common direction but carries its own orthogonal offset, and
 a domain with negative correlation flips the block against the label.
 
 read_config and check_field_types read and check every config dataclass: a
-field's annotation is its type, and its range, if any, is its metadata.
+field's annotation is its type, and its rules, if any, are its metadata.
 """
 from __future__ import annotations
 
@@ -75,9 +75,10 @@ _INTEGER = (int, np.integer)
 _REAL = (int, float, np.integer, np.floating)
 # an entry's annotation -> (the types it may have, how a message names them)
 _KIND = {int: (_INTEGER, "an integer"), float: (_REAL, "a number"), str: (str, "a string")}
-# a bound's metadata key -> (the test a value must pass, how a message names it)
+# an entry's rule in metadata -> (the test an entry must pass, how a message names it)
 _BOUND = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
-          "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+          "le": (operator.le, "<="), "lt": (operator.lt, "<"),
+          "in": (lambda v, allowed: v in allowed, "one of")}
 
 
 def check_field_types(config) -> None:
@@ -87,9 +88,10 @@ def check_field_types(config) -> None:
     does not take 3.0, and nothing is coerced; a config field, or a tuple of
     them, takes only instances of its config class.  A float | None or str | None
     field also takes None.  A float field that holds NaN or an infinity raises
-    ValueError naming it, and so does a field whose value (every entry, for a
-    tuple) breaks a bound in its metadata, field(metadata={"ge": 0}) with the
-    keys ge, gt, le and lt, as "alpha must be >= 0, got -1"."""
+    ValueError naming it, and so does a field that breaks a rule in its
+    metadata: ge, gt, le and lt bound every entry (of a tuple), as
+    field(metadata={"ge": 0}) gives "alpha must be >= 0, got -1", and in lists
+    the entries allowed; min_len bounds the length, and unique refuses a repeat."""
     types = _field_types(type(config))
     for f in fields(config):
         kind, value = types[f.name], getattr(config, f.name)
@@ -105,18 +107,25 @@ def check_field_types(config) -> None:
             raise TypeError(f"{f.name} must be {what}, got {value!r}")
         if entry is float and not all(isinstance(v, _INTEGER) or np.isfinite(v) for v in items):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for key, bound in f.metadata.items():
-            passes, sign = _BOUND[key]
-            for v in items:
-                if not passes(v, bound):
-                    raise ValueError(f"{f.name} must be {sign} {bound}, got {v}")
+        for key, rule in f.metadata.items():
+            if key == "min_len":
+                if len(value) < rule:
+                    raise ValueError(f"{f.name} must have length >= {rule}, got {value!r}")
+            elif key == "unique":
+                if len(set(value)) < len(value):
+                    raise ValueError(f"{f.name} must not repeat a value, got {value!r}")
+            else:
+                passes, sign = _BOUND[key]
+                for v in items:
+                    if not passes(v, rule):
+                        raise ValueError(f"{f.name} must be {sign} {rule}, got {v!r}")
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """One domain of a synthetic family."""
 
-    domain_id: str
+    domain_id: str = field(metadata={"min_len": 1})
     n_samples: int = field(metadata={"ge": 1})
     spurious_correlation: float = field(default=0.0, metadata={"ge": -1, "le": 1})
     rotation_deg: float = 0.0
@@ -124,8 +133,6 @@ class DomainSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.domain_id:
-            raise ValueError("domain_id must be non-empty")
 
 
 @dataclass

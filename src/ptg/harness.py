@@ -39,6 +39,7 @@ DEFAULT_ALPHA_GRID = (0.05, 0.1, 0.5)
 DEFAULT_BETA_GRID = (0.05, 0.1)
 
 FAMILIES = ("spurious_blobs", "rotated_moons")
+SELECTIONS = ("training_domain", "leave_one_out")
 
 
 @dataclass(frozen=True)
@@ -49,34 +50,34 @@ class ExperimentConfig:
     it as the single held-out domain.  selection chooses how the winning grid
     point is picked: "training_domain" (default) scores on pooled training
     validation splits, "leave_one_out" scores each candidate by holding out
-    each training domain in turn.  Beyond the ranges declared on its fields,
-    it refuses what a run would fail on: a training domain that split_ratio
-    splits with an empty side, a training domain named "merged" (the key of
-    the merged step's RNG streams), and an empty feat_hidden.
+    each training domain in turn.  Beyond the rules declared on its fields,
+    it refuses what a run would fail on: domains that share an id, a
+    test_domain that is none of them, a training domain that split_ratio
+    splits with an empty side, and a training domain named "merged" (the key
+    of the merged step's RNG streams).
     """
 
-    family: str
-    domains: tuple[DomainSpec, ...]
-    algorithms: tuple[str, ...] = ALGORITHMS
+    family: str = field(metadata={"in": FAMILIES})
+    domains: tuple[DomainSpec, ...] = field(metadata={"min_len": 2})
+    algorithms: tuple[str, ...] = field(
+        default=ALGORITHMS, metadata={"in": ALGORITHMS, "min_len": 1, "unique": True})
     test_domain: str | None = None
     n_seeds: int = field(default=3, metadata={"ge": 1})
     base_seed: int = 0
-    alpha_grid: tuple[float, ...] = field(default=DEFAULT_ALPHA_GRID, metadata={"ge": 0})
-    beta_grid: tuple[float, ...] = field(default=DEFAULT_BETA_GRID, metadata={"gt": 0})
-    selection: str = "training_domain"
+    alpha_grid: tuple[float, ...] = field(
+        default=DEFAULT_ALPHA_GRID, metadata={"ge": 0, "min_len": 1, "unique": True})
+    beta_grid: tuple[float, ...] = field(
+        default=DEFAULT_BETA_GRID, metadata={"gt": 0, "min_len": 1, "unique": True})
+    selection: str = field(default="training_domain", metadata={"in": SELECTIONS})
     split_ratio: float = field(default=0.8, metadata={"gt": 0, "lt": 1})
     d_inv: int = field(default=5, metadata={"ge": 1})
     d_spur: int = field(default=5, metadata={"ge": 1})
-    feat_hidden: tuple[int, ...] = field(default=(16, 8), metadata={"ge": 1})
+    feat_hidden: tuple[int, ...] = field(default=(16, 8), metadata={"ge": 1, "min_len": 1})
     cls_hidden: tuple[int, ...] = field(default=(16,), metadata={"ge": 1})
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
         check_field_types(self)
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if len(self.domains) < 2:
-            raise ValueError("need at least two domains")
         ids = [d.domain_id for d in self.domains]
         if len(set(ids)) != len(ids):
             raise ValueError("domain ids must be unique")
@@ -86,20 +87,9 @@ class ExperimentConfig:
             raise ValueError(
                 "training domain id 'merged' is reserved: it keys the merged step's RNG streams"
             )
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; expected from {ALGORITHMS}")
-        if len(self.algorithms) == 0:
-            raise ValueError("need at least one algorithm")
-        if any(not g or len(set(g)) < len(g) for g in (self.alpha_grid, self.beta_grid)):
-            raise ValueError("alpha and beta grids must be non-empty and must not repeat a value")
-        if self.selection not in ("training_domain", "leave_one_out"):
-            raise ValueError(f"unknown selection mode {self.selection!r}")
         for d in self.domains:
             if d.domain_id != self.test_domain:  # a pinned held-out domain is never split
                 train_rows(d.domain_id, d.n_samples, self.split_ratio)
-        if not self.feat_hidden:
-            raise ValueError("feat_hidden must not be empty")
 
     @property
     def feature_dim(self) -> int:
@@ -111,13 +101,24 @@ class ExperimentConfig:
         return feat, cls
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """json.load's object_pairs_hook: the object, unless it gives a key twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     """The config in a JSON file.  Every error the file's contents cause (JSON
-    syntax, an unknown or missing key, a value of the wrong type or out of
-    range) raises ValueError as "<path>: <message>"."""
+    syntax, a key given twice in one object, an unknown or missing key, a value
+    of the wrong type or one that breaks its field's rules) raises ValueError
+    as "<path>: <message>"."""
     try:
         with open(path) as fh:
-            return read_config(ExperimentConfig, json.load(fh))
+            return read_config(ExperimentConfig, json.load(fh, object_pairs_hook=_unique_keys))
     except TypeError as exc:
         raise ValueError(f"{path}: a config value has the wrong type ({exc})") from exc
     except ValueError as exc:  # json.JSONDecodeError included
@@ -158,15 +159,15 @@ def default_benchmark_config() -> ExperimentConfig:
 class ResultRow:
     """One training run.  alpha/beta are None where the algorithm has no such
     knob; val_acc/test_acc are None when the run aborted (scored -inf at
-    selection time)."""
+    selection time).  Its rules are checked on rows read from a file only."""
 
     algorithm: str
     test_domain: str
     seed: int
     alpha: float | None
     beta: float | None
-    val_acc: float | None
-    test_acc: float | None
+    val_acc: float | None = field(metadata={"ge": 0, "le": 1})
+    test_acc: float | None = field(metadata={"ge": 0, "le": 1})
     wall_ms: int
 
 
@@ -430,19 +431,11 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
             )
 
 
-def _float_cell(text: str, name: str, accuracy: bool = False) -> float | None:
-    """An optional float cell: empty is None; NaN, an infinity, or an accuracy
-    outside [0, 1] is refused."""
-    value = None if text == "" else float(text)
-    if value is not None and not (0.0 <= value <= 1.0 if accuracy else np.isfinite(value)):
-        raise ValueError(f"{name} must {'lie in [0, 1]' if accuracy else 'be finite'}, got {text!r}")
-    return value
-
-
 def read_results_csv(path) -> list[ResultRow]:
     """Rows of a results.csv; a row without exactly one field per header
-    column, or with a cell that does not parse or holds an impossible value,
-    raises ValueError naming its line."""
+    column, or with a cell that does not parse or breaks its field's rules
+    (check_field_types), raises ValueError naming its line."""
+    cell = lambda text: None if text == "" else float(text)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -456,20 +449,12 @@ def read_results_csv(path) -> list[ResultRow]:
                     f"{where}: expected {len(RESULTS_HEADER)} fields, got {len(rec)}"
                 )
             try:
-                rows.append(
-                    ResultRow(
-                        algorithm=rec[0],
-                        test_domain=rec[1],
-                        seed=int(rec[2]),
-                        alpha=_float_cell(rec[3], "alpha"),
-                        beta=_float_cell(rec[4], "beta"),
-                        val_acc=_float_cell(rec[5], "val_acc", accuracy=True),
-                        test_acc=_float_cell(rec[6], "test_acc", accuracy=True),
-                        wall_ms=int(rec[7]),
-                    )
-                )
+                row = ResultRow(rec[0], rec[1], int(rec[2]), cell(rec[3]), cell(rec[4]),
+                                cell(rec[5]), cell(rec[6]), int(rec[7]))
+                check_field_types(row)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            rows.append(row)
     return rows
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ptg.harness
-from ptg.datasets import DomainSpec, read_config
+from ptg.datasets import DomainSpec, check_field_types, read_config
 from ptg.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -87,7 +87,7 @@ class TestExperimentConfig:
             tiny_config(n_seeds=0)
         with pytest.raises(ValueError, match="domain ids must be unique"):
             tiny_config(domains=(DomainSpec("a", 10), DomainSpec("a", 20)), test_domain=None)
-        with pytest.raises(ValueError, match="need at least one algorithm"):
+        with pytest.raises(ValueError, match="algorithms must have length >= 1"):
             tiny_config(algorithms=())
         with pytest.raises(ValueError, match="training domain id 'merged' is reserved"):
             tiny_config(domains=(DomainSpec("a", 10), DomainSpec("merged", 20)), test_domain=None)
@@ -175,18 +175,20 @@ class TestExperimentConfig:
         ('"family"', "family", "Expecting property name enclosed in double quotes"),
         ('"family"', '"famly"', "unknown experiment config keys ['famly']"),
         ('"base_lr": 0.005', '"base_lr": -1', "base_lr must be > 0, got -1"),
-        ('"training_domain"', '"oracle"', "unknown selection mode 'oracle'"),
+        ('"training_domain"', '"oracle"',
+         "selection must be one of ('training_domain', 'leave_one_out'), got 'oracle'"),
         ('"split_ratio": 0.8', '"split_ratio": 1.5', "split_ratio must be < 1, got 1.5"),
         ('"d_inv": 5', '"d_inv": 0', "d_inv must be >= 1, got 0"),
         (FEAT_HIDDEN, '"feat_hidden": [0, 16]', "feat_hidden must be >= 1, got 0"),
-        (FEAT_HIDDEN, '"feat_hidden": []', "feat_hidden must not be empty"),
+        (FEAT_HIDDEN, '"feat_hidden": []', "feat_hidden must have length >= 1, got ()"),
         (CLS_HIDDEN, '"cls_hidden": [0]', "cls_hidden must be >= 1, got 0"),
         ('"train_a",\n      "n_samples": 4000', '"train_a",\n      "n_samples": 1',
          "domain 'train_a': a split of 1 samples at ratio 0.8 leaves an empty side"),
         ('"train_a"', '"merged"', "training domain id 'merged' is reserved"),
+        ('"erm_bayesian"', '"erm"', "algorithms must not repeat a value, got ('erm', 'erm', 'ptg', 'ptg_lite')"),
     ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode", "split-ratio", "d-inv",
             "zero-width", "no-featurizer-layer", "zero-width-head", "empty-split-side",
-            "domain-named-merged"])
+            "domain-named-merged", "repeated-algorithm"])
     def test_every_load_error_names_the_file(self, tmp_path, old, new, message):
         text = (REPO / "configs" / "default.json").read_text()
         assert text.count(old) == 1
@@ -195,6 +197,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError) as ei:
             load_config(path)
         assert str(ei.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"n_seeds": 2', '"n_seeds": 2,\n  "n_seeds": 5', "n_seeds"),
+        ('"domain_id": "deg30"', '"domain_id": "deg30",\n      "domain_id": "deg31"', "domain_id"),
+        ('"bayes_steps": 500', '"bayes_steps": 500,\n    "bayes_steps": 50', "bayes_steps"),
+    ], ids=["top", "domain", "train"])
+    def test_a_key_given_twice_is_refused(self, tmp_path, old, new, key):
+        # json.load alone keeps the last value, so "n_seeds" would load as 5
+        text = (REPO / "configs" / "moons_l1o.json").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as ei:
+            load_config(path)
+        assert str(ei.value) == f"{path}: config key {key!r} is given twice"
 
     def test_shipped_config_is_the_default_benchmark(self):
         assert load_config(REPO / "configs" / "default.json") == default_benchmark_config()
@@ -213,18 +230,31 @@ class TestExperimentConfig:
         check_domain_counts(config)  # every algorithm gets enough training domains
 
 
+# a valid instance of every class that declares rules on its fields
+_VALID = {
+    TrainConfig: TrainConfig,
+    ExperimentConfig: default_benchmark_config,
+    DomainSpec: lambda: DomainSpec("a", 10),
+    ResultRow: lambda: ResultRow("erm", "c", 0, None, None, 0.9, 0.8, 12),
+}
+
+
 def _bounds():
-    """(class, field, key, bound) for every range declared on a config field."""
-    return [(cls, f, key, bound) for cls in (TrainConfig, ExperimentConfig, DomainSpec)
+    """(class, field, key, rule) for every rule declared on a config field or a
+    results.csv column."""
+    return [(cls, f, key, bound) for cls in _VALID
             for f in dataclasses.fields(cls) for key, bound in f.metadata.items()]
 
 
 def _build(cls, name, value):
-    if cls is TrainConfig:
-        return TrainConfig(**{name: value})
-    if cls is DomainSpec:
-        return DomainSpec("a", **{"n_samples": 10, name: value})
-    return dataclasses.replace(default_benchmark_config(), **{name: value})
+    """A valid instance with one field changed, checked as a file's values are
+    (a ResultRow does not check itself)."""
+    built = dataclasses.replace(_VALID[cls](), **{name: value})
+    check_field_types(built)
+    return built
+
+
+_RULE_IDS = lambda v: getattr(v, "name", getattr(v, "__name__", str(v)))
 
 
 class TestDeclaredBounds:
@@ -243,10 +273,23 @@ class TestDeclaredBounds:
             ("ExperimentConfig", "cls_hidden", "ge", 1), ("DomainSpec", "n_samples", "ge", 1),
             ("DomainSpec", "spurious_correlation", "ge", -1),
             ("DomainSpec", "spurious_correlation", "le", 1), ("DomainSpec", "noise_std", "ge", 0),
+            ("ExperimentConfig", "family", "in", ("spurious_blobs", "rotated_moons")),
+            ("ExperimentConfig", "selection", "in", ("training_domain", "leave_one_out")),
+            ("ExperimentConfig", "algorithms", "in", ("erm", "erm_bayesian", "ptg", "ptg_lite")),
+            ("ExperimentConfig", "algorithms", "min_len", 1),
+            ("ExperimentConfig", "algorithms", "unique", True),
+            ("ExperimentConfig", "domains", "min_len", 2),
+            ("ExperimentConfig", "alpha_grid", "min_len", 1),
+            ("ExperimentConfig", "alpha_grid", "unique", True),
+            ("ExperimentConfig", "beta_grid", "min_len", 1),
+            ("ExperimentConfig", "beta_grid", "unique", True),
+            ("ExperimentConfig", "feat_hidden", "min_len", 1), ("DomainSpec", "domain_id", "min_len", 1),
+            ("ResultRow", "val_acc", "ge", 0), ("ResultRow", "val_acc", "le", 1),
+            ("ResultRow", "test_acc", "ge", 0), ("ResultRow", "test_acc", "le", 1),
         }
 
-    @pytest.mark.parametrize("cls, f, key, bound", _bounds(),
-                             ids=lambda v: getattr(v, "name", getattr(v, "__name__", str(v))))
+    @pytest.mark.parametrize("cls, f, key, bound",
+                             [b for b in _bounds() if b[2] in ("ge", "gt", "le", "lt")], ids=_RULE_IDS)
     def test_edge_and_the_nearest_value_past_it(self, cls, f, key, bound):
         # an inclusive bound takes its edge and refuses the nearest value outside;
         # an exclusive bound refuses its edge.  A tuple field holds the value
@@ -267,6 +310,33 @@ class TestDeclaredBounds:
         with pytest.raises(ValueError) as ei:
             _build(cls, f.name, wrap(past))
         assert str(ei.value) == f"{f.name} must be {sign} {bound}, got {past}"
+
+    @pytest.mark.parametrize("cls, f, key, rule",
+                             [b for b in _bounds() if b[2] in ("in", "min_len", "unique")], ids=_RULE_IDS)
+    def test_allowed_values_least_length_and_no_repeats(self, cls, f, key, rule):
+        # every allowed value is taken and a near miss refused; a least length
+        # takes a value of that length and refuses one entry fewer; a value
+        # without repeats is taken and refused once its first entry comes again
+        value = getattr(_VALID[cls](), f.name)
+        is_tuple = isinstance(value, tuple)
+        if key == "in":
+            for allowed in rule:
+                good = (allowed,) if is_tuple else allowed
+                assert getattr(_build(cls, f.name, good), f.name) == good
+            miss = rule[0] + "_"
+            bad, message = ((value[0], miss) if is_tuple else miss), f"must be one of {rule}, got {miss!r}"
+        elif key == "min_len":
+            edge = value[len(value) - rule:]
+            assert getattr(_build(cls, f.name, edge), f.name) == edge
+            bad = edge[1:]
+            message = f"must have length >= {rule}, got {bad!r}"
+        else:
+            assert getattr(_build(cls, f.name, value), f.name) == value
+            bad = value + value[:1]
+            message = f"must not repeat a value, got {bad!r}"
+        with pytest.raises(ValueError) as ei:
+            _build(cls, f.name, bad)
+        assert str(ei.value) == f"{f.name} {message}"
 
 
 class TestGrid:
