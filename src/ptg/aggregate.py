@@ -26,13 +26,14 @@ COV_EPSILON = 1e-8
 _COV_BIN_EDGES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, np.inf)
 
 
-def _stable_mean(stack: np.ndarray) -> np.ndarray:
+def _stable_mean(stack: np.ndarray, ties: np.ndarray | None = None) -> np.ndarray:
     """Row mean with order-independent rounding.
 
     Sorting each column before summation fixes the accumulation order, and
     columns where every row is identical return that value exactly (sum/N is
     not an identity in float64, e.g. three copies of 0.1).  Three rows (the
     shipped configs' domain count) take a min/max network with the same sum.
+    ties is that mask of identical columns, for a caller that already has it.
     """
     if stack.shape[0] == 3:
         a, b, c = stack
@@ -43,7 +44,9 @@ def _stable_mean(stack: np.ndarray) -> np.ndarray:
     else:
         mean = np.sort(stack, axis=0).sum(axis=0)
     mean /= stack.shape[0]
-    np.copyto(mean, stack[0], where=np.logical_and.reduce(stack == stack[0], axis=0))
+    if ties is None:
+        ties = np.logical_and.reduce(stack == stack[0], axis=0)
+    np.copyto(mean, stack[0], where=ties)
     return mean
 
 
@@ -78,14 +81,15 @@ def moment_match(posteriors: Sequence[GaussianVariational]) -> AggregateResult:
     rho_stack = np.stack([q.rho for q in posteriors])
     sigma_stack = softplus(rho_stack)
 
-    mu = _stable_mean(mu_stack)
+    mu_ties = np.logical_and.reduce(mu_stack == mu_stack[0], axis=0)
+    mu = _stable_mean(mu_stack, mu_ties)
     within = _stable_mean(sigma_stack**2)
     between = _stable_mean((mu_stack - mu) ** 2)
     sigma = np.sqrt(within + between)
 
     # coordinates where every component is bitwise identical stay untouched,
     # including their rho encoding
-    ties = np.all(mu_stack == mu_stack[0], axis=0) & np.all(rho_stack == rho_stack[0], axis=0)
+    ties = mu_ties & np.logical_and.reduce(rho_stack == rho_stack[0], axis=0)
     rho = np.where(ties, rho_stack[0], softplus_inv(sigma))
     return AggregateResult(
         q0=GaussianVariational.wrap(spec, np.concatenate([mu, rho])),

@@ -168,7 +168,7 @@ class ResultRow:
     beta: float | None
     val_acc: float | None = field(metadata={"ge": 0, "le": 1})
     test_acc: float | None = field(metadata={"ge": 0, "le": 1})
-    wall_ms: int
+    wall_ms: int = field(metadata={"ge": 0})
 
 
 RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
@@ -356,13 +356,24 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
     Scores a grid point by mean validation accuracy over repetitions, with a
     failed run counting -inf.  Ascending grid order plus strict improvement
     breaks ties toward smaller alpha, then smaller beta.  Every expected cell
-    must be present exactly once.
+    must be present exactly once, and a row the config does not expect (an
+    algorithm, held-out domain, grid point or repetition it does not run) is
+    refused by name.
     """
+    expected = {
+        (algorithm, test_domain, alpha, beta, rep)
+        for algorithm in config.algorithms
+        for test_domain in held_out_domains(config)
+        for alpha, beta in grid_for(algorithm, config)
+        for rep in range(config.n_seeds)
+    }
     table: dict[tuple, ResultRow] = {}
     for r in rows:
         k = (r.algorithm, r.test_domain, r.alpha, r.beta, r.seed)
         if k in table:
             raise ValueError(f"duplicate result row for {k}")
+        if k not in expected:
+            raise ValueError(f"unexpected result row for {k}: the config does not run it")
         table[k] = r
     out = []
     for algorithm in config.algorithms:

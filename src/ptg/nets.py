@@ -15,13 +15,16 @@ the tape ``forward`` records holds the weights it ran, so ``backward`` needs
 only the tape and the upstream gradient.  There is one implementation of the
 forward and backward pass: ``loss_and_gradients`` composes the public
 ``forward``, ``cross_entropy`` and ``backward`` for every training loss.
-``forward`` also runs k models at once: a flat of shape (k, param_count)
-wraps to W of shape (k, d_in, d_out) and b of shape (k, 1, d_out), and an
-input may carry the same leading model axis, (k, n, d_in).  Model j of such a
-pass gives the bits of its own unstacked pass, and ``cross_entropy_value``
-reads one mean cross-entropy per model off the stacked logits, through the
-log-softmax that ``cross_entropy`` uses.  Finite differences evaluate all
-their perturbed points this way; ``backward`` takes single-model tapes only.
+The same code runs k models at once: a flat of shape (k, param_count)
+wraps to W of shape (k, d_in, d_out) and b of shape (k, 1, d_out), an input
+may carry the same leading model axis, (k, n, d_in), and ``cross_entropy``
+takes stacked logits (k, n, c) with labels (k, n).  ``backward`` replays such
+a stacked tape into a (k, param_count) gradient, and can skip the parameter
+gradient where only the gradient at the input is read (a frozen classifier).
+Model j of a stacked pass gives the bits of its own unstacked pass.
+``cross_entropy_value`` reads one mean cross-entropy per model off stacked
+logits, through the same log-softmax; finite differences evaluate all their
+perturbed points this way.
 Gradients are flat float64 vectors in the ``WeightSet`` flat order (a
 posterior's packed ``[mu | rho]`` is named ``flat`` too).  The gradient
 w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``, formed
@@ -177,7 +180,8 @@ def forward(ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     spec = ws.spec
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != spec.layer_dims[0]:
-        raise ValueError(f"expected input shape (n, {spec.layer_dims[0]}), got {x.shape}")
+        got = x.shape[-2:] if x.ndim == 3 else x.shape  # one model's share of a stacked input
+        raise ValueError(f"expected input shape (n, {spec.layer_dims[0]}), got {got}")
     inputs, preacts = [], []
     h = x
     for i in range(spec.n_layers):
@@ -189,14 +193,19 @@ def forward(ws: WeightSet, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     return h, ForwardTape(ws, inputs, preacts)
 
 
-def backward(tape: ForwardTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backward(
+    tape: ForwardTape, d_out: np.ndarray, params: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Backpropagate d_out through the recorded tape and the weights it holds.
 
     Returns (flat parameter gradient, gradient at the first layer's
     pre-activation).  The parameter gradient is written layer by layer into
-    one fresh vector.  The gradient w.r.t. the batch input is
-    ``dz0 @ tape.ws.weights[0].T``; for a one-layer net dz0 is d_out itself.
-    The ReLU subgradient at exactly zero is taken as zero.
+    one fresh vector; params=False skips it and returns None in its place.
+    The gradient w.r.t. the batch input is ``dz0 @ tape.ws.weights[0].T``
+    (swap the last two axes of stacked weights); for a one-layer net dz0 is
+    d_out itself.  The ReLU subgradient at exactly zero is taken as zero.
+    A stacked tape, with d_out of shape (k, n, d_out), gives one gradient
+    row per model, (k, param_count).
     """
     ws = tape.ws
     spec = ws.spec
@@ -206,31 +215,39 @@ def backward(tape: ForwardTape, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"upstream gradient shape {d_out.shape} does not match outputs "
             f"{tape.preacts[-1].shape}; stale tape?"
         )
-    grad = np.empty(spec.param_count)
+    models = d_out.shape[:-2]  # () for one model, (k,) for a stack
+    grad = np.empty(models + (spec.param_count,)) if params else None
     dz = d_out
     for i in range(spec.n_layers - 1, -1, -1):
-        w, b, shape = spec.layer_slices[i]
-        np.matmul(tape.inputs[i].T, dz, out=grad[w].reshape(shape))
-        np.add.reduce(dz, axis=0, out=grad[b])
+        if params:
+            w, b, shape = spec.layer_slices[i]
+            # per model: inputs.T @ dz into the W block, dz summed over the batch axis into b
+            np.matmul(tape.inputs[i].swapaxes(-1, -2), dz, out=grad[..., w].reshape(models + shape))
+            np.add.reduce(dz, axis=-2, out=grad[..., b])
         if i:
-            dz = dz @ ws.weights[i].T
+            dz = dz @ ws.weights[i].swapaxes(-1, -2)
             dz *= tape.preacts[i - 1] > 0.0  # dz is the fresh product, never d_out
     return grad, dz
 
 
 def loss_and_gradients(
-    feat: WeightSet, classifier: WeightSet, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    feat: WeightSet, classifier: WeightSet, x: np.ndarray, y: np.ndarray,
+    classifier_grad: bool = True,
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Cross-entropy of classifier(feat(x)) against labels y, with gradients.
 
     Returns (loss, flat featurizer gradient, flat classifier gradient,
     gradient at the featurizer's first pre-activation).  The gradient w.r.t.
     the batch input x is the last times ``feat.weights[0].T``.
+    classifier_grad=False is for a frozen classifier: the pass runs through
+    it for the featurizer's gradient only, and its own gradient is None.
+    k stacked featurizers with x of shape (k, n, d_in) and y of shape (k, n)
+    give k losses and a (k, param_count) featurizer gradient.
     """
     feats, tape_f = forward(feat, x)
     logits, tape_c = forward(classifier, feats)
     loss, d_logits = cross_entropy(logits, y)
-    grad_cls, dz0_cls = backward(tape_c, d_logits)
+    grad_cls, dz0_cls = backward(tape_c, d_logits, classifier_grad)
     grad_feat, dz0_feat = backward(tape_f, dz0_cls @ classifier.weights[0].T)
     return loss, grad_feat, grad_cls, dz0_feat
 
@@ -267,26 +284,35 @@ def cross_entropy_value(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(np.add.reduce(picked, axis=-1) / n)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch plus the gradient w.r.t. logits.
 
     Uses the log-sum-exp form so large logits do not overflow.  labels are
-    integer class indices in [0, n_classes).
+    integer class indices in [0, n_classes), one per logit row.  Stacked
+    logits (k, n, c) with labels (k, n) give k losses as an array, each
+    with the bits of its own call.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
+    if logits.ndim not in (2, 3):
+        raise ValueError(f"expected logits of shape (n, c) or (k, n, c), got {logits.shape}")
+    if labels.shape != logits.shape[:-1]:
+        want = " x ".join(map(str, logits.shape[:-1]))
+        raise ValueError(f"expected {want} labels, got shape {labels.shape}")
+    n, c = logits.shape[-2:]
+    picks = labels.ravel()
+    if np.minimum.reduce(picks) < 0 or np.maximum.reduce(picks) >= c:
         raise ValueError(f"labels must lie in [0, {c})")
     log_probs = _log_softmax(logits)
-    rows = np.arange(n)
-    loss = -float(np.add.reduce(log_probs[rows, labels]) / n)  # .mean(), without its wrapper
+    # the flat index of each row's label logit serves one model and a stack alike
+    at = np.arange(0, picks.size * c, c)
+    at += picks
+    picked = log_probs.reshape(-1)[at].reshape(labels.shape)
+    loss = -(np.add.reduce(picked, axis=-1) / n)  # .mean(), without its wrapper
     d_logits = np.exp(log_probs)
-    d_logits[rows, labels] -= 1.0
+    d_logits.reshape(-1)[at] -= 1.0
     d_logits /= n
-    return loss, d_logits
+    return (float(loss) if loss.ndim == 0 else loss), d_logits
 
 
 ADAM_BETA1 = 0.9

@@ -14,10 +14,14 @@ classifier head:
   coefficient-of-variation dropout each iteration.
 
 Every model keeps its parameters in one vector ``model.flat`` (``[mu | rho]``
-for a posterior) that Adam steps in place.  A step is a plain function
+for a posterior) that Adam steps in place; the D per-domain models of an
+aggregation run are the rows of one (D, P) array.  A step is a plain function
 step(model, classifier, batch, weight, prior, eps_rng) -> (loss, gradient in
 the layout of model.flat, classifier gradient, kl): _ce_step for erm,
-_elbo_step for erm_bayesian and ptg, _map_loss for ptg_lite.
+_elbo_step for erm_bayesian and ptg, _map_loss for ptg_lite.  The per-domain
+steps, with the classifier frozen, take a block of those rows at once:
+_elbo_domain_steps runs one ELBO step per posterior, _map_domain_steps one
+stacked MAP pass for the whole block.
 
 The loops create every RNG stream, keyed by (seed, purpose, domain_id or
 "merged", so no training domain may be called "merged"), and pass the eps
@@ -30,6 +34,7 @@ network bitwise at its initialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -135,7 +140,8 @@ class FeaturizerBank:
     reported: moment_match's variance split for ptg (its q0 is f0 itself),
     cov_dropout's mask report for ptg_lite.  The merged step after that
     aggregation moves only f0 and the classifier, so the report describes
-    the per-domain models as returned."""
+    the per-domain models as returned.  The per-domain models are views of
+    the rows of one (D, P) array, the one the loop stepped."""
 
     f0: GaussianVariational | WeightSet
     per_domain: dict[str, GaussianVariational | WeightSet]
@@ -196,19 +202,23 @@ def init_pair(
     return init_weights(feat_spec, rng), init_weights(cls_spec, rng)
 
 
-def _map_loss(feat, cls, batch, l2_weight, prior, eps_rng):
+def _map_loss(feat, cls, batch, l2_weight, prior, eps_rng, classifier_grad=True):
     """ptg_lite's step: cross-entropy plus l2_weight * ||w - prior.mean||^2 /
     (2 prior.std^2) on the featurizer, with the unweighted L2 term (the MAP
-    analogue of the ELBO's KL) as kl.  Deterministic: eps_rng goes unread."""
-    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
+    analogue of the ELBO's KL) as kl.  Deterministic: eps_rng goes unread.
+
+    k stacked featurizers, with a stacked batch and l2_weight an array of k
+    weights, give k losses and kls as lists and a (k, P) gradient, each model
+    to the bits of its own call.  classifier_grad as in loss_and_gradients."""
+    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch, classifier_grad)
     centered = feat.flat - prior.mean
     s2 = prior.std**2
-    sq = float(np.add.reduce(centered * centered))
+    sq = np.add.reduce(centered * centered, axis=-1)
     loss = ce + l2_weight * sq / (2.0 * s2)
-    g = np.multiply(centered, l2_weight, out=centered)
+    g = np.multiply(centered, np.asarray(l2_weight)[..., None], out=centered)
     g /= s2
     g += grad_feat
-    return loss, g, grad_cls, sq / (2.0 * s2)
+    return loss.tolist(), g, grad_cls, (sq / (2.0 * s2)).tolist()
 
 
 def _ce_step(feat, cls, batch, kl_weight, prior, eps_rng):
@@ -218,10 +228,33 @@ def _ce_step(feat, cls, batch, kl_weight, prior, eps_rng):
     return ce, grad_feat, grad_cls, None
 
 
-def _elbo_step(q, cls, batch, kl_weight, prior, eps_rng):
+def _elbo_step(q, cls, batch, kl_weight, prior, eps_rng, classifier_grad=True):
     """The posterior procedures' step: one reparameterized ELBO evaluation
     with one eps drawn from eps_rng."""
-    return elbo_loss(q, cls, batch, kl_weight, eps_rng.standard_normal(q.mu.shape[0]), prior)
+    eps = eps_rng.standard_normal(q.mu.shape[0])
+    return elbo_loss(q, cls, batch, kl_weight, eps, prior, classifier_grad)
+
+
+def _elbo_domain_steps(models, cls, batches, kl_weights, prior, eps_rngs):
+    """ptg's per-domain step for a stacked block of k posteriors: one
+    _elbo_step per row, each with its own batch, weight and eps stream, and
+    the classifier frozen.  Returns the k losses and k gradients."""
+    steps = [
+        _elbo_step(GaussianVariational.wrap(models.spec, flat), cls, batch, w, prior, rng, False)
+        for flat, batch, w, rng in zip(models.flat, batches, kl_weights, eps_rngs)
+    ]
+    return [s[0] for s in steps], [s[1] for s in steps]
+
+
+def _map_domain_steps(models, cls, batches, l2_weights, prior, eps_rngs):
+    """ptg_lite's per-domain step for a stacked block of k point estimates
+    whose batches share one shape: one stacked _map_loss pass, the classifier
+    frozen.  Returns the k losses and the (k, P) gradient."""
+    k = len(batches)
+    x = np.concatenate([b[0] for b in batches]).reshape(k, -1, batches[0][0].shape[-1])
+    y = np.concatenate([b[1] for b in batches]).reshape(k, -1)
+    loss, g, _, _ = _map_loss(models, cls, (x, y), np.array(l2_weights), prior, None, False)
+    return loss, g
 
 
 def _pooled_loop(domains, feat, cls, config, steps: int, step):
@@ -297,14 +330,19 @@ def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
     return f0, ~report.kept_mask, report.dropped_count, report
 
 
-def _aggregation_loop(domains, init_feat, init_cls, config, step, aggregate):
+def _aggregation_loop(domains, init_feat, init_cls, config, step, domain_steps, aggregate):
     """The outer loop of ptg and ptg_lite (see ptg_train); step is as in
-    _pooled_loop, and aggregate(models, config) returns (shared model, mask of
-    the coordinates it dropped or None, their count, the aggregation's report).
-    Domain i has its own batch and eps streams; the merged step's key is "merged"."""
+    _pooled_loop, domain_steps(models, classifier, batches, weights, prior,
+    eps_rngs) -> (losses, gradients) steps a stacked block of per-domain
+    models, and aggregate(models, config) returns (shared model, mask of the
+    coordinates it dropped or None, their count, the aggregation's report).
+    Domain i has its own batch and eps streams; the merged step's key is
+    "merged".  The per-domain models are the rows of one (D, P) array, ordered
+    by batch size and then id, so each block of domains whose batches share
+    a shape (a domain smaller than batch_size draws smaller ones) is one
+    contiguous slice, stepped by one domain_steps call."""
     domains = _check_domains(domains, minimum=2)
     ids = [d.domain_id for d in domains]
-    per = {i: init_feat.copy() for i in ids}
     cls = init_cls.copy()
     lr = config.alpha * config.base_lr
     batch_streams = {
@@ -317,20 +355,35 @@ def _aggregation_loop(domains, init_feat, init_cls, config, step, aggregate):
     states = {i: AdamState.zeros(init_feat.flat.size) for i in ids}
     st_0 = AdamState.zeros(init_feat.flat.size)
     st_c = AdamState.zeros(cls.spec.param_count)
+
+    batch_rows = lambda i: batch_streams[i].batch_size
+    by_shape = sorted(ids, key=batch_rows)  # stable: ids stay sorted
+    rows = np.tile(init_feat.flat, (len(ids), 1))
+    wrap, spec = type(init_feat).wrap, init_feat.spec
+    per = {i: wrap(spec, rows[by_shape.index(i)]) for i in ids}
+    blocks, start = [], 0
+    for _, block in groupby(by_shape, key=batch_rows):
+        block = list(block)
+        blocks.append((block, wrap(spec, rows[start : start + len(block)])))
+        start += len(block)
+
     history = []
     for it in range(config.outer_iterations):
-        row = {"iteration": it}
-        drawn = []
-        for i in ids:
-            batch = batch_streams[i].next_batch()
-            drawn.append(batch)
-            loss, g_feat, _, _ = step(per[i], cls, batch, klw[i], config.prior, eps[i])
-            adam_step(per[i].flat, g_feat, states[i], lr)
-            row[f"loss_{i}"] = loss
+        drawn = {i: batch_streams[i].next_batch() for i in ids}
+        losses = {}
+        for block, models in blocks:
+            block_losses, grads = domain_steps(
+                models, cls, [drawn[i] for i in block], [klw[i] for i in block],
+                config.prior, [eps[i] for i in block],
+            )
+            for i, loss, g in zip(block, block_losses, grads):
+                adam_step(per[i].flat, g, states[i], lr)
+                losses[i] = loss
+        row = {"iteration": it, **{f"loss_{i}": losses[i] for i in ids}}
 
         f0, dropped, dropped_count, result = aggregate([per[i] for i in ids], config)
 
-        merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
+        merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn.values()))
         loss, g_feat, g_cls, kl = step(f0, cls, merged, klw_m, config.prior, eps["merged"])
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
@@ -359,7 +412,9 @@ def ptg_train(
     posteriors; (c) the shared posterior and the classifier take one
     variational step on the concatenation of this iteration's minibatches.
     """
-    return _aggregation_loop(domains, init_q, init_cls, config, _elbo_step, _match_posteriors)
+    return _aggregation_loop(
+        domains, init_q, init_cls, config, _elbo_step, _elbo_domain_steps, _match_posteriors
+    )
 
 
 def ptg_lite_train(
@@ -378,7 +433,9 @@ def ptg_lite_train(
     on (shared featurizer, classifier) cannot resurrect it; the mask is
     recomputed at the next aggregation.
     """
-    return _aggregation_loop(domains, init_feat, init_cls, config, _map_loss, _mask_point_estimates)
+    return _aggregation_loop(
+        domains, init_feat, init_cls, config, _map_loss, _map_domain_steps, _mask_point_estimates
+    )
 
 
 ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")

@@ -157,7 +157,8 @@ def elbo_loss(
     kl_weight: float,
     eps: np.ndarray,
     prior: PriorSpec = PriorSpec(),
-) -> tuple[float, np.ndarray, np.ndarray, float]:
+    classifier_grad: bool = True,
+) -> tuple[float, np.ndarray, np.ndarray | None, float]:
     """Single-sample variational loss kl_weight * KL + cross-entropy.
 
     Returns the step tuple of every training loss: (loss, gradient in the
@@ -168,7 +169,9 @@ def elbo_loss(
     d omega / d rho = eps * sigmoid(rho)) and to the classifier weights
     directly.  batch=None drops the likelihood term, in which case the loss is
     kl_weight * KL alone.  softplus(rho) and sigmoid(rho) are computed once and
-    shared by the sample, the KL and both gradients.
+    shared by the sample, the KL and both gradients.  With a batch,
+    classifier_grad=False is for a frozen classifier: its gradient is not
+    formed and comes back as None.
     """
     if not kl_weight >= 0:  # a NaN weight fails this too
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
@@ -182,7 +185,7 @@ def elbo_loss(
         return kl_weight * kl, grad, np.zeros(classifier.spec.param_count), kl
     x, y = batch
     feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
-    ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y)
+    ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y, classifier_grad)
     n = g_omega.size
     grad[:n] += g_omega
     g_rho = g_omega * eps

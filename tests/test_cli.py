@@ -489,6 +489,7 @@ class TestExitCodes:
         ("ptg,c,0,0.1,,1.5,0.8,12", "val_acc must be <= 1, got 1.5"),
         ("ptg,c,0,0.1,,0.9,-inf,12", "test_acc must be finite, got -inf"),
         ("ptg,c,0,0.1,,0.9,-0.1,12", "test_acc must be >= 0, got -0.1"),
+        ("erm,c,0,,,0.9,0.8,-5", "wall_ms must be >= 0, got -5"),
     ])
     def test_summarize_names_the_line_of_a_cell_that_does_not_parse(
         self, config_path, tmp_path, capsys, row, message
@@ -500,6 +501,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad} line 3: {message}" in err
         assert "Traceback" not in err
+
+    def test_summarize_names_a_row_the_config_does_not_run(self, config_path, tmp_path, capsys):
+        # the config's four expected rows are all there, and one for a domain it does not hold out
+        expected = ["erm,c,0,,,0.9,0.8,12", "erm_bayesian,c,0,,,0.9,0.8,12",
+                    "ptg,c,0,0.1,,0.9,0.8,12", "ptg_lite,c,0,0.1,0.1,0.9,0.8,12"]
+        rows = tmp_path / "rows.csv"
+        rows.write_text("\n".join([",".join(RESULTS_HEADER), *expected, "erm,zz,0,,,0.9,0.8,12"]) + "\n")
+        out = tmp_path / "summary"
+        assert main(["summarize", "--config", config_path, "--out", str(out), str(rows)]) == 1
+        err = capsys.readouterr().err
+        assert "unexpected result row for ('erm', 'zz', None, None, 0)" in err
+        assert "Traceback" not in err
+        assert not (out / "selection.json").exists()
+        rows.write_text("\n".join([",".join(RESULTS_HEADER), *expected]) + "\n")
+        assert main(["summarize", "--config", config_path, "--out", str(out), str(rows)]) == 0
 
     @pytest.mark.parametrize("where, value", [
         ("alpha_grid", 0.1), ("outer_iterations", "10"), ("domain", ["a", 100]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -286,6 +287,7 @@ class TestDeclaredBounds:
             ("ExperimentConfig", "feat_hidden", "min_len", 1), ("DomainSpec", "domain_id", "min_len", 1),
             ("ResultRow", "val_acc", "ge", 0), ("ResultRow", "val_acc", "le", 1),
             ("ResultRow", "test_acc", "ge", 0), ("ResultRow", "test_acc", "le", 1),
+            ("ResultRow", "wall_ms", "ge", 0),
         }
 
     @pytest.mark.parametrize("cls, f, key, bound",
@@ -612,6 +614,19 @@ class TestSelectModel:
         rows = [fabricate("ptg", 0.1, None, 0, 0.8)]
         with pytest.raises(ValueError):
             select_model(rows, self.CFG)
+
+    @pytest.mark.parametrize("extra, key", [
+        (fabricate("erm", None, None, 0, 0.8), "('erm', 'c', None, None, 0)"),
+        (dataclasses.replace(fabricate("ptg", 0.1, None, 0, 0.8), test_domain="zz"), "('ptg', 'zz', 0.1, None, 0)"),
+        (fabricate("ptg", 0.3, None, 0, 0.8), "('ptg', 'c', 0.3, None, 0)"),
+        (fabricate("ptg", 0.1, 0.1, 0, 0.8), "('ptg', 'c', 0.1, 0.1, 0)"),
+        (fabricate("ptg", 0.5, None, 2, 0.8), "('ptg', 'c', 0.5, None, 2)"),
+    ], ids=["algorithm", "held-out-domain", "alpha", "beta", "repetition"])
+    def test_unexpected_row_rejected_by_name(self, extra, key):
+        # every expected row is there: the one the config does not run is named
+        rows = [fabricate("ptg", a, None, rep, 0.8) for a in (0.1, 0.5) for rep in (0, 1)]
+        with pytest.raises(ValueError, match=re.escape(f"unexpected result row for {key}")):
+            select_model([*rows, extra], self.CFG)
 
     def test_lite_tie_breaks_toward_smaller_beta(self):
         cfg = tiny_config(algorithms=("ptg_lite",), n_seeds=1,

@@ -36,7 +36,10 @@ from ptg.training import (
     FeaturizerBank,
     MinibatchStream,
     TrainConfig,
+    _auto_kl_weight,
     _check_domains,
+    _elbo_domain_steps,
+    _map_domain_steps,
     _map_loss,
     erm_bayesian_train,
     erm_train,
@@ -146,6 +149,18 @@ def ref_elbo_loss(q, classifier, batch, kl_weight, eps, prior):
     return ce + kl_weight * kl, kl, grad_theta, grad_cls
 
 
+def ref_map_loss(feat, cls, batch, l2_weight, prior, eps_rng):
+    ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch)
+    centered = feat.flat - prior.mean
+    s2 = prior.std**2
+    sq = float(np.add.reduce(centered * centered))
+    loss = ce + l2_weight * sq / (2.0 * s2)
+    g = np.multiply(centered, l2_weight, out=centered)
+    g /= s2
+    g += grad_feat
+    return loss, g, grad_cls, sq / (2.0 * s2)
+
+
 def ref_stable_mean(stack):
     total = np.sort(stack, axis=0).sum(axis=0)
     mean = total / stack.shape[0]
@@ -210,6 +225,20 @@ class TestCrossEntropy:
         one = cross_entropy_value(logits[0], labels)  # unstacked logits give the scalar
         assert_bits(one, np.float64(cross_entropy(logits[0], labels)[0]))
 
+    @pytest.mark.parametrize("classes", [2, 3, 9])
+    @pytest.mark.parametrize("n", [3, 20, 64])
+    def test_stacked_loss_and_gradient_match_separate_calls(self, classes, n):
+        rng = np.random.default_rng(classes + n)
+        logits = rng.standard_normal((4, n, classes)) * 30.0
+        labels = rng.integers(0, classes, (4, n))
+        losses, grads = cross_entropy(logits, labels)
+        assert losses.shape == (4,) and grads.shape == logits.shape
+        for j in range(4):
+            loss, grad = cross_entropy(logits[j], labels[j])
+            assert type(loss) is float
+            assert_bits(losses[j], loss)
+            assert_bits(grads[j], grad)
+
     @pytest.mark.parametrize("labels", [[0, 2], [-1, 0], [1, 3]])
     def test_out_of_range_labels(self, labels):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
@@ -270,6 +299,51 @@ class TestForwardBackward:
             assert type(grad) is np.ndarray
             assert_bits(grad, ref_grad)
             assert_bits(dz0 @ ws.weights[0].T, ref_dx)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_stacked_backward_matches_separate_calls(self, k):
+        # stacked weights on stacked or shared inputs, and one net on stacked
+        # inputs: gradient row j, with its bias sums over the batch axis and
+        # its W blocks, and the input-side gradient are model j's own bits
+        rng = np.random.default_rng(10 + k)
+        for dims in ((10, 32, 16), (16, 16, 2), (3, 2), (4, 5, 6, 3), (5, 1), (3, 1, 2)):
+            spec = NetworkSpec(dims)
+            for n in (1, 3, 64):
+                flats = rng.standard_normal((k, spec.param_count))
+                xs = rng.standard_normal((k, n, dims[0]))
+                d_out = rng.standard_normal((k, n, dims[-1]))
+                stacked = WeightSet.wrap(spec, flats)
+                single = [WeightSet.wrap(spec, flats[j]) for j in range(k)]
+                cases = [
+                    (stacked, xs, list(zip(single, xs))),
+                    (stacked, xs[0], [(single[j], xs[0]) for j in range(k)]),
+                    (single[0], xs, [(single[0], xs[j]) for j in range(k)]),
+                ]
+                for ws, x, separate in cases:
+                    tape = forward(ws, x)[1]
+                    grad, dz0 = backward(tape, d_out)
+                    none, dz0_only = backward(tape, d_out, params=False)
+                    assert grad.shape == (k, spec.param_count) and none is None
+                    assert_bits(dz0_only, dz0)
+                    for j, (ws_j, x_j) in enumerate(separate):
+                        grad_j, dz0_j = backward(forward(ws_j, x_j)[1], d_out[j])
+                        assert_bits(grad[j], grad_j)
+                        assert_bits(dz0[j], dz0_j)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_loss_and_gradients_with_the_classifier_frozen(self, k):
+        rng = np.random.default_rng(20 + k)
+        feat_spec, cls = NetworkSpec((10, 32, 16)), init_weights(NetworkSpec((16, 16, 2)), rng)
+        flats = rng.standard_normal((k, feat_spec.param_count)) * 0.3
+        x, y = rng.standard_normal((k, 64, 10)), rng.integers(0, 2, (k, 64))
+        losses, g_feat, g_cls, dz0 = loss_and_gradients(WeightSet.wrap(feat_spec, flats), cls, x, y, False)
+        assert g_cls is None and g_feat.shape == flats.shape
+        for j in range(k):
+            feat_j = WeightSet.wrap(feat_spec, flats[j])
+            loss_j, g_feat_j, _, dz0_j = loss_and_gradients(feat_j, cls, x[j], y[j])
+            assert_bits(losses[j], loss_j)
+            assert_bits(g_feat[j], g_feat_j)
+            assert_bits(dz0[j], dz0_j)
 
     def test_leaves_upstream_gradient_alone(self):
         spec = NetworkSpec((3, 4, 2))
@@ -360,6 +434,19 @@ class TestElbo:
             assert_bits(out[1], grad_theta)
             assert_bits(out[2], grad_cls)
             assert_bits(out[3], kl)
+
+    def test_frozen_classifier_keeps_the_posterior_gradient(self):
+        rng = np.random.default_rng(7)
+        spec = NetworkSpec((10, 32, 16))
+        cls = init_weights(NetworkSpec((16, 16, 2)), rng)
+        n = spec.param_count
+        q = GaussianVariational(spec, rng.standard_normal(n) * 0.3, rng.uniform(-8.0, 2.0, n))
+        batch, eps = (rng.standard_normal((64, 10)), rng.integers(0, 2, 64)), rng.standard_normal(n)
+        full = elbo_loss(q, cls, batch, 0.02, eps, PriorSpec())
+        frozen = elbo_loss(q, cls, batch, 0.02, eps, PriorSpec(), classifier_grad=False)
+        assert frozen[2] is None
+        for i in (0, 1, 3):
+            assert_bits(frozen[i], full[i])
 
     @pytest.mark.parametrize("dims", [(2, 2), (10, 32, 16)])
     def test_stacked_posterior_matches_separate_calls(self, dims):
@@ -539,7 +626,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
         for i in ids:
             batch = batch_streams[i].next_batch()
             drawn.append(batch)
-            loss, g_feat, _, _ = _map_loss(per_w[i], cls, batch, klw[i], config.prior, None)
+            loss, g_feat, _, _ = ref_map_loss(per_w[i], cls, batch, klw[i], config.prior, None)
             adam_step(per_w[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
@@ -548,7 +635,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
             inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
 
         merged, klw_m = ref_merged_batch(drawn, n_total, config)
-        loss, g_feat, g_cls, _ = _map_loss(f0, cls, merged, klw_m, config.prior, None)
+        loss, g_feat, g_cls, _ = ref_map_loss(f0, cls, merged, klw_m, config.prior, None)
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
         g_feat[~report.kept_mask] = 0.0
@@ -676,3 +763,66 @@ class TestMergedLoops:
         assert seen_new == seen_ref
         if algorithm == "ptg_lite":  # the mask path is exercised
             assert any(row["dropped_count"] > 0 for row in history)
+
+
+class TestStackedDomainSteps:
+    """One iteration's per-domain steps, one call per block of domains whose
+    batches share a shape, against a separate call of the earlier
+    single-model step per domain.  Uneven domain sizes give each domain its
+    own L2 or KL weight, and the 20-row domain draws a smaller batch."""
+
+    SIZES = [(70, 0.9), (20, 0.7), (130, 0.8), (45, 0.6)]
+    BLOCKS = ([1], [0, 2, 3])  # batches of 20 rows, and of 32
+
+    def setup_case(self):
+        specs = [DomainSpec(f"d{i}", n, spurious_correlation=r, noise_std=0.3)
+                 for i, (n, r) in enumerate(self.SIZES)]
+        domains = gen_spurious_blobs(specs, d_inv=2, d_spur=2, seed=5)
+        cfg = TrainConfig(batch_size=32, prior_mean=0.1, prior_std=1.5)
+        streams = [MinibatchStream(d.x, d.y, 32, stream(0, "batches", d.domain_id)) for d in domains]
+        weights = [_auto_kl_weight(cfg, s) for s in streams]
+        assert weights == [0.5, 1.0, 0.25, 1.0]
+        assert [b[0].shape[0] for b in (s.next_batch() for s in streams)] == [32, 20, 32, 32]
+        rng = np.random.default_rng(8)
+        return domains, cfg, [s.next_batch() for s in streams], weights, init_weights(LOOP_CLS, rng), rng
+
+    def test_map_steps_match_separate_map_loss_calls(self):
+        _, cfg, batches, weights, cls, rng = self.setup_case()
+        cls_bits = cls.flat.tobytes()
+        flats = rng.standard_normal((4, LOOP_FEAT.param_count)) * 0.5
+        for block in self.BLOCKS:
+            models = WeightSet.wrap(LOOP_FEAT, flats[block])
+            before = models.flat.tobytes()
+            losses, grads = _map_domain_steps(
+                models, cls, [batches[j] for j in block], [weights[j] for j in block], cfg.prior, None
+            )
+            assert models.flat.tobytes() == before and grads.shape == (len(block), LOOP_FEAT.param_count)
+            for r, j in enumerate(block):
+                feat_j = WeightSet.wrap(LOOP_FEAT, flats[j].copy())
+                want = ref_map_loss(feat_j, cls, batches[j], weights[j], cfg.prior, None)
+                assert type(losses[r]) is float
+                assert_bits(losses[r], want[0])
+                assert_bits(grads[r], want[1])
+                # the merged step's single-model call keeps the earlier bits too
+                got = _map_loss(feat_j, cls, batches[j], weights[j], cfg.prior, None)
+                assert [type(v) for v in got] == [float, np.ndarray, np.ndarray, float]
+                for a, b in zip(got, want):
+                    assert_bits(a, b)
+        assert cls.flat.tobytes() == cls_bits
+
+    def test_elbo_steps_match_separate_elbo_loss_calls(self):
+        domains, cfg, batches, weights, cls, rng = self.setup_case()
+        n = LOOP_FEAT.param_count
+        thetas = np.concatenate([rng.standard_normal((4, n)), rng.uniform(-6.0, 0.0, (4, n))], axis=1)
+        for block in self.BLOCKS:
+            models = GaussianVariational.wrap(LOOP_FEAT, thetas[block])
+            rngs = [stream(0, "eps", domains[j].domain_id) for j in block]
+            losses, grads = _elbo_domain_steps(
+                models, cls, [batches[j] for j in block], [weights[j] for j in block], cfg.prior, rngs
+            )
+            for r, j in enumerate(block):
+                eps = stream(0, "eps", domains[j].domain_id).standard_normal(n)
+                q_j = GaussianVariational.wrap(LOOP_FEAT, thetas[j])
+                loss, _, grad, _ = ref_elbo_loss(q_j, cls, batches[j], weights[j], eps, cfg.prior)
+                assert_bits(losses[r], loss)
+                assert_bits(grads[r], grad)

@@ -462,6 +462,16 @@ class TestTrainAlgorithm:
         for got, want in pairs:
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    def test_per_domain_models_are_the_rows_of_one_array(self, algorithm):
+        domains = make_domains(n_per=60)
+        _, _, _, bank = train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
+        # views of one buffer, each row starting where the one before it ends
+        flats = [m.flat for m in bank.per_domain.values()]
+        assert all(f.base is not None and f.base is flats[0].base for f in flats)
+        starts, row_bytes = sorted(f.ctypes.data for f in flats), flats[0].nbytes
+        assert starts == [starts[0] + j * row_bytes for j in range(len(domains))]
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             train_algorithm("gradient_descent", make_domains(n_per=20), FEAT_SPEC, CLS_SPEC, self.CFG)
