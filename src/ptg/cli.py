@@ -5,6 +5,14 @@ failures (diverged training, a failed verification sweep).
 """
 from __future__ import annotations
 
+import os
+
+# At these network sizes OpenBLAS's worker threads cost more time than they
+# save, so the CLI runs at one BLAS thread unless the user chose a count.
+# numpy reads the setting when it loads OpenBLAS, so it goes first.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import sys

@@ -123,16 +123,6 @@ def _aggregated_route(model: DiscreteGenerativeModel, table: np.ndarray, causal:
     return out
 
 
-def posterior_given(
-    model: DiscreteGenerativeModel, causal: int, variant: int, observations: Sequence[int] = ()
-) -> np.ndarray:
-    """p(omega | causal, variant, observations) by direct Bayes."""
-    _check_causal(model, causal)
-    if not 0 <= variant < model.p_variant.size:
-        raise ValueError(f"variant index {variant} out of range")
-    return _bayes(model, _sequence_likelihood(model, observations)[:, causal, variant])
-
-
 def invariant_posterior_exact(
     model: DiscreteGenerativeModel, causal: int, observations: Sequence[int] = ()
 ) -> np.ndarray:

@@ -15,13 +15,15 @@ classifier head:
 
 Every model keeps its parameters in one vector ``model.flat`` (``[mu | rho]``
 for a posterior) that Adam steps in place; the D per-domain models of an
-aggregation run are the rows of one (D, P) array.  A step is a plain function
-step(model, classifier, batch, weight, prior, eps_rng) -> (loss, gradient in
-the layout of model.flat, classifier gradient, kl): _ce_step for erm,
-_elbo_step for erm_bayesian and ptg, _map_loss for ptg_lite.  The per-domain
-steps, with the classifier frozen, take a block of those rows at once:
-_elbo_domain_steps runs one ELBO step per posterior, _map_domain_steps one
-stacked MAP pass for the whole block.
+aggregation run are the rows of one (D, P) array, in id order.  A step is a
+plain function step(model, classifier, batch, weight, prior, eps_rng) ->
+(loss, gradient in the layout of model.flat, classifier gradient, kl):
+_ce_step for erm, _elbo_step for erm_bayesian and ptg, _map_loss for
+ptg_lite.  The per-domain step is the same protocol in stacked form: k rows,
+a stacked batch and k weights and eps streams in, k losses, a k-row gradient,
+no classifier gradient (the classifier is frozen) and k kls out.  ptg_lite's
+is _map_loss itself, one stacked pass; ptg's, _elbo_domain_steps, runs one
+ELBO step per row.
 
 The loops create every RNG stream, keyed by (seed, purpose, domain_id or
 "merged", so no training domain may be called "merged"), and pass the eps
@@ -34,6 +36,7 @@ network bitwise at its initialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from typing import Sequence
 
@@ -127,6 +130,9 @@ def _check_domains(domains: Sequence[DomainDataset], minimum: int) -> list[Domai
         raise ValueError("training domains must have unique ids")
     if "merged" in ids:
         raise ValueError("training domain id 'merged' is reserved: it keys the merged step's RNG streams")
+    empty = [d.domain_id for d in domains if d.n_samples == 0]
+    if empty:
+        raise ValueError(f"training domain {empty[0]!r} has no rows")
     dims = {d.n_features for d in domains}
     if len(dims) != 1:
         raise ValueError(f"domains disagree on feature count: {sorted(dims)}")
@@ -140,8 +146,8 @@ class FeaturizerBank:
     reported: moment_match's variance split for ptg (its q0 is f0 itself),
     cov_dropout's mask report for ptg_lite.  The merged step after that
     aggregation moves only f0 and the classifier, so the report describes
-    the per-domain models as returned.  The per-domain models are views of
-    the rows of one (D, P) array, the one the loop stepped."""
+    the per-domain models as returned.  per_domain maps each id to its row
+    view of the (D, P) array the loop stepped, rows and keys in id order."""
 
     f0: GaussianVariational | WeightSet
     per_domain: dict[str, GaussianVariational | WeightSet]
@@ -207,15 +213,17 @@ def _map_loss(feat, cls, batch, l2_weight, prior, eps_rng, classifier_grad=True)
     (2 prior.std^2) on the featurizer, with the unweighted L2 term (the MAP
     analogue of the ELBO's KL) as kl.  Deterministic: eps_rng goes unread.
 
-    k stacked featurizers, with a stacked batch and l2_weight an array of k
+    k stacked featurizers, with a stacked batch and l2_weight a sequence of k
     weights, give k losses and kls as lists and a (k, P) gradient, each model
-    to the bits of its own call.  classifier_grad as in loss_and_gradients."""
+    to the bits of its own call: with classifier_grad=False (as in
+    loss_and_gradients), that is ptg_lite's per-domain step."""
     ce, grad_feat, grad_cls, _ = loss_and_gradients(feat, cls, *batch, classifier_grad)
     centered = feat.flat - prior.mean
     s2 = prior.std**2
     sq = np.add.reduce(centered * centered, axis=-1)
-    loss = ce + l2_weight * sq / (2.0 * s2)
-    g = np.multiply(centered, np.asarray(l2_weight)[..., None], out=centered)
+    w = np.asarray(l2_weight)
+    loss = ce + w * sq / (2.0 * s2)
+    g = np.multiply(centered, w[..., None], out=centered)
     g /= s2
     g += grad_feat
     return loss.tolist(), g, grad_cls, (sq / (2.0 * s2)).tolist()
@@ -235,26 +243,17 @@ def _elbo_step(q, cls, batch, kl_weight, prior, eps_rng, classifier_grad=True):
     return elbo_loss(q, cls, batch, kl_weight, eps, prior, classifier_grad)
 
 
-def _elbo_domain_steps(models, cls, batches, kl_weights, prior, eps_rngs):
-    """ptg's per-domain step for a stacked block of k posteriors: one
-    _elbo_step per row, each with its own batch, weight and eps stream, and
-    the classifier frozen.  Returns the k losses and k gradients."""
+def _elbo_domain_steps(models, cls, batch, kl_weights, prior, eps_rngs):
+    """ptg's per-domain step, _elbo_step in stacked form: one _elbo_step per
+    row of the k stacked posteriors, each with its row of the stacked batch,
+    its weight and its eps stream, and the classifier frozen.  Returns the k
+    losses, the k gradients, None and the k kls."""
     steps = [
-        _elbo_step(GaussianVariational.wrap(models.spec, flat), cls, batch, w, prior, rng, False)
-        for flat, batch, w, rng in zip(models.flat, batches, kl_weights, eps_rngs)
+        _elbo_step(GaussianVariational.wrap(models.spec, flat), cls, (x, y), w, prior, rng, False)
+        for flat, x, y, w, rng in zip(models.flat, *batch, kl_weights, eps_rngs)
     ]
-    return [s[0] for s in steps], [s[1] for s in steps]
-
-
-def _map_domain_steps(models, cls, batches, l2_weights, prior, eps_rngs):
-    """ptg_lite's per-domain step for a stacked block of k point estimates
-    whose batches share one shape: one stacked _map_loss pass, the classifier
-    frozen.  Returns the k losses and the (k, P) gradient."""
-    k = len(batches)
-    x = np.concatenate([b[0] for b in batches]).reshape(k, -1, batches[0][0].shape[-1])
-    y = np.concatenate([b[1] for b in batches]).reshape(k, -1)
-    loss, g, _, _ = _map_loss(models, cls, (x, y), np.array(l2_weights), prior, None, False)
-    return loss, g
+    losses, grads, _, kls = zip(*steps)
+    return list(losses), list(grads), None, list(kls)
 
 
 def _pooled_loop(domains, feat, cls, config, steps: int, step):
@@ -332,59 +331,58 @@ def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
 
 def _aggregation_loop(domains, init_feat, init_cls, config, step, domain_steps, aggregate):
     """The outer loop of ptg and ptg_lite (see ptg_train); step is as in
-    _pooled_loop, domain_steps(models, classifier, batches, weights, prior,
-    eps_rngs) -> (losses, gradients) steps a stacked block of per-domain
-    models, and aggregate(models, config) returns (shared model, mask of the
-    coordinates it dropped or None, their count, the aggregation's report).
-    Domain i has its own batch and eps streams; the merged step's key is
-    "merged".  The per-domain models are the rows of one (D, P) array, ordered
-    by batch size and then id, so each block of domains whose batches share
-    a shape (a domain smaller than batch_size draws smaller ones) is one
-    contiguous slice, stepped by one domain_steps call."""
+    _pooled_loop, domain_steps is its stacked form with the classifier frozen
+    (k rows, a stacked batch, k weights and eps streams in; k losses, k
+    gradients, None and k kls out), and aggregate(models, config) returns
+    (shared model, mask of the coordinates it dropped or None, their count,
+    the aggregation's report).  Domain i has its own batch and eps streams;
+    the merged step's key is "merged".  The per-domain models are the rows
+    of one (D, P) array in id order, and each run of consecutive domains
+    whose batches share a shape (a domain smaller than batch_size draws
+    smaller ones) is one slice of it, stepped by one domain_steps call."""
     domains = _check_domains(domains, minimum=2)
     ids = [d.domain_id for d in domains]
     cls = init_cls.copy()
     lr = config.alpha * config.base_lr
-    batch_streams = {
-        i: MinibatchStream(d.x, d.y, config.batch_size, stream(config.seed, "batches", i))
+    streams = [
+        MinibatchStream(d.x, d.y, config.batch_size, stream(config.seed, "batches", i))
         for i, d in zip(ids, domains)
-    }
-    eps = {k: stream(config.seed, "eps", k) for k in [*ids, "merged"]}
-    klw = {i: _auto_kl_weight(config, batch_streams[i]) for i in ids}
-    klw_m = _auto_kl_weight(config, *batch_streams.values())
-    states = {i: AdamState.zeros(init_feat.flat.size) for i in ids}
+    ]
+    eps = [stream(config.seed, "eps", i) for i in ids]
+    eps_m = stream(config.seed, "eps", "merged")
+    klw = [_auto_kl_weight(config, s) for s in streams]
+    klw_m = _auto_kl_weight(config, *streams)
+    states = [AdamState.zeros(init_feat.flat.size) for _ in ids]
     st_0 = AdamState.zeros(init_feat.flat.size)
     st_c = AdamState.zeros(cls.spec.param_count)
 
-    batch_rows = lambda i: batch_streams[i].batch_size
-    by_shape = sorted(ids, key=batch_rows)  # stable: ids stay sorted
     rows = np.tile(init_feat.flat, (len(ids), 1))
     wrap, spec = type(init_feat).wrap, init_feat.spec
-    per = {i: wrap(spec, rows[by_shape.index(i)]) for i in ids}
+    per = [wrap(spec, row) for row in rows]
     blocks, start = [], 0
-    for _, block in groupby(by_shape, key=batch_rows):
-        block = list(block)
-        blocks.append((block, wrap(spec, rows[start : start + len(block)])))
-        start += len(block)
+    for _, run in groupby(streams, key=lambda s: s.batch_size):
+        block = slice(start, start + len(list(run)))
+        blocks.append((block, wrap(spec, rows[block])))
+        start = block.stop
 
     history = []
     for it in range(config.outer_iterations):
-        drawn = {i: batch_streams[i].next_batch() for i in ids}
-        losses = {}
+        drawn = [s.next_batch() for s in streams]
+        losses = []
         for block, models in blocks:
-            block_losses, grads = domain_steps(
-                models, cls, [drawn[i] for i in block], [klw[i] for i in block],
-                config.prior, [eps[i] for i in block],
+            batch = tuple(np.stack(part) for part in zip(*drawn[block]))
+            block_losses, grads, _, _ = domain_steps(
+                models, cls, batch, klw[block], config.prior, eps[block]
             )
-            for i, loss, g in zip(block, block_losses, grads):
-                adam_step(per[i].flat, g, states[i], lr)
-                losses[i] = loss
-        row = {"iteration": it, **{f"loss_{i}": losses[i] for i in ids}}
+            for model, state, g in zip(per[block], states[block], grads):
+                adam_step(model.flat, g, state, lr)
+            losses += block_losses
+        row = {"iteration": it, **{f"loss_{i}": loss for i, loss in zip(ids, losses)}}
 
-        f0, dropped, dropped_count, result = aggregate([per[i] for i in ids], config)
+        f0, dropped, dropped_count, result = aggregate(per, config)
 
-        merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn.values()))
-        loss, g_feat, g_cls, kl = step(f0, cls, merged, klw_m, config.prior, eps["merged"])
+        merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
+        loss, g_feat, g_cls, kl = step(f0, cls, merged, klw_m, config.prior, eps_m)
         # dropped stays dropped this iteration: no gradient, and no drift from
         # stale Adam momentum either
         if dropped is not None:
@@ -395,7 +393,7 @@ def _aggregation_loop(domains, init_feat, init_cls, config, step, domain_steps, 
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=kl, merged_loss=loss, dropped_count=dropped_count)
         history.append(row)
-    return FeaturizerBank(f0, per, cls, result), history
+    return FeaturizerBank(f0, dict(zip(ids, per)), cls, result), history
 
 
 def ptg_train(
@@ -434,7 +432,8 @@ def ptg_lite_train(
     recomputed at the next aggregation.
     """
     return _aggregation_loop(
-        domains, init_feat, init_cls, config, _map_loss, _map_domain_steps, _mask_point_estimates
+        domains, init_feat, init_cls, config, _map_loss, partial(_map_loss, classifier_grad=False),
+        _mask_point_estimates,
     )
 
 

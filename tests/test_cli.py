@@ -579,5 +579,33 @@ class TestEntryPoint:
             "gen-data", "train", "run", "summarize", "oracle-check", "grad-check"
         ]
 
+    @pytest.mark.parametrize(
+        "preset, want",
+        [
+            ({}, ("1", None)),
+            ({"OPENBLAS_NUM_THREADS": "2"}, ("2", None)),
+            ({"OMP_NUM_THREADS": "2"}, (None, "2")),
+        ],
+    )
+    def test_one_blas_thread_unless_the_user_chose(self, src_env, preset, want):
+        # the child records the thread settings at the moment numpy is first imported
+        child = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Watch:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append([os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')])\n"
+            "sys.meta_path.insert(0, Watch())\n"
+            "import ptg.cli\n"
+            "print(seen)\n"
+        )
+        env = {k: v for k, v in src_env.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env={**env, **preset}
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([list(want)])
+
     def test_console_script_on_path(self):
         assert shutil.which("ptg") is not None

@@ -39,7 +39,6 @@ from ptg.training import (
     _auto_kl_weight,
     _check_domains,
     _elbo_domain_steps,
-    _map_domain_steps,
     _map_loss,
     erm_bayesian_train,
     erm_train,
@@ -793,8 +792,9 @@ class TestStackedDomainSteps:
         for block in self.BLOCKS:
             models = WeightSet.wrap(LOOP_FEAT, flats[block])
             before = models.flat.tobytes()
-            losses, grads = _map_domain_steps(
-                models, cls, [batches[j] for j in block], [weights[j] for j in block], cfg.prior, None
+            batch = tuple(np.stack(part) for part in zip(*[batches[j] for j in block]))
+            losses, grads, _, _ = _map_loss(
+                models, cls, batch, [weights[j] for j in block], cfg.prior, None, classifier_grad=False
             )
             assert models.flat.tobytes() == before and grads.shape == (len(block), LOOP_FEAT.param_count)
             for r, j in enumerate(block):
@@ -817,8 +817,9 @@ class TestStackedDomainSteps:
         for block in self.BLOCKS:
             models = GaussianVariational.wrap(LOOP_FEAT, thetas[block])
             rngs = [stream(0, "eps", domains[j].domain_id) for j in block]
-            losses, grads = _elbo_domain_steps(
-                models, cls, [batches[j] for j in block], [weights[j] for j in block], cfg.prior, rngs
+            batch = tuple(np.stack(part) for part in zip(*[batches[j] for j in block]))
+            losses, grads, _, _ = _elbo_domain_steps(
+                models, cls, batch, [weights[j] for j in block], cfg.prior, rngs
             )
             for r, j in enumerate(block):
                 eps = stream(0, "eps", domains[j].domain_id).standard_normal(n)

@@ -17,7 +17,6 @@ from ptg.oracles import (
     invariant_posterior_aggregated,
     invariant_posterior_exact,
     mixture_moments_mc,
-    posterior_given,
     random_model,
     total_variation,
 )
@@ -36,6 +35,19 @@ def hand_model():
         p_causal=np.array([1.0]),
         p_variant=np.array([0.5, 0.5]),
         likelihood=lik,
+    )
+
+
+def variant_zero_model():
+    """hand_model with variant 0 alone.  The exact route multiplies the
+    likelihood table by p_variant = [1.0], so it gives the bits of direct
+    Bayes on variant 0: p(w | c, v=0, obs)."""
+    m = hand_model()
+    return DiscreteGenerativeModel(
+        p_omega=m.p_omega,
+        p_causal=m.p_causal,
+        p_variant=np.array([1.0]),
+        likelihood=m.likelihood[:, :, :1],
     )
 
 
@@ -115,17 +127,14 @@ class TestValidation:
     def test_index_range_checks(self):
         m = hand_model()
         with pytest.raises(ValueError):
-            posterior_given(m, causal=1, variant=0)
+            invariant_posterior_exact(m, causal=1)
         with pytest.raises(ValueError):
-            posterior_given(m, causal=0, variant=2)
-        with pytest.raises(ValueError):
-            posterior_given(m, 0, 0, observations=[2])
+            invariant_posterior_exact(m, 0, observations=[2])
 
 
 class TestHandValues:
     def test_no_observations_returns_prior(self):
         m = hand_model()
-        np.testing.assert_allclose(posterior_given(m, 0, 0), m.p_omega, atol=0)
         np.testing.assert_allclose(invariant_posterior_exact(m, 0), m.p_omega, atol=0)
         np.testing.assert_allclose(
             invariant_posterior_aggregated(m, 0), m.p_omega, rtol=1e-15
@@ -133,16 +142,16 @@ class TestHandValues:
 
     def test_single_observation_posterior(self):
         # joint after seeing symbol 0 under variant 0: (0.45, 0.10)
-        m = hand_model()
+        m = variant_zero_model()
         np.testing.assert_allclose(
-            posterior_given(m, 0, 0, [0]), [9 / 11, 2 / 11], rtol=1e-14
+            invariant_posterior_exact(m, 0, [0]), [9 / 11, 2 / 11], rtol=1e-14
         )
 
     def test_sequence_multiplies_likelihoods(self):
         # two draws of symbol 0: joint (0.5 * 0.81, 0.5 * 0.04)
-        m = hand_model()
+        m = variant_zero_model()
         np.testing.assert_allclose(
-            posterior_given(m, 0, 0, [0, 0]), [81 / 85, 4 / 85], rtol=1e-14
+            invariant_posterior_exact(m, 0, [0, 0]), [81 / 85, 4 / 85], rtol=1e-14
         )
 
     def test_exact_invariant_posterior(self):
@@ -169,7 +178,7 @@ class TestEnumerationOracle:
                 joint[w, v] = p
         return joint
 
-    def test_all_three_posteriors_for_random_models(self):
+    def test_both_invariant_posteriors_for_random_models(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             m = random_model(rng)
@@ -179,10 +188,6 @@ class TestEnumerationOracle:
             for c in range(n_c):
                 for obs in itertools.chain([()], itertools.product(range(n_o), repeat=2)):
                     joint = self.enumerate_joint(m, c, obs)
-                    for v in range(n_v):
-                        ref = joint[:, v] / joint[:, v].sum()
-                        got = posterior_given(m, c, v, obs)
-                        assert np.abs(got - ref).max() < 1e-12
                     ref_exact = joint.sum(axis=1) / joint.sum()
                     assert np.abs(invariant_posterior_exact(m, c, obs) - ref_exact).max() < 1e-12
                     ref_agg = np.zeros(m.n_omega)
@@ -259,8 +264,6 @@ class TestZeroEvidence:
             p_variant=np.array([1.0]),
             likelihood=lik,
         )
-        with pytest.raises(ValueError):
-            posterior_given(m, 0, 0, [1])
         with pytest.raises(ValueError):
             invariant_posterior_exact(m, 0, [1])
 

@@ -11,7 +11,7 @@ import pytest
 
 import ptg.training
 from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
-from ptg.datasets import DomainSpec, gen_spurious_blobs, read_config
+from ptg.datasets import DomainDataset, DomainSpec, gen_spurious_blobs, read_config
 from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, softmax
 from ptg.seeding import stream
 from ptg.training import (
@@ -483,6 +483,13 @@ class TestTrainAlgorithm:
         with pytest.raises(ValueError, match=r"domains disagree on feature count: \[4, 5\]"):
             train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_domain_with_no_rows_is_refused_by_name(self, algorithm):
+        a = make_domains(n_per=20)[0]
+        empty = DomainDataset("empty", a.x[:0], a.y[:0], a.invariant_cols, a.spurious_cols)
+        with pytest.raises(ValueError, match="training domain 'empty' has no rows"):
+            train_algorithm(algorithm, [a, empty], FEAT_SPEC, CLS_SPEC, self.CFG)
+
     def test_classifier_must_take_the_featurizer_output(self):
         with pytest.raises(ValueError, match="featurizer output dim must match classifier input dim"):
             init_pair(FEAT_SPEC, NetworkSpec((3, 2)), seed=0)
@@ -493,6 +500,41 @@ class TestTrainAlgorithm:
         bad_cls = init_pair(NetworkSpec((4, 6)), NetworkSpec((6, 2)), seed=0)[1]
         with pytest.raises(ValueError, match=r"expected input shape \(n, 6\), got \(32, 4\)"):
             ptg_lite_train(make_domains(n_per=60), feat, bad_cls, self.CFG)
+
+
+class TestDomainStepCalls:
+    """The aggregation loop steps each run of consecutive ids whose batches
+    share a shape in one domain_steps call, so a bitwise-equal fallback to one
+    call per domain still fails here."""
+
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    @pytest.mark.parametrize(
+        "sizes, runs",
+        [
+            ((150, 150, 150), [3]),  # every domain draws full batches: one call
+            ((70, 20, 130), [1, 1, 1]),  # the 20-row domain draws 20 rows and splits the ids
+        ],
+    )
+    def test_one_call_per_run_of_ids(self, monkeypatch, algorithm, sizes, runs):
+        specs = [DomainSpec(f"d{i}", n, spurious_correlation=0.8) for i, n in enumerate(sizes)]
+        domains = gen_spurious_blobs(specs, d_inv=2, d_spur=2, seed=0)
+        cfg = TrainConfig(outer_iterations=3, batch_size=32, seed=2)
+        loop = ptg.training._aggregation_loop
+        calls = []
+
+        def spied(domains, feat, cls, config, step, domain_steps, aggregate):
+            def counted(models, *args):
+                losses, grads, cls_grad, kls = out = domain_steps(models, *args)
+                k = len(models.flat)
+                assert (len(losses), len(grads), cls_grad, len(kls)) == (k, k, None, k)
+                calls.append(k)
+                return out
+
+            return loop(domains, feat, cls, config, step, counted, aggregate)
+
+        monkeypatch.setattr(ptg.training, "_aggregation_loop", spied)
+        train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, cfg)
+        assert calls == runs * cfg.outer_iterations
 
 
 class TestFlatCore:

@@ -28,7 +28,6 @@ from ptg.oracles import (
     identity_gap,
     invariant_posterior_aggregated,
     invariant_posterior_exact,
-    posterior_given,
     random_model,
     total_variation,
 )
@@ -265,8 +264,6 @@ def test_oracle_routes_match_reference_bitwise():
         for length in range(4):
             obs = [int(o) for o in rng.integers(0, n_o, size=length)]
             for c in range(m.p_causal.size):
-                for v in range(m.p_variant.size):
-                    assert same_bits(posterior_given(m, c, v, obs), ref_posterior_given(m, c, v, obs))
                 assert same_bits(
                     invariant_posterior_exact(m, c, obs), ref_invariant_posterior_exact(m, c, obs)
                 )
@@ -295,23 +292,22 @@ def deaf_variant_model():
 
 
 @pytest.mark.parametrize(
-    "causal, variant, observations",
+    "causal, observations",
     [
-        (2, 0, [0]),        # causal out of range
-        (-1, 0, [0]),
-        (2, 0, [5]),        # both out of range: the causal index is reported
-        (0, 2, [0]),        # variant out of range
-        (0, 0, [3]),        # observation outside the support
-        (0, 0, [0, -1]),
-        (0, 0, [1]),        # zero probability for variant 0 only
-        (1, 1, [2]),        # zero probability for every variant
-        (0, 1, [2, 7]),     # the bad symbol is found before any zero probability
+        (2, [0]),        # causal out of range
+        (-1, [0]),
+        (2, [5]),        # both out of range: the causal index is reported
+        (0, [0]),        # every route answers
+        (0, [3]),        # observation outside the support
+        (0, [0, -1]),
+        (0, [1]),        # zero probability for variant 0 only
+        (1, [2]),        # zero probability for every variant
+        (0, [2, 7]),     # the bad symbol is found before any zero probability
     ],
 )
-def test_oracle_errors_match_reference(causal, variant, observations):
+def test_oracle_errors_match_reference(causal, observations):
     m = deaf_variant_model()
     pairs = [
-        (posterior_given, ref_posterior_given, (causal, variant, observations)),
         (invariant_posterior_exact, ref_invariant_posterior_exact, (causal, observations)),
         (invariant_posterior_aggregated, ref_invariant_posterior_aggregated, (causal, observations)),
         (data_conditioned_gap, ref_data_conditioned_gap, (causal, observations)),
