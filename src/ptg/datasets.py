@@ -78,7 +78,9 @@ _KIND = {int: (_INTEGER, "an integer"), float: (_REAL, "a number"), str: (str, "
 # an entry's rule in metadata -> (the test an entry must pass, how a message names it)
 _BOUND = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
           "le": (operator.le, "<="), "lt": (operator.lt, "<"),
-          "in": (lambda v, allowed: v in allowed, "one of")}
+          "in": (lambda v, allowed: v in allowed, "one of"),
+          "not_in": (lambda v, banned: v not in banned, "none of"),
+          "no_chars": (lambda v, chars: not any(c in v for c in chars), "free of")}
 
 
 def check_field_types(config) -> None:
@@ -90,8 +92,9 @@ def check_field_types(config) -> None:
     field also takes None.  A float field that holds NaN or an infinity raises
     ValueError naming it, and so does a field that breaks a rule in its
     metadata: ge, gt, le and lt bound every entry (of a tuple), as
-    field(metadata={"ge": 0}) gives "alpha must be >= 0, got -1", and in lists
-    the entries allowed; min_len bounds the length, and unique refuses a repeat."""
+    field(metadata={"ge": 0}) gives "alpha must be >= 0, got -1", in lists
+    the entries allowed, not_in those refused, and no_chars the characters an
+    entry may not contain; min_len bounds the length, and unique refuses a repeat."""
     types = _field_types(type(config))
     for f in fields(config):
         kind, value = types[f.name], getattr(config, f.name)
@@ -125,7 +128,8 @@ def check_field_types(config) -> None:
 class DomainSpec:
     """One domain of a synthetic family."""
 
-    domain_id: str = field(metadata={"min_len": 1})
+    # a file name: gen-data writes <out>/<held_out>/<domain_id>.csv
+    domain_id: str = field(metadata={"min_len": 1, "no_chars": ("/", "\\"), "not_in": (".", "..")})
     n_samples: int = field(metadata={"ge": 1})
     spurious_correlation: float = field(default=0.0, metadata={"ge": -1, "le": 1})
     rotation_deg: float = 0.0

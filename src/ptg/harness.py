@@ -1,12 +1,14 @@
 """Benchmark protocol: generate domains, hold one out, sweep, select, report.
 
-For every held-out domain, repetition and hyperparameter grid point a fresh
-training run is scored on the pooled validation splits of the training
-domains (model selection never sees the held-out domain) and on the held-out
-domain itself.  Per-run seeds derive from (base seed, algorithm, held-out
-domain, grid index, repetition) through the documented 64-bit mix in
-seeding.py, so any row can be reproduced in isolation and a repeated run
-reproduces every row bitwise; wall-clock columns are the one exception.
+planned_runs lists the runs once: one per held-out domain, repetition,
+algorithm and grid point.  run_experiment trains each as _run_one(config, run,
+split) and scores it on the pooled validation splits of the training domains
+(model selection never sees the held-out domain) and on the held-out domain;
+select_model reads the rows back by the same keys.  Per-run seeds derive from
+(base seed, algorithm, held-out domain, grid index, repetition) through the
+documented 64-bit mix in seeding.py, so any row can be reproduced in isolation
+and a repeated run reproduces every row bitwise; wall-clock columns are the
+one exception.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -234,14 +237,13 @@ def _train_and_score(algorithm, domains, specs, cfg, scored) -> list[float] | No
     return [accuracy(feat, cls, x, y, cfg.mc_eval_samples, rng) for x, y in scored]
 
 
-def _run_one(
-    config: ExperimentConfig, algorithm: str, test_domain: str, rep: int, grid_index: int,
-    alpha: float | None, beta: float | None,
-    trains: list[DomainDataset], vals: list[DomainDataset], test: DomainDataset,
-) -> ResultRow:
-    """One result row.  Under leave-one-out selection val_acc is the mean accuracy
-    of retraining without each training domain in turn, scored on its train and
-    val rows, and None once one of those inner runs diverges."""
+def _run_one(config: ExperimentConfig, run: tuple, split: tuple) -> ResultRow:
+    """The result row of one planned run on its repetition's split (prepare_split).
+    Under leave-one-out selection val_acc is the mean accuracy of retraining
+    without each training domain in turn, scored on its train and val rows, and
+    None once one of those inner runs diverges."""
+    test_domain, rep, algorithm, grid_index, alpha, beta = run
+    trains, vals, test = split
     specs = config.network_specs()
     cfg = replace(
         config.train,
@@ -286,25 +288,28 @@ def check_domain_counts(config: ExperimentConfig) -> None:
                              f" domains under {config.selection} selection leave {n}")
 
 
-def run_experiment(config: ExperimentConfig, progress=None) -> list[ResultRow]:
-    """All rows for the configured protocol, sorted canonically.
-
-    Full leave-one-out when test_domain is None, otherwise the single named
-    held-out domain.  progress, if given, is called with each finished row.
-    """
+def planned_runs(config: ExperimentConfig):
+    """Every run, in run order, as (held-out domain, repetition, algorithm, grid
+    index, alpha, beta); check_domain_counts runs before the first is yielded."""
     check_domain_counts(config)
-    rows = []
     for test_domain in held_out_domains(config):
         for rep in range(config.n_seeds):
-            trains, vals, test = prepare_split(config, test_domain, rep)
             for algorithm in config.algorithms:
                 for gi, (alpha, beta) in enumerate(grid_for(algorithm, config)):
-                    row = _run_one(
-                        config, algorithm, test_domain, rep, gi, alpha, beta, trains, vals, test
-                    )
-                    if progress is not None:
-                        progress(row)
-                    rows.append(row)
+                    yield test_domain, rep, algorithm, gi, alpha, beta
+
+
+def run_experiment(config: ExperimentConfig, progress=None) -> list[ResultRow]:
+    """The rows of planned_runs, sorted canonically, with one prepare_split per
+    (held-out domain, repetition).  progress, if given, is called with each finished row."""
+    rows = []
+    for (test_domain, rep), runs in groupby(planned_runs(config), key=lambda run: run[:2]):
+        split = prepare_split(config, test_domain, rep)
+        for run in runs:
+            row = _run_one(config, run, split)
+            if progress is not None:
+                progress(row)
+            rows.append(row)
     return sort_rows(rows)
 
 
@@ -355,18 +360,13 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
 
     Scores a grid point by mean validation accuracy over repetitions, with a
     failed run counting -inf.  Ascending grid order plus strict improvement
-    breaks ties toward smaller alpha, then smaller beta.  Every expected cell
-    must be present exactly once, and a row the config does not expect (an
-    algorithm, held-out domain, grid point or repetition it does not run) is
-    refused by name.
+    breaks ties toward smaller alpha, then smaller beta.  The rows must be
+    those of planned_runs, each once: a duplicate, a row the config does not
+    run, and the first missing run in run order are refused by name.
     """
-    expected = {
-        (algorithm, test_domain, alpha, beta, rep)
-        for algorithm in config.algorithms
-        for test_domain in held_out_domains(config)
-        for alpha, beta in grid_for(algorithm, config)
-        for rep in range(config.n_seeds)
-    }
+    # row keys (algorithm, held-out domain, alpha, beta, repetition), in run order
+    plan = [(a, d, alpha, beta, rep) for d, rep, a, _, alpha, beta in planned_runs(config)]
+    expected = set(plan)
     table: dict[tuple, ResultRow] = {}
     for r in rows:
         k = (r.algorithm, r.test_domain, r.alpha, r.beta, r.seed)
@@ -375,23 +375,22 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
         if k not in expected:
             raise ValueError(f"unexpected result row for {k}: the config does not run it")
         table[k] = r
+    # (algorithm, held-out domain) -> (alpha, beta) in ascending grid order -> rows by repetition
+    cells: dict[tuple, dict[tuple, list[ResultRow]]] = {}
+    for k in plan:
+        if k not in table:
+            raise ValueError(f"missing result row for {k}")
+        cells.setdefault(k[:2], {}).setdefault(k[2:4], []).append(table[k])
     out = []
-    for algorithm in config.algorithms:
-        for test_domain in held_out_domains(config):
-            best = None
-            for alpha, beta in grid_for(algorithm, config):
-                vals, tests = [], []
-                for rep in range(config.n_seeds):
-                    k = (algorithm, test_domain, alpha, beta, rep)
-                    if k not in table:
-                        raise ValueError(f"missing result row for {k}")
-                    r = table[k]
-                    vals.append(-np.inf if r.val_acc is None else r.val_acc)
-                    tests.append(np.nan if r.test_acc is None else r.test_acc)
-                mean_val = float(np.mean(vals))
-                if best is None or mean_val > best.mean_val_acc:
-                    best = Selection(algorithm, test_domain, alpha, beta, mean_val, tuple(tests))
-            out.append(best)
+    for (algorithm, test_domain), grid in sorted(
+            cells.items(), key=lambda cell: config.algorithms.index(cell[0][0])):
+        best = None
+        for (alpha, beta), runs in grid.items():
+            mean_val = float(np.mean([-np.inf if r.val_acc is None else r.val_acc for r in runs]))
+            if best is None or mean_val > best.mean_val_acc:
+                tests = tuple(np.nan if r.test_acc is None else r.test_acc for r in runs)
+                best = Selection(algorithm, test_domain, alpha, beta, mean_val, tests)
+        out.append(best)
     return out
 
 

@@ -426,6 +426,32 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err and not out.exists()
 
+    def test_gen_data_refuses_a_domain_id_outside_out(self, config_path, tmp_path, capsys):
+        obj = json.loads(Path(config_path).read_text())
+        obj["domains"][0]["domain_id"] = "../../escaped"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "out" / "data"
+        assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: domain_id must be free of" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json", "config.json"]
+
+    def test_summarize_names_the_domain_count_rule(self, config_path, tmp_path, capsys):
+        # the config's one planned row is given, but the config cannot run
+        obj = json.loads(Path(config_path).read_text())
+        obj.update(domains=obj["domains"][-2:], algorithms=["ptg"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(RESULTS_HEADER) + "\nptg,c,0,0.1,,0.9,0.8,12\n")
+        out = tmp_path / "summary"
+        assert main(["summarize", "--config", str(bad), "--out", str(out), str(rows)]) == 1
+        err = capsys.readouterr().err
+        message = "ptg needs 2 or more training domains, but 2 domains under training_domain selection leave 1"
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as ei:
             main(["conquer"])

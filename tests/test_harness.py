@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -24,6 +25,7 @@ from ptg.harness import (
     default_benchmark_config,
     grid_for,
     load_config,
+    planned_runs,
     prepare_split,
     read_results_csv,
     run_experiment,
@@ -187,9 +189,15 @@ class TestExperimentConfig:
          "domain 'train_a': a split of 1 samples at ratio 0.8 leaves an empty side"),
         ('"train_a"', '"merged"', "training domain id 'merged' is reserved"),
         ('"erm_bayesian"', '"erm"', "algorithms must not repeat a value, got ('erm', 'erm', 'ptg', 'ptg_lite')"),
+        # gen-data writes <out>/<held_out>/<domain_id>.csv, so an id must stay in its directory
+        ('"train_a"', '"../../escaped"', "domain_id must be free of ('/', '\\\\'), got '../../escaped'"),
+        ('"train_a"', '"a\\\\b"', "domain_id must be free of ('/', '\\\\'), got 'a\\\\b'"),
+        ('"train_a"', '"."', "domain_id must be none of ('.', '..'), got '.'"),
+        ('"train_a"', '".."', "domain_id must be none of ('.', '..'), got '..'"),
     ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode", "split-ratio", "d-inv",
             "zero-width", "no-featurizer-layer", "zero-width-head", "empty-split-side",
-            "domain-named-merged", "repeated-algorithm"])
+            "domain-named-merged", "repeated-algorithm", "domain-id-slash", "domain-id-backslash",
+            "domain-id-dot", "domain-id-dot-dot"])
     def test_every_load_error_names_the_file(self, tmp_path, old, new, message):
         text = (REPO / "configs" / "default.json").read_text()
         assert text.count(old) == 1
@@ -285,6 +293,8 @@ class TestDeclaredBounds:
             ("ExperimentConfig", "beta_grid", "min_len", 1),
             ("ExperimentConfig", "beta_grid", "unique", True),
             ("ExperimentConfig", "feat_hidden", "min_len", 1), ("DomainSpec", "domain_id", "min_len", 1),
+            ("DomainSpec", "domain_id", "no_chars", ("/", "\\")),
+            ("DomainSpec", "domain_id", "not_in", (".", "..")),
             ("ResultRow", "val_acc", "ge", 0), ("ResultRow", "val_acc", "le", 1),
             ("ResultRow", "test_acc", "ge", 0), ("ResultRow", "test_acc", "le", 1),
             ("ResultRow", "wall_ms", "ge", 0),
@@ -339,6 +349,23 @@ class TestDeclaredBounds:
         with pytest.raises(ValueError) as ei:
             _build(cls, f.name, bad)
         assert str(ei.value) == f"{f.name} {message}"
+
+    @pytest.mark.parametrize("cls, f, key, rule",
+                             [b for b in _bounds() if b[2] in ("not_in", "no_chars")], ids=_RULE_IDS)
+    def test_refused_values_and_characters(self, cls, f, key, rule):
+        # every refused value, and the valid value with any refused character
+        # inside it, is refused; a near miss of a refused value is taken
+        value = getattr(_VALID[cls](), f.name)
+        if key == "not_in":
+            near = rule[-1] + value
+            assert getattr(_build(cls, f.name, near), f.name) == near
+            bads, sign = rule, "none of"
+        else:
+            bads, sign = [value + c + value for c in rule], "free of"
+        for bad in bads:
+            with pytest.raises(ValueError) as ei:
+                _build(cls, f.name, bad)
+            assert str(ei.value) == f"{f.name} must be {sign} {rule}, got {bad!r}"
 
 
 class TestGrid:
@@ -413,6 +440,39 @@ class TestRunExperiment:
                 assert s.alpha is None and s.beta is None
             if s.algorithm == "ptg":
                 assert s.alpha in cfg.alpha_grid and s.beta is None
+
+
+def row_key(r: ResultRow) -> tuple:
+    return (r.algorithm, r.test_domain, r.alpha, r.beta, r.seed)
+
+
+def plan_keys(config: ExperimentConfig) -> list[tuple]:
+    """The row key of each planned run, in run order."""
+    return [(a, d, alpha, beta, rep) for d, rep, a, _, alpha, beta in planned_runs(config)]
+
+
+@pytest.fixture(scope="module")
+def every_domain_rows():
+    """Leave-one-domain-out rows of two algorithms, and the rows progress saw."""
+    cfg = tiny_config(test_domain=None, algorithms=("erm", "ptg"), n_seeds=1)
+    seen = []
+    return cfg, run_experiment(cfg, progress=seen.append), seen
+
+
+class TestPlannedRuns:
+    def test_rows_are_the_plan_with_a_named_test_domain(self, tiny_rows):
+        cfg, rows = tiny_rows
+        assert Counter(map(row_key, rows)) == Counter(plan_keys(cfg))
+        assert len(rows) == 12
+
+    def test_rows_are_the_plan_holding_out_every_domain(self, every_domain_rows):
+        cfg, rows, _ = every_domain_rows
+        assert Counter(map(row_key, rows)) == Counter(plan_keys(cfg))
+        assert len(rows) == 9  # three held-out domains, erm once and ptg at two alphas
+
+    def test_progress_sees_the_rows_in_plan_order(self, every_domain_rows):
+        cfg, _, seen = every_domain_rows
+        assert [row_key(r) for r in seen] == plan_keys(cfg)
 
 
 class TestLeaveOneOut:
@@ -547,6 +607,10 @@ class TestDomainCounts:
             run_experiment(cfg)
         assert str(ei.value) == message
         assert calls == []
+        # selection expects the same runs, so it names the same rule
+        with pytest.raises(ValueError) as ei:
+            select_model([], cfg)
+        assert str(ei.value) == message
 
 
 def fabricate(algorithm, alpha, beta, seed, val, test="0.5"):
