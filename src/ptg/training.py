@@ -19,11 +19,12 @@ aggregation run are the rows of one (D, P) array, in id order.  A step is a
 plain function step(model, classifier, batch, weight, prior, eps_rng) ->
 (loss, gradient in the layout of model.flat, classifier gradient, kl):
 _ce_step for erm, _elbo_step for erm_bayesian and ptg, _map_loss for
-ptg_lite.  The per-domain step is the same protocol in stacked form: k rows,
-a stacked batch and k weights and eps streams in, k losses, a k-row gradient,
-no classifier gradient (the classifier is frozen) and k kls out.  ptg_lite's
-is _map_loss itself, one stacked pass; ptg's, _elbo_domain_steps, runs one
-ELBO step per row.
+ptg_lite.  The aggregation procedures call the same function for their
+per-domain steps, in stacked form with the classifier frozen: k rows, a
+stacked batch and k weights and eps streams in, k losses, k gradients, no
+classifier gradient and k kls out.  _map_loss takes all k in one stacked
+pass; _elbo_step takes one ELBO step per row.  A run that overflows or
+forms a NaN anywhere in its training loop raises TrainingDiverged.
 
 The loops create every RNG stream, keyed by (seed, purpose, domain_id or
 "merged", so no training domain may be called "merged"), and pass the eps
@@ -35,8 +36,8 @@ network bitwise at its initialization.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby
 from typing import Sequence
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .aggregate import AggregateResult, CovReport, cov_dropout, mean_and_cov, moment_match
 from .datasets import DomainDataset, check_field_types
-from .nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
+from .nets import AdamState, NetworkSpec, TrainingDiverged, WeightSet, adam_step, forward, init_weights, loss_and_gradients, softmax
 from .seeding import stream
 from .variational import (
     GaussianVariational,
@@ -141,17 +142,15 @@ def _check_domains(domains: Sequence[DomainDataset], minimum: int) -> list[Domai
 
 @dataclass
 class FeaturizerBank:
-    """Output of the aggregation loops: shared featurizer, per-domain models,
-    the one classifier head they all feed, and what the last aggregation
-    reported: moment_match's variance split for ptg (its q0 is f0 itself),
-    cov_dropout's mask report for ptg_lite.  The merged step after that
-    aggregation moves only f0 and the classifier, so the report describes
-    the per-domain models as returned.  per_domain maps each id to its row
-    view of the (D, P) array the loop stepped, rows and keys in id order."""
+    """The rest of an aggregation run: per_domain maps each id to its row view
+    of the (D, P) array the loop stepped, in id order; last_aggregate is the
+    last aggregation's report, moment_match's for ptg, cov_dropout's for
+    ptg_lite.  The merged step after it moves only the shared featurizer and
+    the classifier, so it describes the per-domain models as returned.  For
+    ptg, last_aggregate.q0 is the returned featurizer itself, moved by that
+    step: its sigma**2 is no longer within_var + between_var."""
 
-    f0: GaussianVariational | WeightSet
     per_domain: dict[str, GaussianVariational | WeightSet]
-    classifier: WeightSet
     last_aggregate: AggregateResult | CovReport
 
 
@@ -238,32 +237,40 @@ def _ce_step(feat, cls, batch, kl_weight, prior, eps_rng):
 
 def _elbo_step(q, cls, batch, kl_weight, prior, eps_rng, classifier_grad=True):
     """The posterior procedures' step: one reparameterized ELBO evaluation
-    with one eps drawn from eps_rng."""
-    eps = eps_rng.standard_normal(q.mu.shape[0])
-    return elbo_loss(q, cls, batch, kl_weight, eps, prior, classifier_grad)
+    with one eps drawn from eps_rng.
 
-
-def _elbo_domain_steps(models, cls, batch, kl_weights, prior, eps_rngs):
-    """ptg's per-domain step, _elbo_step in stacked form: one _elbo_step per
-    row of the k stacked posteriors, each with its row of the stacked batch,
-    its weight and its eps stream, and the classifier frozen.  Returns the k
-    losses, the k gradients, None and the k kls."""
-    steps = [
-        _elbo_step(GaussianVariational.wrap(models.spec, flat), cls, (x, y), w, prior, rng, False)
-        for flat, x, y, w, rng in zip(models.flat, *batch, kl_weights, eps_rngs)
+    k stacked posteriors, with a stacked batch and k weights and eps
+    streams, take one evaluation each in row order, each to the bits of its
+    own call: k losses, k gradients, k classifier gradients (None when
+    frozen) and k kls."""
+    if q.flat.ndim == 1:
+        eps = eps_rng.standard_normal(q.mu.shape[0])
+        return elbo_loss(q, cls, batch, kl_weight, eps, prior, classifier_grad)
+    rows = [
+        _elbo_step(GaussianVariational.wrap(q.spec, flat), cls, (x, y), w, prior, rng, classifier_grad)
+        for flat, x, y, w, rng in zip(q.flat, *batch, kl_weight, eps_rng)
     ]
-    losses, grads, _, kls = zip(*steps)
-    return list(losses), list(grads), None, list(kls)
+    losses, grads, grads_cls, kls = map(list, zip(*rows))
+    return losses, grads, grads_cls if classifier_grad else None, kls
 
 
+@contextmanager
+def _overflow_diverges():
+    """numpy overflow or invalid arithmetic inside raises TrainingDiverged,
+    whether it first shows in a step or in an aggregation."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingDiverged(str(exc)) from exc
+
+
+@_overflow_diverges()
 def _pooled_loop(domains, feat, cls, config, steps: int, step):
     """steps Adam steps at base_lr on (feat, cls), in place, over minibatches
-    of the pooled domains; returns (feat, cls, history).
-
-    step(model, classifier, batch, kl_weight, prior, eps_rng) -> (loss,
-    gradient in the layout of model.flat, classifier grad, kl); batches and
-    eps come from the (seed, "batches" or "eps", "merged") streams.
-    """
+    of the pooled domains; returns (feat, cls, history).  step is a step
+    function as above; batches and eps come from the (seed, "batches" or
+    "eps", "merged") streams."""
     domains = _check_domains(domains, minimum=1)  # sorted by id: input order is irrelevant
     x = np.concatenate([d.x for d in domains], axis=0)
     y = np.concatenate([d.y for d in domains], axis=0)
@@ -329,17 +336,18 @@ def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
     return f0, ~report.kept_mask, report.dropped_count, report
 
 
-def _aggregation_loop(domains, init_feat, init_cls, config, step, domain_steps, aggregate):
-    """The outer loop of ptg and ptg_lite (see ptg_train); step is as in
-    _pooled_loop, domain_steps is its stacked form with the classifier frozen
-    (k rows, a stacked batch, k weights and eps streams in; k losses, k
-    gradients, None and k kls out), and aggregate(models, config) returns
-    (shared model, mask of the coordinates it dropped or None, their count,
-    the aggregation's report).  Domain i has its own batch and eps streams;
-    the merged step's key is "merged".  The per-domain models are the rows
-    of one (D, P) array in id order, and each run of consecutive domains
-    whose batches share a shape (a domain smaller than batch_size draws
-    smaller ones) is one slice of it, stepped by one domain_steps call."""
+@_overflow_diverges()
+def _aggregation_loop(domains, init_feat, init_cls, config, step, aggregate):
+    """The outer loop of ptg and ptg_lite (see ptg_train); returns
+    (featurizer, classifier, history, FeaturizerBank).  step is as in
+    _pooled_loop and also takes the per-domain steps, in its stacked form
+    with classifier_grad=False; aggregate(models, config) returns (shared
+    model, mask of the coordinates it dropped or None, their count, the
+    aggregation's report).  Domain i has its own batch and eps streams; the
+    merged step's key is "merged".  The per-domain models are the rows of
+    one (D, P) array in id order, and each run of consecutive domains whose
+    batches share a shape (a domain smaller than batch_size draws smaller
+    ones) is one slice of it, stepped by one step call."""
     domains = _check_domains(domains, minimum=2)
     ids = [d.domain_id for d in domains]
     cls = init_cls.copy()
@@ -371,8 +379,8 @@ def _aggregation_loop(domains, init_feat, init_cls, config, step, domain_steps, 
         losses = []
         for block, models in blocks:
             batch = tuple(np.stack(part) for part in zip(*drawn[block]))
-            block_losses, grads, _, _ = domain_steps(
-                models, cls, batch, klw[block], config.prior, eps[block]
+            block_losses, grads, _, _ = step(
+                models, cls, batch, klw[block], config.prior, eps[block], classifier_grad=False
             )
             for model, state, g in zip(per[block], states[block], grads):
                 adam_step(model.flat, g, state, lr)
@@ -393,7 +401,7 @@ def _aggregation_loop(domains, init_feat, init_cls, config, step, domain_steps, 
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=kl, merged_loss=loss, dropped_count=dropped_count)
         history.append(row)
-    return FeaturizerBank(f0, dict(zip(ids, per)), cls, result), history
+    return f0, cls, history, FeaturizerBank(dict(zip(ids, per)), result)
 
 
 def ptg_train(
@@ -401,7 +409,7 @@ def ptg_train(
     init_q: GaussianVariational,
     init_cls: WeightSet,
     config: TrainConfig,
-) -> tuple[FeaturizerBank, list[dict]]:
+) -> tuple[GaussianVariational, WeightSet, list[dict], FeaturizerBank]:
     """Per-domain posterior refinement with moment-matched aggregation.
 
     Each outer iteration: (a) every domain posterior takes one variational
@@ -410,9 +418,7 @@ def ptg_train(
     posteriors; (c) the shared posterior and the classifier take one
     variational step on the concatenation of this iteration's minibatches.
     """
-    return _aggregation_loop(
-        domains, init_q, init_cls, config, _elbo_step, _elbo_domain_steps, _match_posteriors
-    )
+    return _aggregation_loop(domains, init_q, init_cls, config, _elbo_step, _match_posteriors)
 
 
 def ptg_lite_train(
@@ -420,7 +426,7 @@ def ptg_lite_train(
     init_feat: WeightSet,
     init_cls: WeightSet,
     config: TrainConfig,
-) -> tuple[FeaturizerBank, list[dict]]:
+) -> tuple[WeightSet, WeightSet, list[dict], FeaturizerBank]:
     """Deterministic aggregation: averaged point estimates with CoV dropout.
 
     Per-domain models take one MAP step each (cross-entropy plus the L2 pull
@@ -431,10 +437,7 @@ def ptg_lite_train(
     on (shared featurizer, classifier) cannot resurrect it; the mask is
     recomputed at the next aggregation.
     """
-    return _aggregation_loop(
-        domains, init_feat, init_cls, config, _map_loss, partial(_map_loss, classifier_grad=False),
-        _mask_point_estimates,
-    )
+    return _aggregation_loop(domains, init_feat, init_cls, config, _map_loss, _mask_point_estimates)
 
 
 ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")
@@ -458,12 +461,11 @@ def train_algorithm(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     feat, cls, history = erm_train(domains, feat_spec, cls_spec, config)
+    bank = None
     if algorithm in ("erm_bayesian", "ptg"):
         feat, cls, history = erm_bayesian_train(domains, feat, cls, config)
     if algorithm == "ptg":
-        bank, history = ptg_train(domains, feat, cls, config)
+        feat, cls, history, bank = ptg_train(domains, feat, cls, config)
     elif algorithm == "ptg_lite":
-        bank, history = ptg_lite_train(domains, feat, cls, config)
-    else:
-        return feat, cls, history, None
-    return bank.f0, bank.classifier, history, bank
+        feat, cls, history, bank = ptg_lite_train(domains, feat, cls, config)
+    return feat, cls, history, bank

@@ -153,7 +153,7 @@ def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float
 def elbo_loss(
     q: GaussianVariational,
     classifier: WeightSet,
-    batch: tuple[np.ndarray, np.ndarray] | None,
+    batch: tuple[np.ndarray, np.ndarray],
     kl_weight: float,
     eps: np.ndarray,
     prior: PriorSpec = PriorSpec(),
@@ -167,11 +167,9 @@ def elbo_loss(
     given eps and feeds the deterministic classifier; gradients flow to
     (mu, rho) through the reparameterization (d omega / d mu = 1,
     d omega / d rho = eps * sigmoid(rho)) and to the classifier weights
-    directly.  batch=None drops the likelihood term, in which case the loss is
-    kl_weight * KL alone.  softplus(rho) and sigmoid(rho) are computed once and
-    shared by the sample, the KL and both gradients.  With a batch,
-    classifier_grad=False is for a frozen classifier: its gradient is not
-    formed and comes back as None.
+    directly.  softplus(rho) and sigmoid(rho) are computed once and shared by
+    the sample, the KL and both gradients.  classifier_grad=False is for a
+    frozen classifier: its gradient is not formed and comes back as None.
     """
     if not kl_weight >= 0:  # a NaN weight fails this too
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
@@ -181,8 +179,6 @@ def elbo_loss(
     kl = float(_kl(q.mu, sigma, prior))
     grad = _kl_grad(q.mu, sigma, sig_rho, prior)
     grad *= kl_weight
-    if batch is None:
-        return kl_weight * kl, grad, np.zeros(classifier.spec.param_count), kl
     x, y = batch
     feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
     ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y, classifier_grad)

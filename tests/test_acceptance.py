@@ -276,15 +276,15 @@ def test_zero_rate_freezes_training_and_identical_posteriors_pass_through():
     feat, cls, _ = erm_train(domains, feat_spec, cls_spec, tcfg)
     q = init_from_deterministic(feat, sigma0=0.05)
 
-    bank, _ = ptg_train(domains, q, cls, tcfg)
-    assert np.array_equal(bank.f0.mu, q.mu) and np.array_equal(bank.f0.rho, q.rho)
-    assert np.array_equal(bank.classifier.flatten(), cls.flatten())
+    q0, q_cls, _, bank = ptg_train(domains, q, cls, tcfg)
+    assert np.array_equal(q0.mu, q.mu) and np.array_equal(q0.rho, q.rho)
+    assert np.array_equal(q_cls.flatten(), cls.flatten())
     for dq in bank.per_domain.values():
         assert np.array_equal(dq.mu, q.mu) and np.array_equal(dq.rho, q.rho)
 
-    lite_bank, _ = ptg_lite_train(domains, feat, cls, tcfg)
-    assert np.array_equal(lite_bank.f0.flatten(), feat.flatten())
-    assert np.array_equal(lite_bank.classifier.flatten(), cls.flatten())
+    f0, f_cls, _, _ = ptg_lite_train(domains, feat, cls, tcfg)
+    assert np.array_equal(f0.flatten(), feat.flatten())
+    assert np.array_equal(f_cls.flatten(), cls.flatten())
 
     for n in (2, 4, 7):
         agg = moment_match([q.copy() for _ in range(n)])

@@ -151,6 +151,15 @@ class TestTrain:
         assert capsys.readouterr().err == "training failed: 3 non-finite gradient entries at step 1\n"
         assert not (out / "featurizer.json").exists()
 
+    @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
+    def test_overflowing_training_exits_2(self, overflowing_config, tmp_path, capsys, algorithm):
+        save_config(tmp_path / "config.json", overflowing_config)
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(tmp_path / "config.json"), "--algorithm", algorithm]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("training failed: overflow encountered")
+        assert not (out / "featurizer.json").exists()
+
     @pytest.mark.parametrize("held_out", ["nope", None])
     def test_needs_a_held_out_domain(self, config_path, tmp_path, capsys, held_out):
         if held_out is None:

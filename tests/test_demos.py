@@ -1,4 +1,5 @@
-"""The demos and README's Python examples run to completion as scripts.
+"""The demos and README's Python examples run to completion as scripts,
+under the warnings that the suite's filterwarnings makes errors.
 
 Demos 01-04 take a few seconds together.  Demo 05 is left out: it runs the
 default benchmark, which tests/test_acceptance.py already covers through
@@ -18,6 +19,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-4]_*.py"))
 README_EXAMPLES = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+# filterwarnings in pyproject.toml, as the interpreter's -W options
+WARNINGS_AS_ERRORS = [
+    "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", "-W", "error::FutureWarning",
+]
 
 
 def test_the_fast_demos_are_all_found():
@@ -27,7 +32,7 @@ def test_the_fast_demos_are_all_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo, tmp_path, src_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=src_env,
+        [sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=tmp_path, env=src_env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -41,7 +46,7 @@ def test_readme_has_three_python_examples():
 @pytest.mark.parametrize("example", README_EXAMPLES[1:], ids=["aggregation", "one-training-run"])
 def test_readme_example_exits_zero(example, tmp_path, src_env):
     proc = subprocess.run(
-        [sys.executable, "-c", example], cwd=tmp_path, env=src_env,
+        [sys.executable, *WARNINGS_AS_ERRORS, "-c", example], cwd=tmp_path, env=src_env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

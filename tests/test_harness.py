@@ -558,6 +558,17 @@ def diverge_on(monkeypatch, diverges):
 
 
 class TestDivergence:
+    def test_an_overflowing_aggregation_is_a_diverged_row(self, overflowing_config):
+        # a real divergence, not a stub, under the suite's warning filters
+        rows = run_experiment(overflowing_config)
+        aggregating = ("ptg", "ptg_lite")
+        assert {r.algorithm for r in rows} == set(overflowing_config.algorithms)
+        for row in rows:
+            diverged = row.algorithm in aggregating
+            assert (row.val_acc is None, row.test_acc is None) == (diverged, diverged)
+        for sel in select_model(rows, overflowing_config):
+            assert sel.n_diverged == int(sel.algorithm in aggregating)
+
     def test_training_domain_row_is_empty_and_loses_selection(self, monkeypatch, tmp_path):
         cfg = tiny_config(algorithms=("ptg",), n_seeds=1, alpha_grid=(0.1, 0.5))
         diverge_on(monkeypatch, lambda n, config: config.alpha == 0.1)

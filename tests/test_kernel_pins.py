@@ -38,7 +38,7 @@ from ptg.training import (
     TrainConfig,
     _auto_kl_weight,
     _check_domains,
-    _elbo_domain_steps,
+    _elbo_step,
     _map_loss,
     erm_bayesian_train,
     erm_train,
@@ -135,8 +135,6 @@ def ref_elbo_loss(q, classifier, batch, kl_weight, eps, prior):
     d_mu = (q.mu - prior.mean) / s2
     d_sigma = sigma / s2 - 1.0 / sigma
     kl_grad = kl_weight * np.concatenate([d_mu, d_sigma * ref_sigmoid(q.rho)])
-    if batch is None:
-        return kl_weight * kl, kl, kl_grad, np.zeros(classifier.spec.param_count)
     x, y = batch
     feats, tape_f = ref_forward(q.spec, feat_ws, x)
     logits, tape_c = ref_forward(classifier.spec, classifier, feats)
@@ -409,8 +407,7 @@ class TestAdam:
 
 
 class TestElbo:
-    @pytest.mark.parametrize("with_batch", [True, False])
-    def test_against_earlier_composition(self, with_batch):
+    def test_against_earlier_composition(self):
         # ref_elbo_loss returns (loss, kl, packed [mu | rho] gradient,
         # classifier gradient); elbo_loss returns the same four values as the
         # step tuple (loss, gradient in the layout of q.flat, classifier
@@ -423,9 +420,8 @@ class TestElbo:
         x, y = rng.standard_normal((64, 10)), rng.integers(0, 2, 64)
         for prior in (PriorSpec(), PriorSpec(0.3, 2.5)):
             eps = rng.standard_normal(n)
-            batch = (x, y) if with_batch else None
-            out = elbo_loss(q, cls, batch, 0.02, eps, prior)
-            loss, kl, grad_theta, grad_cls = ref_elbo_loss(q, cls, batch, 0.02, eps, prior)
+            out = elbo_loss(q, cls, (x, y), 0.02, eps, prior)
+            loss, kl, grad_theta, grad_cls = ref_elbo_loss(q, cls, (x, y), 0.02, eps, prior)
             assert isinstance(out, tuple) and len(out) == 4
             assert [type(v) for v in out] == [float, np.ndarray, np.ndarray, float]
             assert out[1].shape == q.flat.shape and not np.shares_memory(out[1], q.flat)
@@ -596,7 +592,7 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
         adam_step(cls.flat, grad_cls, st_c, lr)
         row.update(kl=kl, merged_loss=loss, dropped_count=0)
         history.append(row)
-    return FeaturizerBank(q0, dict(per_q), cls, matched), history
+    return q0, cls, history, FeaturizerBank(dict(per_q), matched)
 
 
 def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
@@ -643,7 +639,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=0.0, merged_loss=loss, dropped_count=report.dropped_count)
         history.append(row)
-    return FeaturizerBank(f0, dict(per_w), cls, report), history
+    return f0, cls, history, FeaturizerBank(dict(per_w), report)
 
 
 LOOP_FEAT, LOOP_CLS = NetworkSpec((4, 8, 4)), NetworkSpec((4, 2))
@@ -659,17 +655,19 @@ def history_bits(history):
 
 
 def report_bits(report):
-    """The last aggregation's report; a moment-matched q0 is the bank's f0."""
+    """The last aggregation's report; a moment-matched q0 is the run's featurizer."""
     if isinstance(report, CovReport):
         return report.beta, report.dropped_count, report.cov.tobytes(), report.kept_mask.tobytes()
     return report.within_var.tobytes(), report.between_var.tobytes()
 
 
-def bank_bits(bank):
+def run_bits(run):
+    """An aggregation run's (featurizer, classifier, history, bank), history aside."""
+    feat, cls, _, bank = run
     return (
-        model_bits(bank.f0),
+        model_bits(feat),
         [(i, model_bits(m)) for i, m in bank.per_domain.items()],
-        model_bits(bank.classifier),
+        model_bits(cls),
         report_bits(bank.last_aggregate),
     )
 
@@ -737,18 +735,18 @@ class TestMergedLoops:
         else:
             new, ref = ptg_lite_train, ref_ptg_lite_train
         seen_ref = []
-        ref_bank, ref_history = ref(domains, feat, cls, cfg, inspect=recorder(seen_ref))
+        ref_run = ref(domains, feat, cls, cfg, inspect=recorder(seen_ref))
+        ref_history = ref_run[2]
         assert len(seen_ref) == cfg.outer_iterations
         seen_new, history = [], []
         for k in range(1, cfg.outer_iterations + 1):
             cut = replace(cfg, outer_iterations=k)
-            bank, history_k = new(domains, feat, cls, cut)
-            want_bank, _ = ref(domains, feat, cls, cut)
-            assert bank_bits(bank) == bank_bits(want_bank)
-            assert history_bits(history_k[:-1]) == history_bits(history)
-            history = history_k
-            seen_new.append((k - 1, *aggregate_bits(algorithm, bank.per_domain, cfg)))
-        assert bank_bits(bank) == bank_bits(ref_bank)
+            run = new(domains, feat, cls, cut)
+            assert run_bits(run) == run_bits(ref(domains, feat, cls, cut))
+            assert history_bits(run[2][:-1]) == history_bits(history)
+            history = run[2]
+            seen_new.append((k - 1, *aggregate_bits(algorithm, run[3].per_domain, cfg)))
+        assert run_bits(run) == run_bits(ref_run)
         if algorithm == "ptg_lite":
             # kl now logs the merged MAP step's unweighted L2 term at the
             # aggregate the hook saw; the earlier loop logged 0.0
@@ -766,9 +764,9 @@ class TestMergedLoops:
 
 class TestStackedDomainSteps:
     """One iteration's per-domain steps, one call per block of domains whose
-    batches share a shape, against a separate call of the earlier
-    single-model step per domain.  Uneven domain sizes give each domain its
-    own L2 or KL weight, and the 20-row domain draws a smaller batch."""
+    batches share a shape, against a separate single-model call per domain:
+    of the earlier MAP step, and of elbo_loss.  Uneven domain sizes give each
+    domain its own L2 or KL weight, and the 20-row domain draws a smaller batch."""
 
     SIZES = [(70, 0.9), (20, 0.7), (130, 0.8), (45, 0.6)]
     BLOCKS = ([1], [0, 2, 3])  # batches of 20 rows, and of 32
@@ -810,20 +808,26 @@ class TestStackedDomainSteps:
                     assert_bits(a, b)
         assert cls.flat.tobytes() == cls_bits
 
-    def test_elbo_steps_match_separate_elbo_loss_calls(self):
+    @pytest.mark.parametrize("classifier_grad", [False, True])
+    @pytest.mark.parametrize("block", [[1], [0, 2], [0, 2, 3]], ids=["k1", "k2", "k3"])
+    def test_stacked_elbo_step_matches_separate_elbo_loss_calls(self, block, classifier_grad):
         domains, cfg, batches, weights, cls, rng = self.setup_case()
         n = LOOP_FEAT.param_count
         thetas = np.concatenate([rng.standard_normal((4, n)), rng.uniform(-6.0, 0.0, (4, n))], axis=1)
-        for block in self.BLOCKS:
-            models = GaussianVariational.wrap(LOOP_FEAT, thetas[block])
-            rngs = [stream(0, "eps", domains[j].domain_id) for j in block]
-            batch = tuple(np.stack(part) for part in zip(*[batches[j] for j in block]))
-            losses, grads, _, _ = _elbo_domain_steps(
-                models, cls, batch, [weights[j] for j in block], cfg.prior, rngs
-            )
-            for r, j in enumerate(block):
-                eps = stream(0, "eps", domains[j].domain_id).standard_normal(n)
-                q_j = GaussianVariational.wrap(LOOP_FEAT, thetas[j])
-                loss, _, grad, _ = ref_elbo_loss(q_j, cls, batches[j], weights[j], eps, cfg.prior)
-                assert_bits(losses[r], loss)
-                assert_bits(grads[r], grad)
+        models = GaussianVariational.wrap(LOOP_FEAT, thetas[block])
+        rngs = [stream(0, "eps", domains[j].domain_id) for j in block]
+        batch = tuple(np.stack(part) for part in zip(*[batches[j] for j in block]))
+        losses, grads, grads_cls, kls = _elbo_step(
+            models, cls, batch, [weights[j] for j in block], cfg.prior, rngs, classifier_grad
+        )
+        assert len(losses) == len(grads) == len(kls) == len(block)
+        assert (grads_cls is None) == (not classifier_grad)
+        for r, j in enumerate(block):
+            eps = stream(0, "eps", domains[j].domain_id).standard_normal(n)
+            q_j = GaussianVariational.wrap(LOOP_FEAT, thetas[j])
+            want = elbo_loss(q_j, cls, batches[j], weights[j], eps, cfg.prior, classifier_grad)
+            assert type(losses[r]) is float and type(kls[r]) is float
+            for got, w in [(losses[r], want[0]), (grads[r], want[1]), (kls[r], want[3])]:
+                assert_bits(got, w)
+            if classifier_grad:
+                assert_bits(grads_cls[r], want[2])

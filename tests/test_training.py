@@ -249,7 +249,9 @@ class TestPtg:
         # variational step per domain against the untouched classifier,
         # moment matching, then one merged step on the concatenated batches
         domains, q_init, cls0 = ptg_setup()
-        bank, history = ptg_train(domains, q_init, cls0, replace(self.CFG, outer_iterations=1))
+        got_q0, got_cls, history, bank = ptg_train(
+            domains, q_init, cls0, replace(self.CFG, outer_iterations=1)
+        )
         assert [h["iteration"] for h in history] == [0]
 
         n = q_init.mu.size
@@ -277,37 +279,37 @@ class TestPtg:
         adam_step(q0.flat, grad, AdamState.zeros(2 * n), 0.5 * 1e-3)
         cls = cls0.copy()
         adam_step(cls.flat, grad_cls, AdamState.zeros(cls.flat.size), 0.5 * 1e-3)
-        np.testing.assert_array_equal(bank.f0.mu, q0.mu)
-        np.testing.assert_array_equal(bank.f0.rho, q0.rho)
-        np.testing.assert_array_equal(bank.classifier.flat, cls.flat)
+        np.testing.assert_array_equal(got_q0.mu, q0.mu)
+        np.testing.assert_array_equal(got_q0.rho, q0.rho)
+        np.testing.assert_array_equal(got_cls.flat, cls.flat)
 
     def test_truncated_run_is_a_prefix(self):
         # a k-iteration run is the first k iterations of a longer one, so its
-        # bank is the state the longer run holds after iteration k - 1
+        # models are the state the longer run holds after iteration k - 1
         domains, q_init, cls0 = ptg_setup(seed=8)
         cfg = replace(self.CFG, outer_iterations=5)
-        _, history = ptg_train(domains, q_init, cls0, cfg)
+        history = ptg_train(domains, q_init, cls0, cfg)[2]
         for k in range(1, cfg.outer_iterations):
-            _, head = ptg_train(domains, q_init, cls0, replace(cfg, outer_iterations=k))
+            head = ptg_train(domains, q_init, cls0, replace(cfg, outer_iterations=k))[2]
             assert history_bits(head) == history_bits(history[:k])
 
     def test_domain_order_irrelevant_bitwise(self):
         domains, q_init, cls0 = ptg_setup(seed=11)
-        a, _ = ptg_train(domains, q_init, cls0, self.CFG)
-        b, _ = ptg_train(domains[::-1], q_init, cls0, self.CFG)
-        np.testing.assert_array_equal(a.f0.mu, b.f0.mu)
-        np.testing.assert_array_equal(a.f0.rho, b.f0.rho)
-        np.testing.assert_array_equal(a.classifier.flatten(), b.classifier.flatten())
+        q_a, cls_a, _, a = ptg_train(domains, q_init, cls0, self.CFG)
+        q_b, cls_b, _, b = ptg_train(domains[::-1], q_init, cls0, self.CFG)
+        np.testing.assert_array_equal(q_a.mu, q_b.mu)
+        np.testing.assert_array_equal(q_a.rho, q_b.rho)
+        np.testing.assert_array_equal(cls_a.flatten(), cls_b.flatten())
         for i in a.per_domain:
             np.testing.assert_array_equal(a.per_domain[i].mu, b.per_domain[i].mu)
 
     def test_alpha_zero_freezes_everything_bitwise(self):
         domains, q_init, cls0 = ptg_setup(seed=13)
         cfg = replace(self.CFG, alpha=0.0, outer_iterations=3)
-        bank, history = ptg_train(domains, q_init, cls0, cfg)
-        np.testing.assert_array_equal(bank.f0.mu, q_init.mu)
-        np.testing.assert_array_equal(bank.f0.rho, q_init.rho)
-        np.testing.assert_array_equal(bank.classifier.flatten(), cls0.flatten())
+        q0, cls, history, bank = ptg_train(domains, q_init, cls0, cfg)
+        np.testing.assert_array_equal(q0.mu, q_init.mu)
+        np.testing.assert_array_equal(q0.rho, q_init.rho)
+        np.testing.assert_array_equal(cls.flatten(), cls0.flatten())
         for q in bank.per_domain.values():
             np.testing.assert_array_equal(q.mu, q_init.mu)
             np.testing.assert_array_equal(q.rho, q_init.rho)
@@ -315,7 +317,7 @@ class TestPtg:
 
     def test_history_schema(self):
         domains, q_init, cls0 = ptg_setup()
-        _, history = ptg_train(domains, q_init, cls0, self.CFG)
+        history = ptg_train(domains, q_init, cls0, self.CFG)[2]
         row = history[0]
         expected = {"iteration", "kl", "merged_loss", "dropped_count"} | {
             f"loss_{d.domain_id}" for d in domains
@@ -345,7 +347,9 @@ class TestPtgLite:
     def test_first_iteration_matches_manual_replay(self):
         domains = make_domains(n_per=90, seed=21)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=21)
-        bank, _ = ptg_lite_train(domains, feat0, cls0, replace(self.CFG, outer_iterations=1))
+        got_f0, got_cls, _, bank = ptg_lite_train(
+            domains, feat0, cls0, replace(self.CFG, outer_iterations=1)
+        )
 
         manual, drawn = {}, []
         for d in sorted(domains, key=lambda d: d.domain_id):
@@ -372,50 +376,50 @@ class TestPtgLite:
         f0.flat[~report.kept_mask] = 0.0
         cls = cls0.copy()
         adam_step(cls.flat, g_cls, AdamState.zeros(g_cls.size), 0.5 * 1e-3)
-        np.testing.assert_array_equal(bank.f0.flatten(), f0.flatten())
-        np.testing.assert_array_equal(bank.classifier.flat, cls.flat)
+        np.testing.assert_array_equal(got_f0.flatten(), f0.flatten())
+        np.testing.assert_array_equal(got_cls.flat, cls.flat)
 
     def test_truncated_run_is_a_prefix(self):
         domains = make_domains(n_per=90, seed=25)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=25)
         cfg = replace(self.CFG, outer_iterations=5)
-        _, history = ptg_lite_train(domains, feat0, cls0, cfg)
+        history = ptg_lite_train(domains, feat0, cls0, cfg)[2]
         assert any(h["dropped_count"] > 0 for h in history)  # the mask path runs
         for k in range(1, cfg.outer_iterations):
-            _, head = ptg_lite_train(domains, feat0, cls0, replace(cfg, outer_iterations=k))
+            head = ptg_lite_train(domains, feat0, cls0, replace(cfg, outer_iterations=k))[2]
             assert history_bits(head) == history_bits(history[:k])
 
     def test_dropped_parameters_stay_zero_through_merged_step(self):
         domains = make_domains(n_per=90, seed=22)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=22)
-        _, history = ptg_lite_train(domains, feat0, cls0, self.CFG)
+        history = ptg_lite_train(domains, feat0, cls0, self.CFG)[2]
         # a k-iteration run ends on iteration k - 1 of the full run
         # (test_truncated_run_is_a_prefix): recompute its mask from the
         # per-domain models and check the shared featurizer after the merged step
         for k in range(1, self.CFG.outer_iterations + 1):
-            bank, _ = ptg_lite_train(domains, feat0, cls0, replace(self.CFG, outer_iterations=k))
+            f0, _, _, bank = ptg_lite_train(domains, feat0, cls0, replace(self.CFG, outer_iterations=k))
             models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
             dropped = coefficient_of_variation(models) > self.CFG.beta
             assert history[k - 1]["dropped_count"] == int(dropped.sum())
-            np.testing.assert_array_equal(bank.f0.flatten()[dropped], 0.0)
+            np.testing.assert_array_equal(f0.flatten()[dropped], 0.0)
         assert dropped.any()  # beta tight enough that the test is non-vacuous
 
     def test_alpha_zero_freezes_everything_bitwise(self):
         domains = make_domains(n_per=60, seed=23)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=23)
         cfg = replace(self.CFG, alpha=0.0)
-        bank, history = ptg_lite_train(domains, feat0, cls0, cfg)
-        np.testing.assert_array_equal(bank.f0.flatten(), feat0.flatten())
-        np.testing.assert_array_equal(bank.classifier.flatten(), cls0.flatten())
+        f0, cls, history, _ = ptg_lite_train(domains, feat0, cls0, cfg)
+        np.testing.assert_array_equal(f0.flatten(), feat0.flatten())
+        np.testing.assert_array_equal(cls.flatten(), cls0.flatten())
         assert all(h["dropped_count"] == 0 for h in history)
 
     def test_domain_order_irrelevant_bitwise(self):
         domains = make_domains(n_per=60, seed=24)
         feat0, cls0 = init_pair(FEAT_SPEC, CLS_SPEC, seed=24)
-        a, _ = ptg_lite_train(domains, feat0, cls0, self.CFG)
-        b, _ = ptg_lite_train(domains[::-1], feat0, cls0, self.CFG)
-        np.testing.assert_array_equal(a.f0.flatten(), b.f0.flatten())
-        np.testing.assert_array_equal(a.classifier.flatten(), b.classifier.flatten())
+        f_a, cls_a, _, _ = ptg_lite_train(domains, feat0, cls0, self.CFG)
+        f_b, cls_b, _, _ = ptg_lite_train(domains[::-1], feat0, cls0, self.CFG)
+        np.testing.assert_array_equal(f_a.flatten(), f_b.flatten())
+        np.testing.assert_array_equal(cls_a.flatten(), cls_b.flatten())
 
 
 class TestTrainAlgorithm:
@@ -437,23 +441,23 @@ class TestTrainAlgorithm:
             assert isinstance(feat, typ), name
             assert isinstance(cls, WeightSet)
             assert len(history) > 0
-            if name in ("ptg", "ptg_lite"):  # the bank the returned models come from
-                assert bank.f0 is feat and bank.classifier is cls
+            if name in ("ptg", "ptg_lite"):
                 assert sorted(bank.per_domain) == sorted(d.domain_id for d in domains)
             else:
                 assert bank is None
 
     @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
     def test_bank_keeps_the_last_aggregation(self, algorithm):
-        # the merged step after it moves only f0 and the classifier, so
-        # aggregating the returned per-domain models again gives its bits
+        # the merged step after it moves only the shared featurizer and the
+        # classifier, so aggregating the returned per-domain models again
+        # gives its bits
         domains = make_domains(n_per=60)
-        _, _, _, bank = train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
+        feat, _, _, bank = train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, self.CFG)
         models = [bank.per_domain[i] for i in sorted(bank.per_domain)]
         kept = bank.last_aggregate
         if algorithm == "ptg":
             again = moment_match(models)
-            assert kept.q0 is bank.f0
+            assert kept.q0 is feat  # the merged step has moved it since
             pairs = [(kept.within_var, again.within_var), (kept.between_var, again.between_var)]
         else:
             _, again = cov_dropout(*mean_and_cov(models), self.CFG.beta)
@@ -504,8 +508,8 @@ class TestTrainAlgorithm:
 
 class TestDomainStepCalls:
     """The aggregation loop steps each run of consecutive ids whose batches
-    share a shape in one domain_steps call, so a bitwise-equal fallback to one
-    call per domain still fails here."""
+    share a shape in one step(..., classifier_grad=False) call, so a
+    bitwise-equal fallback to one call per domain still fails here."""
 
     @pytest.mark.parametrize("algorithm", ["ptg", "ptg_lite"])
     @pytest.mark.parametrize(
@@ -522,15 +526,17 @@ class TestDomainStepCalls:
         loop = ptg.training._aggregation_loop
         calls = []
 
-        def spied(domains, feat, cls, config, step, domain_steps, aggregate):
-            def counted(models, *args):
-                losses, grads, cls_grad, kls = out = domain_steps(models, *args)
-                k = len(models.flat)
-                assert (len(losses), len(grads), cls_grad, len(kls)) == (k, k, None, k)
-                calls.append(k)
+        def spied(domains, feat, cls, config, step, aggregate):
+            def counted(models, *args, **kwargs):
+                out = step(models, *args, **kwargs)
+                if kwargs == {"classifier_grad": False}:  # not the merged step
+                    losses, grads, cls_grad, kls = out
+                    k = len(models.flat)
+                    assert (len(losses), len(grads), cls_grad, len(kls)) == (k, k, None, k)
+                    calls.append(k)
                 return out
 
-            return loop(domains, feat, cls, config, step, counted, aggregate)
+            return loop(domains, feat, cls, config, counted, aggregate)
 
         monkeypatch.setattr(ptg.training, "_aggregation_loop", spied)
         train_algorithm(algorithm, domains, FEAT_SPEC, CLS_SPEC, cfg)

@@ -12,6 +12,7 @@ from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, init_weights
 from ptg.variational import (
     GaussianVariational,
     PriorSpec,
+    _kl_grad,
     elbo_loss,
     init_from_deterministic,
     kl_to_prior,
@@ -211,31 +212,40 @@ class TestKl:
             assert kl_to_prior(q, PriorSpec(0.0, 1.0)) >= 0.0
 
     def test_gradients_match_finite_differences(self):
-        # the data-free ELBO at weight 1.0 carries the bare KL gradient
+        # the packed [mu | rho] gradient that elbo_loss adds at weight kl_weight
         q = make_q(31)
         prior = PriorSpec(0.3, 1.4)
-        cls = init_weights(NetworkSpec((SPEC.layer_dims[-1], 3, 2)), np.random.default_rng(31))
-        _, grad, _, _ = elbo_loss(q, cls, None, 1.0, np.zeros(SPEC.param_count), prior)
+        grad = _kl_grad(q.mu, q.sigma, sigmoid(q.rho), prior)
         g_mu, g_rho = grad[: SPEC.param_count], grad[SPEC.param_count :]
         fd_mu = central_difference(lambda v: kl_to_prior(stacked_q(v, q.rho), prior), q.mu)
         fd_rho = central_difference(lambda v: kl_to_prior(stacked_q(q.mu, v), prior), q.rho)
         assert max_relative_error(fd_mu, g_mu) < 1e-7
         assert max_relative_error(fd_rho, g_rho) < 1e-7
 
+    def test_data_free_descent_shrinks_kl(self):
+        # with only the KL term, Adam should pull q onto the prior
+        q = make_q(48)
+        n = SPEC.param_count
+        state = AdamState.zeros(2 * n)
+        checkpoints = [kl_to_prior(q)]
+        for step in range(100):
+            grad = _kl_grad(q.mu, q.sigma, sigmoid(q.rho), PriorSpec())
+            packed = np.concatenate([q.mu, q.rho])
+            packed, state = adam_step(packed, grad, state, 5e-2)
+            q = GaussianVariational(SPEC, packed[:n], packed[n:])
+            if (step + 1) % 10 == 0:
+                checkpoints.append(kl_to_prior(q))
+        diffs = np.diff(checkpoints)
+        assert np.all(diffs < 0.0)
+        assert checkpoints[-1] < 0.05 * checkpoints[0]
+
 
 class TestElbo:
+    BATCH = (np.zeros((3, 2)), np.array([0, 1, 0]))
+
     def cls_pair(self, seed=0):
         cls_spec = NetworkSpec((SPEC.layer_dims[-1], 3, 2))
         return init_weights(cls_spec, np.random.default_rng(seed))
-
-    def test_data_free_loss_is_weighted_kl(self):
-        q = make_q(40)
-        cls = self.cls_pair(41)
-        loss, _, grad_cls, _ = elbo_loss(q, cls, None, 0.7, np.zeros(SPEC.param_count))
-        assert loss == pytest.approx(0.7 * kl_to_prior(q), rel=1e-14)
-        assert isinstance(grad_cls, np.ndarray)
-        assert grad_cls.shape == (cls.spec.param_count,)
-        assert not grad_cls.any()
 
     def test_same_eps_is_deterministic(self):
         q = make_q(42)
@@ -278,32 +288,14 @@ class TestElbo:
         fd_cls = central_difference(loss_cls, cls.flatten())
         assert max_relative_error(fd_cls, grad_cls) < 1e-4
 
-    def test_data_free_descent_shrinks_kl(self):
-        # with only the KL term, Adam should pull q onto the prior
-        q = make_q(48)
-        cls = self.cls_pair(49)
-        n = SPEC.param_count
-        state = AdamState.zeros(2 * n)
-        checkpoints = [kl_to_prior(q)]
-        for step in range(100):
-            _, grad, _, _ = elbo_loss(q, cls, None, 1.0, np.zeros(n))
-            packed = np.concatenate([q.mu, q.rho])
-            packed, state = adam_step(packed, grad, state, 5e-2)
-            q = GaussianVariational(SPEC, packed[:n], packed[n:])
-            if (step + 1) % 10 == 0:
-                checkpoints.append(kl_to_prior(q))
-        diffs = np.diff(checkpoints)
-        assert np.all(diffs < 0.0)
-        assert checkpoints[-1] < 0.05 * checkpoints[0]
-
     def test_rejects_negative_kl_weight(self):
         with pytest.raises(ValueError):
-            elbo_loss(make_q(), self.cls_pair(), None, -0.1, np.zeros(SPEC.param_count))
+            elbo_loss(make_q(), self.cls_pair(), self.BATCH, -0.1, np.zeros(SPEC.param_count))
 
     def test_rejects_a_nan_kl_weight(self):
         # a NaN weight passes a `kl_weight < 0` guard and makes the loss NaN
         with pytest.raises(ValueError, match="kl_weight must be >= 0, got nan"):
-            elbo_loss(make_q(), self.cls_pair(), None, float("nan"), np.zeros(SPEC.param_count))
+            elbo_loss(make_q(), self.cls_pair(), self.BATCH, float("nan"), np.zeros(SPEC.param_count))
 
 
 class TestSerialization:
