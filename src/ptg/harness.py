@@ -16,7 +16,7 @@ import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import groupby
+from itertools import groupby, product
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .datasets import (
 )
 from .nets import NetworkSpec, TrainingDiverged
 from .seeding import derive_seed, stream
-from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, train_algorithm
+from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, pipeline, train_algorithm
 
 DEFAULT_ALPHA_GRID = (0.05, 0.1, 0.5)
 DEFAULT_BETA_GRID = (0.05, 0.1)
@@ -178,14 +178,10 @@ RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def grid_for(algorithm: str, config: ExperimentConfig) -> list[tuple[float | None, float | None]]:
-    """The (alpha, beta) sweep of one algorithm, in canonical ascending order."""
-    if algorithm in ("erm", "erm_bayesian"):
-        return [(None, None)]
-    if algorithm == "ptg":
-        return [(a, None) for a in sorted(config.alpha_grid)]
-    if algorithm == "ptg_lite":
-        return [(a, b) for a in sorted(config.alpha_grid) for b in sorted(config.beta_grid)]
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """The (alpha, beta) sweep of algorithm's PIPELINES knobs, ascending; None for the others."""
+    _, knobs, _ = pipeline(algorithm)
+    axes = [sorted(getattr(config, f"{k}_grid")) if k in knobs else [None] for k in ("alpha", "beta")]
+    return list(product(*axes))
 
 
 def generate_domains(config: ExperimentConfig, seed: int) -> dict[str, DomainDataset]:
@@ -469,10 +465,9 @@ def read_results_csv(path) -> list[ResultRow]:
 
 
 def write_training_log(path, history: Sequence[dict]) -> None:
-    """Per-iteration scalars as CSV; columns follow the first row's keys."""
-    if not history:
-        raise ValueError("empty training history")
-    fields = list(history[0].keys())
+    """Per-iteration scalars as CSV; columns follow the first row's keys.  No rows
+    (a last stage of zero steps) give the header of every log, iteration,merged_loss."""
+    fields = list(history[0]) if history else ["iteration", "merged_loss"]
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

@@ -1,7 +1,7 @@
 """Training loops: merged-data baselines and per-domain aggregation.
 
-Four procedures share one shape, a featurizer feeding a deterministic
-classifier head:
+Four procedures, the rows of PIPELINES (the one table of algorithms), share
+one shape, a featurizer feeding a deterministic classifier head:
 
 * erm: cross-entropy on the merged training data, everything deterministic.
 * erm_bayesian: Gaussian posterior over the featurizer weights trained by
@@ -440,10 +440,26 @@ def ptg_lite_train(
     return _aggregation_loop(domains, init_feat, init_cls, config, _map_loss, _mask_point_estimates)
 
 
-ALGORITHMS = ("erm", "erm_bayesian", "ptg", "ptg_lite")
-# the fewest training domains each procedure accepts, as _pooled_loop and
-# _aggregation_loop enforce: aggregation needs two models to combine
-MIN_TRAINING_DOMAINS = {"erm": 1, "erm_bayesian": 1, "ptg": 2, "ptg_lite": 2}
+# name: (stages after erm_train, grid knobs, fewest training domains).  Each
+# stage maps (domains, featurizer, classifier, config) to the next featurizer,
+# classifier and history, plus its FeaturizerBank if it aggregates.  Stages are
+# names looked up when train_algorithm runs, so a wrapper set on the module
+# attribute sees the call; a table of function objects would call the originals.
+PIPELINES = {
+    "erm": ((), (), 1),
+    "erm_bayesian": (("erm_bayesian_train",), (), 1),
+    "ptg": (("erm_bayesian_train", "ptg_train"), ("alpha",), 2),
+    "ptg_lite": (("ptg_lite_train",), ("alpha", "beta"), 2),
+}
+ALGORITHMS = tuple(PIPELINES)
+MIN_TRAINING_DOMAINS = {name: row[2] for name, row in PIPELINES.items()}
+
+
+def pipeline(algorithm: str) -> tuple:
+    """algorithm's PIPELINES row; ValueError for a name that has none."""
+    if algorithm not in PIPELINES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return PIPELINES[algorithm]
 
 
 def train_algorithm(
@@ -453,19 +469,13 @@ def train_algorithm(
     cls_spec: NetworkSpec,
     config: TrainConfig,
 ) -> tuple[GaussianVariational | WeightSet, WeightSet, list[dict], FeaturizerBank | None]:
-    """Run one named procedure end to end and return (featurizer, classifier,
-    history, bank); bank is the aggregation procedures' FeaturizerBank and
-    None for the merged-data ones.  The aggregation procedures start from the
-    matching merged-data checkpoint: ptg from erm_bayesian's posterior,
-    ptg_lite from erm's weights."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    feat, cls, history = erm_train(domains, feat_spec, cls_spec, config)
-    bank = None
-    if algorithm in ("erm_bayesian", "ptg"):
-        feat, cls, history = erm_bayesian_train(domains, feat, cls, config)
-    if algorithm == "ptg":
-        feat, cls, history, bank = ptg_train(domains, feat, cls, config)
-    elif algorithm == "ptg_lite":
-        feat, cls, history, bank = ptg_lite_train(domains, feat, cls, config)
-    return feat, cls, history, bank
+    """Run one named procedure end to end: erm_train, then each stage of its
+    PIPELINES row on the previous stage's featurizer and classifier, so ptg
+    starts from erm_bayesian's posterior and ptg_lite from erm's weights.
+    Returns the last stage's (featurizer, classifier, history, bank): bank is
+    an aggregation stage's FeaturizerBank, and None after a pooled stage."""
+    stages, _, _ = pipeline(algorithm)
+    feat, cls, history, *bank = erm_train(domains, feat_spec, cls_spec, config)
+    for stage in stages:
+        feat, cls, history, *bank = globals()[stage](domains, feat, cls, config)
+    return feat, cls, history, bank[0] if bank else None

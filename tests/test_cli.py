@@ -134,6 +134,18 @@ class TestTrain:
         config = load_config(config_path)
         self.assert_trains(out, config, config.train, algorithm)
 
+    @pytest.mark.parametrize("algorithm, steps", [("erm", "erm_steps"), ("erm_bayesian", "bayes_steps")])
+    def test_a_last_stage_of_zero_steps_writes_every_artifact(self, config_path, tmp_path, algorithm, steps):
+        # zero steps is legal: the checkpoints are the stage's start, the log has no rows
+        config = load_config(config_path)
+        config = replace(config, train=replace(config.train, **{steps: 0}))
+        save_config(tmp_path / "zero.json", config)
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(tmp_path / "zero.json"), "--algorithm", algorithm]
+        assert main(argv + ["--out", str(out)]) == 0
+        self.assert_trains(out, config, config.train, algorithm)
+        assert (out / "training_log.csv").read_text().splitlines() == ["iteration,merged_loss"]
+
     def test_seed_is_the_training_seed(self, config_path, tmp_path):
         out = tmp_path / "run"
         argv = ["train", "--config", config_path, "--algorithm", "erm", "--seed", "5"]

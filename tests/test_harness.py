@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import ptg.harness
+import ptg.training
+from ptg.cli import build_parser
 from ptg.datasets import DomainSpec, check_field_types, read_config
 from ptg.harness import (
     DEFAULT_ALPHA_GRID,
@@ -39,7 +41,14 @@ from ptg.harness import (
 )
 from ptg.nets import TrainingDiverged
 from ptg.seeding import derive_seed
-from ptg.training import TrainConfig, accuracy, train_algorithm
+from ptg.training import (
+    MIN_TRAINING_DOMAINS,
+    PIPELINES,
+    FeaturizerBank,
+    TrainConfig,
+    accuracy,
+    train_algorithm,
+)
 from ptg.variational import PriorSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -387,6 +396,54 @@ class TestGrid:
     def test_unknown_algorithm_has_no_grid(self):
         with pytest.raises(ValueError, match="unknown algorithm 'mystery'"):
             grid_for("mystery", tiny_config())
+
+
+class TestPipelines:
+    """Every reader of what an algorithm is reads its PIPELINES row."""
+
+    @pytest.mark.parametrize("algorithm", PIPELINES)
+    def test_readers_follow_the_row(self, monkeypatch, algorithm):
+        stages, knobs, fewest = PIPELINES[algorithm]
+        cfg = tiny_config(alpha_grid=(0.5, 0.1), beta_grid=(0.2, 0.1))
+        alphas = [0.1, 0.5] if "alpha" in knobs else [None]
+        betas = [0.1, 0.2] if "beta" in knobs else [None]
+        assert grid_for(algorithm, cfg) == [(a, b) for a in alphas for b in betas]
+
+        assert MIN_TRAINING_DOMAINS[algorithm] == fewest
+        # leave-one-out holds out the test domain and one more, so n domains leave n - 2
+        domains = tuple(DomainSpec(f"d{i}", 120) for i in range(fewest + 2))
+        l1o = dict(test_domain="d0", algorithms=(algorithm,), selection="leave_one_out")
+        check_domain_counts(tiny_config(domains=domains, **l1o))
+        with pytest.raises(ValueError, match=f"^{algorithm} needs {fewest} or more training domains"):
+            check_domain_counts(tiny_config(domains=domains[:-1], **l1o))
+
+        # the row's stages run in order, each looked up on the module when called
+        aggregating = [s for s in stages
+                       if FeaturizerBank in get_args(get_type_hints(getattr(ptg.training, s))["return"])]
+        ran = []
+        for stage in set(stages):
+            def recorded(*args, stage=stage, original=getattr(ptg.training, stage)):
+                ran.append((stage, original(*args)))
+                return ran[-1][1]
+
+            monkeypatch.setattr(ptg.training, stage, recorded)
+        trains, _, _ = prepare_split(cfg, "c", 0)
+        *_, bank = train_algorithm(algorithm, trains, *cfg.network_specs(), cfg.train)
+        assert [s for s, _ in ran] == list(stages)
+        assert (bank is None) == (not aggregating)
+        if aggregating:
+            assert bank is dict(ran)[aggregating[-1]][-1]
+
+        assert build_parser().parse_args(["train", "--algorithm", algorithm]).algorithm == algorithm
+        assert tiny_config().algorithms == tuple(PIPELINES)
+
+    def test_grid_follows_a_patched_row(self, monkeypatch):
+        cfg = tiny_config(alpha_grid=(0.5, 0.1), beta_grid=(0.2,))
+        stages, _, fewest = PIPELINES["ptg"]
+        monkeypatch.setitem(PIPELINES, "ptg", (stages, ("beta",), fewest))
+        assert grid_for("ptg", cfg) == [(None, 0.2)]
+        monkeypatch.setitem(PIPELINES, "erm", ((), ("alpha", "beta"), 1))
+        assert grid_for("erm", cfg) == [(0.1, 0.2), (0.5, 0.2)]
 
 
 @pytest.fixture(scope="module")
@@ -792,6 +849,8 @@ class TestTrainingLog:
         assert lines[0] == "iteration,loss_a,merged_loss"
         assert len(lines) == 3
 
-    def test_empty_history_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_training_log(tmp_path / "log.csv", [])
+    def test_empty_history_writes_the_header_only(self, tmp_path):
+        # a run whose last stage took zero steps: the columns every log has
+        path = tmp_path / "log.csv"
+        write_training_log(path, [])
+        assert path.read_text().splitlines() == ["iteration,merged_loss"]
