@@ -297,7 +297,11 @@ def feature_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_stats(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (x - mean) / std
+    """Standardize x in place, (x - mean) / std by the same two IEEE
+    operations, and return x itself."""
+    x -= mean
+    x /= std
+    return x
 
 
 def _sidecar_path(path) -> Path:

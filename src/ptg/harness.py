@@ -201,20 +201,24 @@ def prepare_split(
     config: ExperimentConfig, test_domain: str, rep: int
 ) -> tuple[list[DomainDataset], list[DomainDataset], DomainDataset]:
     """Generate data for one repetition and standardize by the statistics of
-    the pooled training splits only."""
+    the pooled training splits only.
+
+    Each raw training domain is dropped once split_train_val has copied its
+    rows, and every returned array is fresh and standardized in place
+    (apply_stats), so at most one copy of a domain's rows outlives the pooled
+    statistics' buffer."""
     seed = data_seed(config, test_domain, rep)
     by_id = generate_domains(config, seed)
-    train_ids = sorted(i for i in by_id if i != test_domain)
+    test = by_id.pop(test_domain)
     trains, vals = [], []
-    for i in train_ids:
-        tr, va = split_train_val(
-            by_id[i], config.split_ratio, derive_seed(seed, "split", i)
-        )
+    for i in sorted(by_id):
+        tr, va = split_train_val(by_id.pop(i), config.split_ratio, derive_seed(seed, "split", i))
         trains.append(tr)
         vals.append(va)
     mean, std = feature_stats(np.concatenate([t.x for t in trains], axis=0))
-    scale = lambda ds: replace(ds, x=apply_stats(ds.x, mean, std))
-    return [scale(t) for t in trains], [scale(v) for v in vals], scale(by_id[test_domain])
+    for ds in trains + vals + [test]:
+        apply_stats(ds.x, mean, std)
+    return trains, vals, test
 
 
 def _xy(*sets: DomainDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -154,6 +154,12 @@ class FeaturizerBank:
     last_aggregate: AggregateResult | CovReport
 
 
+# rows per forward pass in predict: each layer's activations are held for one
+# block, not the whole set, so scoring memory does not grow with the rows
+# scored.  Of 256, 512 and 1024, 512 gave blobs-default the lowest peak RSS.
+PREDICT_BLOCK_ROWS = 512
+
+
 def predict(
     featurizer: GaussianVariational | WeightSet,
     classifier: WeightSet,
@@ -161,12 +167,16 @@ def predict(
     mc_samples: int = 1,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Class probabilities for a batch.
+    """Class probabilities for a batch, as one (n, classes) array.
 
     Deterministic featurizers run once.  Posterior featurizers average the
     softmax over mc_samples reparameterized draws, with eps drawn from rng as
     one (mc_samples, n_params) array, or at the posterior mean (eps = 0) when
-    rng is None.
+    rng is None.  Rows are scored in consecutive blocks of PREDICT_BLOCK_ROWS,
+    every draw in order within each block, and the last block takes up to
+    PREDICT_BLOCK_ROWS + 1 rows: a one-row matmul runs BLAS's matrix-vector
+    routine, whose bits can differ from the same row inside a larger product.
+    So the result is bitwise the whole-set computation.
     """
     if isinstance(featurizer, WeightSet):
         draws = [featurizer]
@@ -176,12 +186,19 @@ def predict(
         shape = (mc_samples, featurizer.mu.shape[0])
         eps = np.zeros(shape) if rng is None else rng.standard_normal(shape)
         draws = [sample_weights(featurizer, e) for e in eps]
-    # 0.0 + p and p / 1 are bitwise p for probabilities, so one draw is exact
-    total = 0.0
-    for ws in draws:
-        feats = forward(ws, x)[0]  # [0]: each tape is freed once its output is read
-        total = total + softmax(forward(classifier, feats)[0])
-    return total / len(draws)
+    n = len(x)
+    probs = np.empty((n, classifier.spec.layer_dims[-1]))
+    # block starts stay below n - 1, so no block holds a single row unless n
+    # is 1; an empty x is one empty block, whose shape forward still checks
+    bounds = [*range(0, max(n - 1, 1), PREDICT_BLOCK_ROWS), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        # 0.0 + p and p / 1 are bitwise p for probabilities, so one draw is exact
+        total = 0.0
+        for ws in draws:
+            feats = forward(ws, x[start:stop])[0]  # [0]: each tape is freed once its output is read
+            total = total + softmax(forward(classifier, feats)[0])
+        probs[start:stop] = total / len(draws)
+    return probs
 
 
 def accuracy(
@@ -192,6 +209,9 @@ def accuracy(
     mc_samples: int = 1,
     rng: np.random.Generator | None = None,
 ) -> float:
+    """Fraction of rows whose most probable class under predict is y.  Beyond
+    the (n, classes) probabilities, it holds one block of predict's
+    activations, however many rows x has."""
     probs = predict(featurizer, classifier, x, mc_samples=mc_samples, rng=rng)
     return float((probs.argmax(axis=1) == y).mean())
 

@@ -220,6 +220,13 @@ class TestStandardization:
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, rtol=1e-12)
 
+    def test_apply_scales_its_argument_in_place(self):
+        x = np.random.default_rng(5).standard_normal((40, 3)) * 3.0 + 1.0
+        mean, std = feature_stats(x)
+        expected = (x - mean) / std
+        assert apply_stats(x, mean, std) is x
+        np.testing.assert_array_equal(x, expected)
+
     def test_constant_column_maps_to_zero(self):
         x = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
         mean, std = feature_stats(x)

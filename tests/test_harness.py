@@ -6,6 +6,7 @@ import json
 import math
 import re
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -15,7 +16,7 @@ import pytest
 import ptg.harness
 import ptg.training
 from ptg.cli import build_parser
-from ptg.datasets import DomainSpec, check_field_types, read_config
+from ptg.datasets import DomainSpec, check_field_types, feature_stats, read_config, split_train_val
 from ptg.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -24,7 +25,9 @@ from ptg.harness import (
     ResultRow,
     Selection,
     check_domain_counts,
+    data_seed,
     default_benchmark_config,
+    generate_domains,
     grid_for,
     load_config,
     planned_runs,
@@ -530,6 +533,27 @@ class TestPlannedRuns:
     def test_progress_sees_the_rows_in_plan_order(self, every_domain_rows):
         cfg, _, seen = every_domain_rows
         assert [row_key(r) for r in seen] == plan_keys(cfg)
+
+
+class TestPrepareSplit:
+    @pytest.mark.parametrize("family", ["spurious_blobs", "rotated_moons"])
+    def test_in_place_scaling_is_the_copying_one(self, family):
+        # the standardization computed with fresh arrays at every step, from a
+        # fresh draw: in-place scaling must give its bits, each buffer once
+        cfg = tiny_config(family=family)
+        trains, vals, test = prepare_split(cfg, "c", 1)
+        seed = data_seed(cfg, "c", 1)
+        by_id = generate_domains(cfg, seed)
+        pairs = [split_train_val(by_id[i], cfg.split_ratio, derive_seed(seed, "split", i)) for i in ("a", "b")]
+        mean, std = feature_stats(np.concatenate([tr.x for tr, _ in pairs], axis=0))
+        expected = [tr for tr, _ in pairs] + [va for _, va in pairs] + [by_id["c"]]
+        got = trains + vals + [test]
+        assert [d.domain_id for d in got] == [d.domain_id for d in expected]
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g.x, (e.x - mean) / std)
+            np.testing.assert_array_equal(g.y, e.y)
+        for a, b in combinations([d.x for d in got], 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestLeaveOneOut:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, soft
 from ptg.seeding import stream
 from ptg.training import (
     ALGORITHMS,
+    PREDICT_BLOCK_ROWS,
     MinibatchStream,
     TrainConfig,
     _auto_kl_weight,
@@ -33,6 +35,10 @@ from ptg.variational import GaussianVariational, PriorSpec, elbo_loss, init_from
 
 FEAT_SPEC = NetworkSpec((4, 8, 4))
 CLS_SPEC = NetworkSpec((4, 2))
+# the shipped benchmark's widths, and predict's block of rows
+BLOBS_FEAT = NetworkSpec((10, 32, 16))
+BLOBS_CLS = NetworkSpec((16, 16, 2))
+B = PREDICT_BLOCK_ROWS
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -152,6 +158,53 @@ class TestPredict:
             p = predict(sample_weights(q, eps[k]), cls, x)
             total = p if total is None else total + p
         np.testing.assert_array_equal(combined, total / 10)
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, B - 1, B, B + 1, 2 * B + 1, 2 * B + 3],
+        ids=["1", "B-1", "B", "B+1", "2B+1", "2B+3"],
+    )
+    @pytest.mark.parametrize("posterior", [False, True], ids=["weights", "posterior"])
+    def test_blocks_keep_the_whole_set_bits(self, n, posterior):
+        # the reference scores all n rows in one forward pass per replayed
+        # draw; B + 1 and 2B + 1 rows would leave a one-row block, which
+        # predict folds into the block before it
+        feat, cls = init_pair(BLOBS_FEAT, BLOBS_CLS, seed=n)
+        rng = np.random.default_rng(n + 1)
+        x, y = rng.standard_normal((n, 10)), rng.integers(0, 2, n)
+        if posterior:
+            feat = init_from_deterministic(feat, 0.3)
+            draws = [sample_weights(feat, e) for e in np.random.default_rng(7).standard_normal((10, feat.mu.size))]
+        else:
+            draws = [feat]
+        total = 0.0
+        for ws in draws:
+            total = total + softmax(forward(cls, forward(ws, x)[0])[0])
+        expected = total / len(draws)
+        np.testing.assert_array_equal(predict(feat, cls, x, 10, np.random.default_rng(7)), expected)
+        got = accuracy(feat, cls, x, y, 10, np.random.default_rng(7))
+        assert got == float((expected.argmax(axis=1) == y).mean())
+
+    def test_memory_is_one_block_whatever_the_rows(self):
+        # blobs-default widths with 10 draws over 16 blocks of rows: the peak
+        # is bounded by the (n, 2) output plus one block's activations (twice
+        # every layer width, as a layer's input and its pre-activation), the
+        # draws and their eps, not by n
+        feat, cls = init_pair(BLOBS_FEAT, BLOBS_CLS, seed=0)
+        q = init_from_deterministic(feat, 0.3)
+        n = 16 * B
+        x = np.random.default_rng(1).standard_normal((n, 10))
+        widths = sum(BLOBS_FEAT.layer_dims) + sum(BLOBS_CLS.layer_dims)
+        bound = 8 * (n * 2 + 2 * B * widths + 3 * 10 * q.mu.size)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            predict(q, cls, x, 10, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_mc_samples_checked(self):
         feat, cls = init_pair(FEAT_SPEC, CLS_SPEC, seed=0)
