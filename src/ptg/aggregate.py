@@ -144,8 +144,8 @@ class CovReport:
     def to_json(self) -> dict:
         counts, _ = np.histogram(self.cov, bins=np.asarray(_COV_BIN_EDGES))
         hist = [
-            [float(_COV_BIN_EDGES[i]), float(_COV_BIN_EDGES[i + 1]), int(c)]
-            for i, c in enumerate(counts)
+            [float(lo), float(hi) if np.isfinite(hi) else None, int(c)]
+            for lo, hi, c in zip(_COV_BIN_EDGES, _COV_BIN_EDGES[1:], counts)
         ]
         return {
             "beta": float(self.beta),
@@ -184,4 +184,4 @@ def cov_dropout(
 
 def save_cov_report(path, report: CovReport) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json(), fh)
+        json.dump(report.to_json(), fh, allow_nan=False)

@@ -126,8 +126,9 @@ def _write_selection(out: Path, selections) -> str:
 
 
 def _cmd_run(args) -> int:
-    """The grid's rows, then the selection and summary from results.csv as
-    written, so that `ptg summarize` on that file writes the same bytes."""
+    """The grid's rows, then the selection and summary from those rows;
+    select_model scores them as results.csv keeps them, so `ptg summarize` on
+    that file writes the same bytes."""
     config = _load(args)
     out = _outdir(args.out)
     rows = run_experiment(config, progress=lambda r: print(
@@ -136,7 +137,7 @@ def _cmd_run(args) -> int:
     ))
     write_results_csv(out / "results.csv", rows)
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
-    _write_selection(out, select_model(read_results_csv(out / "results.csv"), config))
+    _write_selection(out, select_model(rows, config))
     print(f"wrote {out / 'selection.json'} and {out / 'summary.md'}")
     return 0
 

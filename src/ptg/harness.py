@@ -41,6 +41,16 @@ from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, p
 DEFAULT_ALPHA_GRID = (0.05, 0.1, 0.5)
 DEFAULT_BETA_GRID = (0.05, 0.1)
 
+# results.csv keeps accuracies to this many decimals; select_model rounds rows
+# to them too, so rows and the file they were written to select alike
+ACC_DECIMALS = 6
+# Grid points whose mean validation accuracies are this close tie.  Rounding
+# moves each accuracy, and so each mean, by at most half a unit in the last
+# kept decimal, so the means of an exact tie can end up one unit apart; half a
+# unit more covers the float sums.  One prediction in a shipped protocol's
+# pooled validation set is worth far more: 1/7200 (blobs) or 1/3600 (moons).
+TIE_MARGIN = 1.5 * 10.0 ** -ACC_DECIMALS
+
 FAMILIES = ("spurious_blobs", "rotated_moons")
 SELECTIONS = ("training_domain", "leave_one_out")
 
@@ -359,10 +369,13 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
     """Pick each algorithm's grid point per held-out domain.
 
     Scores a grid point by mean validation accuracy over repetitions, with a
-    failed run counting -inf.  Ascending grid order plus strict improvement
-    breaks ties toward smaller alpha, then smaller beta.  The rows must be
-    those of planned_runs, each once: a duplicate, a row the config does not
-    run, and the first missing run in run order are refused by name.
+    failed run counting -inf, after rounding each accuracy to the
+    ACC_DECIMALS that results.csv keeps, so rows and the file they were
+    written to select alike.  A later grid point wins only by more than
+    TIE_MARGIN, so in ascending grid order a tie goes to the smaller alpha,
+    then the smaller beta.  The rows must be those of planned_runs, each once:
+    a duplicate, a row the config does not run, and the first missing run in
+    run order are refused by name.
     """
     # row keys (algorithm, held-out domain, alpha, beta, repetition), in run order
     plan = [(a, d, alpha, beta, rep) for d, rep, a, _, alpha, beta in planned_runs(config)]
@@ -386,9 +399,10 @@ def select_model(rows: Sequence[ResultRow], config: ExperimentConfig) -> list[Se
             cells.items(), key=lambda cell: config.algorithms.index(cell[0][0])):
         best = None
         for (alpha, beta), runs in grid.items():
-            mean_val = float(np.mean([-np.inf if r.val_acc is None else r.val_acc for r in runs]))
-            if best is None or mean_val > best.mean_val_acc:
-                tests = tuple(np.nan if r.test_acc is None else r.test_acc for r in runs)
+            vals = [-np.inf if r.val_acc is None else round(r.val_acc, ACC_DECIMALS) for r in runs]
+            mean_val = float(np.mean(vals))
+            if best is None or mean_val > best.mean_val_acc + TIE_MARGIN:
+                tests = tuple(np.nan if r.test_acc is None else round(r.test_acc, ACC_DECIMALS) for r in runs)
                 best = Selection(algorithm, test_domain, alpha, beta, mean_val, tests)
         out.append(best)
     return out
@@ -422,7 +436,8 @@ def summarize(selections: Sequence[Selection]) -> str:
 
 def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
     """Fixed header and fixed float formatting so reruns are byte-identical
-    apart from the wall_ms column."""
+    apart from the wall_ms column.  Accuracies keep ACC_DECIMALS decimals, the
+    values select_model scores."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
@@ -434,8 +449,8 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
                     r.seed,
                     "" if r.alpha is None else repr(float(r.alpha)),
                     "" if r.beta is None else repr(float(r.beta)),
-                    "" if r.val_acc is None else f"{r.val_acc:.6f}",
-                    "" if r.test_acc is None else f"{r.test_acc:.6f}",
+                    "" if r.val_acc is None else f"{r.val_acc:.{ACC_DECIMALS}f}",
+                    "" if r.test_acc is None else f"{r.test_acc:.{ACC_DECIMALS}f}",
                     r.wall_ms,
                 ]
             )

@@ -206,8 +206,14 @@ class TestTrain:
         argv = ["train", "--config", str(tmp_path / "beta.json"), "--algorithm", "ptg_lite"]
         assert main(argv + ["--out", str(out)]) == 0
         assert len(runs) == 1  # the mask report comes from the same run
-        # the report is the last aggregation's mask over the whole featurizer
-        report = json.loads((out / "cov_report.json").read_text())
+        # the report is the last aggregation's mask over the whole featurizer,
+        # in strict JSON: the last bin's open upper edge is null, not Infinity
+
+        def refuse(constant):
+            raise ValueError(f"cov_report.json holds {constant}")
+
+        report = json.loads((out / "cov_report.json").read_text(), parse_constant=refuse)
+        assert report["cov_histogram"][-1][:2] == [5.0, None]
         last = (out / "training_log.csv").read_text().splitlines()
         header, row = last[0].split(","), last[-1].split(",")
         assert report["dropped_count"] == int(row[header.index("dropped_count")])
@@ -227,6 +233,16 @@ class TestRunSweepSummarize:
         selections = json.loads((out / "selection.json").read_text())
         assert {s["algorithm"] for s in selections} == {"erm", "erm_bayesian", "ptg", "ptg_lite"}
         assert (out / "summary.md").read_text().startswith("| algorithm |")
+
+    def test_run_selects_from_its_rows_without_reading_its_file(self, config_path, tmp_path,
+                                                                monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"ptg run read {path} back")
+
+        monkeypatch.setattr(ptg.cli, "read_results_csv", refuse)
+        out = tmp_path / "results"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        assert len(json.loads((out / "selection.json").read_text())) == 4
 
     def test_summarize_from_csv(self, config_path, tmp_path):
         run_out = tmp_path / "run"

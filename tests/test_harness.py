@@ -726,6 +726,77 @@ class TestSelectModel:
         assert sel.mean_val_acc == pytest.approx(0.85)
         assert sel.test_accs == (0.60, 0.62)
 
+    def test_tie_whose_float_mean_is_higher_keeps_the_smaller_alpha(self):
+        # np.mean([0.8, 0.9]) is 0.8500000000000001: float noise, not a lead
+        rows = [
+            fabricate("ptg", 0.1, None, 0, 0.85, 0.60),
+            fabricate("ptg", 0.1, None, 1, 0.85, 0.62),
+            fabricate("ptg", 0.5, None, 0, 0.80, 0.99),
+            fabricate("ptg", 0.5, None, 1, 0.90, 0.99),
+        ]
+        (sel,) = select_model(rows, self.CFG)
+        assert sel.alpha == 0.1
+        assert sel.test_accs == (0.60, 0.62)
+
+    # correct validation predictions of 2400 per repetition, and the held-out
+    # accuracies, of ptg on the default benchmark at base seed 1: the three
+    # alphas tie at 7026 of 7200
+    SEED1_COUNTS = {0.05: (2340, 2342, 2344), 0.1: (2337, 2344, 2345), 0.5: (2341, 2341, 2344)}
+    SEED1_TESTS = {0.05: (0.78025, 0.823, 0.85175), 0.1: (0.7815, 0.80925, 0.862),
+                   0.5: (0.847, 0.82325, 0.88175)}
+    CFG3 = tiny_config(algorithms=("ptg",), n_seeds=3, alpha_grid=DEFAULT_ALPHA_GRID)
+
+    def seed1_rows(self, counts):
+        return [fabricate("ptg", alpha, None, rep, k / 2400, self.SEED1_TESTS[alpha][rep])
+                for alpha, ks in counts.items() for rep, k in enumerate(ks)]
+
+    def test_exact_tie_of_counts_selects_the_smallest_alpha_from_rows_and_file(self, tmp_path):
+        rows = self.seed1_rows(self.SEED1_COUNTS)
+        path = tmp_path / "results.csv"
+        write_results_csv(path, rows)
+        for source in (rows, read_results_csv(path)):
+            (sel,) = select_model(source, self.CFG3)
+            assert sel.alpha == 0.05
+            assert sel.mean_test_acc == pytest.approx(0.818333, abs=1e-6)
+
+    def test_a_lead_of_one_prediction_wins(self):
+        counts = {**self.SEED1_COUNTS, 0.5: (2341, 2342, 2344)}  # 7027 of 7200
+        (sel,) = select_model(self.seed1_rows(counts), self.CFG3)
+        assert sel.alpha == 0.5
+        assert sel.mean_val_acc == pytest.approx(7027 / 7200)
+
+    def test_leave_one_out_tie_selects_the_smallest_alpha_and_beta(self):
+        # the results.csv rows of ptg_lite with deg30 held out, from
+        # configs/moons_l1o.json at base seed 0: (alpha, beta, repetition,
+        # val_acc, test_acc).  Each val_acc is the mean of three inner
+        # accuracies on 600 rows, and (0.05, 0.05) ties (0.05, 0.1) at
+        # 1257 + 1195 = 1243 + 1209 of 3600 predictions
+        moons_deg30 = [
+            (0.05, 0.05, 0, "0.698333", "0.821667"), (0.05, 0.05, 1, "0.663889", "0.756667"),
+            (0.05, 0.1, 0, "0.690556", "0.773333"), (0.05, 0.1, 1, "0.671667", "0.776667"),
+            (0.1, 0.05, 0, "0.666111", "0.806667"), (0.1, 0.05, 1, "0.645556", "0.695000"),
+            (0.1, 0.1, 0, "0.680000", "0.770000"), (0.1, 0.1, 1, "0.647778", "0.800000"),
+            (0.5, 0.05, 0, "0.601667", "0.493333"), (0.5, 0.05, 1, "0.649444", "0.748333"),
+            (0.5, 0.1, 0, "0.632778", "0.773333"), (0.5, 0.1, 1, "0.623889", "0.751667"),
+        ]
+        cfg = tiny_config(algorithms=("ptg_lite",), alpha_grid=DEFAULT_ALPHA_GRID,
+                          beta_grid=DEFAULT_BETA_GRID)
+        (sel,) = select_model([fabricate("ptg_lite", *row) for row in moons_deg30], cfg)
+        assert (sel.alpha, sel.beta) == (0.05, 0.05)
+        assert sel.mean_test_acc == pytest.approx(0.789167, abs=1e-6)
+
+    @pytest.mark.parametrize("which", ["tiny", "leave_one_out"])
+    def test_rows_and_their_file_select_alike(self, which, tiny_rows, tmp_path):
+        if which == "tiny":
+            cfg, rows = tiny_rows
+        else:
+            cfg = four_domain_config()
+            rows = run_experiment(cfg)
+        path = tmp_path / "results.csv"
+        write_results_csv(path, rows)
+        from_rows = selections_to_json(select_model(rows, cfg))
+        assert from_rows == selections_to_json(select_model(read_results_csv(path), cfg))
+
     def test_higher_validation_wins(self):
         rows = [
             fabricate("ptg", 0.1, None, 0, 0.80),
