@@ -9,22 +9,20 @@ Both checks run one sweep: per instance, a case builder returns three
 (objective, point, analytic gradient) blocks.  The gradients come from one
 loss_and_gradients or elbo_loss call.  central_difference hands an objective
 all 2n perturbed points of a block at once, and the objective evaluates the
-loss value alone at every point in one stacked forward pass (a leading model
-axis on the weights or on the input), which gives each point the bits of its
-own unstacked evaluation.  A classifier block reruns only the classifier, on
-features computed once per instance.  A sweep reports the worst error, NaN if
-any error is NaN, so a NaN fails the tolerance.
+training loss itself, cross_entropy or elbo_loss, at every point in one
+stacked pass (a leading model axis on the weights or on the input), which
+gives each point the bits of its own unstacked evaluation.  A classifier block
+reruns only the classifier, on features computed once per instance.  A sweep
+reports the worst error, NaN if any error is NaN, so a NaN fails the tolerance.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .nets import (
-    ForwardTape, NetworkSpec, WeightSet, cross_entropy_value, forward, init_weights, loss_and_gradients,
+    ForwardTape, NetworkSpec, WeightSet, cross_entropy, forward, init_weights, loss_and_gradients,
 )
-from .variational import (
-    GaussianVariational, PriorSpec, elbo_loss, init_from_deterministic, kl_to_prior, sample_weights,
-)
+from .variational import GaussianVariational, PriorSpec, elbo_loss, init_from_deterministic, sample_weights
 
 FD_STEP = 1e-5
 
@@ -84,7 +82,7 @@ def _draw_instance(rng: np.random.Generator):
 
 def _head_values(cls: WeightSet, feats: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross-entropy of the classifier on features, per model of a stack."""
-    return cross_entropy_value(forward(cls, feats)[0], y)
+    return cross_entropy(forward(cls, feats)[0], y)[0]
 
 
 def _backward_cases(rng: np.random.Generator) -> list:
@@ -108,14 +106,6 @@ def run_backward_checks(seed: int = 0, n_instances: int = 20) -> dict:
     return _sweep(seed, n_instances, _backward_cases)
 
 
-def _elbo_value(q, classifier, x, y, kl_weight, eps, prior) -> np.ndarray:
-    """elbo_loss(q_j, classifier, (x, y), kl_weight, eps, prior)[0] for each
-    model q_j of a stacked q, in the same order and so to the same bits,
-    without the gradients."""
-    feats, _ = forward(sample_weights(q, eps), x)
-    return _head_values(classifier, feats, y) + kl_weight * kl_to_prior(q, prior)
-
-
 def _elbo_cases(rng: np.random.Generator) -> list:
     """One instance's mu, rho and classifier blocks, with eps held fixed."""
     while True:
@@ -134,7 +124,7 @@ def _elbo_cases(rng: np.random.Generator) -> list:
 
     def loss_of(mu, rho):  # one of them stacked, the other held at q
         qq = GaussianVariational.wrap(q.spec, np.concatenate(np.broadcast_arrays(mu, rho), axis=1))
-        return _elbo_value(qq, cls, x, y, klw, eps, prior)
+        return elbo_loss(qq, cls, (x, y), klw, eps, prior, classifier_grad=False)[0]
 
     return [
         (lambda v: loss_of(v, q.rho), q.mu, g_mu),

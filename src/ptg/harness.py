@@ -36,7 +36,7 @@ from .datasets import (
 )
 from .nets import NetworkSpec, TrainingDiverged
 from .seeding import derive_seed, stream
-from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, pipeline, train_algorithm
+from .training import ALGORITHMS, MIN_TRAINING_DOMAINS, TrainConfig, accuracy, overflow_diverges, pipeline, train_algorithm
 
 DEFAULT_ALPHA_GRID = (0.05, 0.1, 0.5)
 DEFAULT_BETA_GRID = (0.05, 0.1)
@@ -237,14 +237,16 @@ def _xy(*sets: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_and_score(algorithm, domains, specs, cfg, scored) -> list[float] | None:
-    """Train algorithm on domains with cfg; None if it diverged, else its accuracy
-    on each (x, y) of scored, drawn in order from the stream (cfg.seed, "eval")."""
+    """Train algorithm on domains with cfg; None if it diverged in training or
+    in scoring, else its accuracy on each (x, y) of scored, drawn in order from
+    the stream (cfg.seed, "eval")."""
     try:
-        feat, cls, _, _ = train_algorithm(algorithm, domains, *specs, cfg)
+        with overflow_diverges():
+            feat, cls, _, _ = train_algorithm(algorithm, domains, *specs, cfg)
+            rng = stream(cfg.seed, "eval")
+            return [accuracy(feat, cls, x, y, cfg.mc_eval_samples, rng) for x, y in scored]
     except TrainingDiverged:
         return None
-    rng = stream(cfg.seed, "eval")
-    return [accuracy(feat, cls, x, y, cfg.mc_eval_samples, rng) for x, y in scored]
 
 
 def _run_one(config: ExperimentConfig, run: tuple, split: tuple) -> ResultRow:

@@ -18,13 +18,12 @@ forward and backward pass: ``loss_and_gradients`` composes the public
 The same code runs k models at once: a flat of shape (k, param_count)
 wraps to W of shape (k, d_in, d_out) and b of shape (k, 1, d_out), an input
 may carry the same leading model axis, (k, n, d_in), and ``cross_entropy``
-takes stacked logits (k, n, c) with labels (k, n).  ``backward`` replays such
-a stacked tape into a (k, param_count) gradient, and can skip the parameter
-gradient where only the gradient at the input is read (a frozen classifier).
-Model j of a stacked pass gives the bits of its own unstacked pass.
-``cross_entropy_value`` reads one mean cross-entropy per model off stacked
-logits, through the same log-softmax; finite differences evaluate all their
-perturbed points this way.
+takes stacked logits (k, n, c) with labels (k, n), or labels (n,) that every
+model shares.  ``backward`` replays such a stacked tape into a (k,
+param_count) gradient, and can skip the parameter gradient where only the
+gradient at the input is read (a frozen classifier).  Model j of a stacked
+pass gives the bits of its own unstacked pass; finite differences evaluate
+all their perturbed points this way.
 Gradients are flat float64 vectors in the ``WeightSet`` flat order (a
 posterior's packed ``[mu | rho]`` is named ``flat`` too).  The gradient
 w.r.t. a net's input is the caller's product ``dz0 @ weights[0].T``, formed
@@ -241,8 +240,9 @@ def loss_and_gradients(
     the batch input x is the last times ``feat.weights[0].T``.
     classifier_grad=False is for a frozen classifier: the pass runs through
     it for the featurizer's gradient only, and its own gradient is None.
-    k stacked featurizers with x of shape (k, n, d_in) and y of shape (k, n)
-    give k losses and a (k, param_count) featurizer gradient.
+    k stacked featurizers, with x of shape (k, n, d_in) and y of shape (k, n)
+    or with one batch that all k share, give k losses and a (k, param_count)
+    featurizer gradient.
     """
     feats, tape_f = forward(feat, x)
     logits, tape_c = forward(classifier, feats)
@@ -274,32 +274,24 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(total)[..., None]
 
 
-def cross_entropy_value(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """cross_entropy(logits, labels)[0] without the gradient, and one value
-    per model for stacked logits (k, n, c), each to the bits of its own
-    unstacked call.  The labels are the package's own and are not checked."""
-    n = labels.size
-    # the gather comes out column-major; numpy sums a contiguous row pairwise, as cross_entropy's
-    picked = np.ascontiguousarray(_log_softmax(logits)[..., np.arange(n), labels])
-    return -(np.add.reduce(picked, axis=-1) / n)
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch plus the gradient w.r.t. logits.
 
     Uses the log-sum-exp form so large logits do not overflow.  labels are
     integer class indices in [0, n_classes), one per logit row.  Stacked
-    logits (k, n, c) with labels (k, n) give k losses as an array, each
-    with the bits of its own call.
+    logits (k, n, c) with labels (k, n), or with labels (n,) shared by every
+    model, give k losses as an array, each with the bits of its own call.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim not in (2, 3):
         raise ValueError(f"expected logits of shape (n, c) or (k, n, c), got {logits.shape}")
+    n, c = logits.shape[-2:]
+    if logits.ndim == 3 and labels.shape == (n,):  # labels every model of the stack shares
+        labels = np.broadcast_to(labels, logits.shape[:-1])
     if labels.shape != logits.shape[:-1]:
         want = " x ".join(map(str, logits.shape[:-1]))
         raise ValueError(f"expected {want} labels, got shape {labels.shape}")
-    n, c = logits.shape[-2:]
     picks = labels.ravel()
     if np.minimum.reduce(picks) < 0 or np.maximum.reduce(picks) >= c:
         raise ValueError(f"labels must lie in [0, {c})")

@@ -169,22 +169,24 @@ def predict(
 ) -> np.ndarray:
     """Class probabilities for a batch, as one (n, classes) array.
 
-    Deterministic featurizers run once.  Posterior featurizers average the
-    softmax over mc_samples reparameterized draws, with eps drawn from rng as
-    one (mc_samples, n_params) array, or at the posterior mean (eps = 0) when
-    rng is None.  Rows are scored in consecutive blocks of PREDICT_BLOCK_ROWS,
-    every draw in order within each block, and the last block takes up to
-    PREDICT_BLOCK_ROWS + 1 rows: a one-row matmul runs BLAS's matrix-vector
-    routine, whose bits can differ from the same row inside a larger product.
-    So the result is bitwise the whole-set computation.
+    Deterministic featurizers run once, and so do posterior featurizers at
+    their mean when rng is None, whatever mc_samples is.  Otherwise posterior
+    featurizers average the softmax over mc_samples reparameterized draws,
+    with eps drawn from rng as one (mc_samples, n_params) array.  Rows are
+    scored in consecutive blocks of PREDICT_BLOCK_ROWS, every draw in order
+    within each block, and the last block takes up to PREDICT_BLOCK_ROWS + 1
+    rows: a one-row matmul runs BLAS's matrix-vector routine, whose bits can
+    differ from the same row inside a larger product.  So the result is
+    bitwise the whole-set computation.
     """
     if isinstance(featurizer, WeightSet):
         draws = [featurizer]
     elif mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+    elif rng is None:
+        draws = [WeightSet.wrap(featurizer.spec, featurizer.mu)]
     else:
-        shape = (mc_samples, featurizer.mu.shape[0])
-        eps = np.zeros(shape) if rng is None else rng.standard_normal(shape)
+        eps = rng.standard_normal((mc_samples, featurizer.mu.shape[0]))
         draws = [sample_weights(featurizer, e) for e in eps]
     n = len(x)
     probs = np.empty((n, classifier.spec.layer_dims[-1]))
@@ -275,9 +277,9 @@ def _elbo_step(q, cls, batch, kl_weight, prior, eps_rng, classifier_grad=True):
 
 
 @contextmanager
-def _overflow_diverges():
+def overflow_diverges():
     """numpy overflow or invalid arithmetic inside raises TrainingDiverged,
-    whether it first shows in a step or in an aggregation."""
+    whether it first shows in a step, in an aggregation or in scoring."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -285,7 +287,7 @@ def _overflow_diverges():
         raise TrainingDiverged(str(exc)) from exc
 
 
-@_overflow_diverges()
+@overflow_diverges()
 def _pooled_loop(domains, feat, cls, config, steps: int, step):
     """steps Adam steps at base_lr on (feat, cls), in place, over minibatches
     of the pooled domains; returns (feat, cls, history).  step is a step
@@ -356,7 +358,7 @@ def _mask_point_estimates(models: list[WeightSet], config: TrainConfig):
     return f0, ~report.kept_mask, report.dropped_count, report
 
 
-@_overflow_diverges()
+@overflow_diverges()
 def _aggregation_loop(domains, init_feat, init_cls, config, step, aggregate):
     """The outer loop of ptg and ptg_lite (see ptg_train); returns
     (featurizer, classifier, history, FeaturizerBank).  step is as in

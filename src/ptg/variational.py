@@ -5,7 +5,9 @@ sigma stays positive under unconstrained gradient steps.  Sampling uses the
 reparameterization omega = mu + sigma * eps, which keeps the loss a
 deterministic function of (mu, rho) once eps is drawn.  ``save_model`` and
 ``load_model`` checkpoint either kind of model, a posterior or a ``WeightSet``,
-as its spec's widths plus its flat vector.
+as its spec's widths plus its flat vector.  ``sample_weights``, ``kl_to_prior``
+and ``elbo_loss`` also take k posteriors stacked as a (k, 2 * param_count)
+flat and give one result per model, each with the bits of its own call.
 """
 from __future__ import annotations
 
@@ -67,7 +69,8 @@ class GaussianVariational:
     ``WeightSet.flat`` does for a point estimate, and mu, rho are views of its
     halves: step flat in place, never rebind them.
     ``wrap`` also adopts a (k, 2 * param_count) stack of k posteriors, one per
-    row, which ``sample_weights`` and ``kl_to_prior`` evaluate model by model.
+    row, which ``sample_weights``, ``kl_to_prior`` and ``elbo_loss`` evaluate
+    model by model.
     """
 
     spec: NetworkSpec
@@ -122,21 +125,24 @@ def sample_weights(q: GaussianVariational, eps: np.ndarray) -> WeightSet:
     return WeightSet.wrap(q.spec, q.mu + q.sigma * _checked_eps(q, eps))
 
 
-def _kl(mu: np.ndarray, sigma: np.ndarray, prior: PriorSpec) -> np.ndarray:
-    """Summed over the last axis: a scalar, or one KL per row of a stack."""
+def _kl(mu: np.ndarray, sigma: np.ndarray, prior: PriorSpec) -> float | np.ndarray:
+    """Summed over the last axis: a float for one model, an array of one KL
+    per row for a stack."""
     s = prior.std
     terms = np.log(s / sigma) + (sigma**2 + (mu - prior.mean) ** 2) / (2.0 * s**2) - 0.5
-    return np.add.reduce(terms, axis=-1)
+    kl = np.add.reduce(terms, axis=-1)
+    return kl if kl.ndim else float(kl)
 
 
 def _kl_grad(mu: np.ndarray, sigma: np.ndarray, sig_rho: np.ndarray, prior: PriorSpec) -> np.ndarray:
-    """Packed [d KL / d mu | d KL / d rho]; sig_rho is sigmoid(rho)."""
-    n = mu.size
+    """Packed [d KL / d mu | d KL / d rho], one row per model of a stack;
+    sig_rho is sigmoid(rho)."""
+    n = mu.shape[-1]
     s2 = prior.std**2
-    out = np.empty(2 * n)
-    np.divide(mu - prior.mean, s2, out=out[:n])
+    out = np.empty(mu.shape[:-1] + (2 * n,))
+    np.divide(mu - prior.mean, s2, out=out[..., :n])
     d_sigma = sigma / s2 - 1.0 / sigma
-    np.multiply(d_sigma, sig_rho, out=out[n:])
+    np.multiply(d_sigma, sig_rho, out=out[..., n:])
     return out
 
 
@@ -146,8 +152,7 @@ def kl_to_prior(q: GaussianVariational, prior: PriorSpec = PriorSpec()) -> float
     Per coordinate: log(s/sigma) + (sigma^2 + (mu - m)^2) / (2 s^2) - 1/2.
     Exactly zero when q equals the prior.  A stacked q gives one KL per model.
     """
-    kl = _kl(q.mu, q.sigma, prior)
-    return kl if kl.ndim else float(kl)
+    return _kl(q.mu, q.sigma, prior)
 
 
 def elbo_loss(
@@ -158,7 +163,7 @@ def elbo_loss(
     eps: np.ndarray,
     prior: PriorSpec = PriorSpec(),
     classifier_grad: bool = True,
-) -> tuple[float, np.ndarray, np.ndarray | None, float]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray | None, float | np.ndarray]:
     """Single-sample variational loss kl_weight * KL + cross-entropy.
 
     Returns the step tuple of every training loss: (loss, gradient in the
@@ -170,23 +175,26 @@ def elbo_loss(
     directly.  softplus(rho) and sigmoid(rho) are computed once and shared by
     the sample, the KL and both gradients.  classifier_grad=False is for a
     frozen classifier: its gradient is not formed and comes back as None.
+    A stacked q of k posteriors, with one batch and one eps that all k share,
+    gives k losses, a (k, 2 * param_count) gradient, k classifier gradients
+    and k KLs, each model to the bits of its own call.
     """
     if not kl_weight >= 0:  # a NaN weight fails this too
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
     eps = _checked_eps(q, eps)
     sigma = softplus(q.rho)
     sig_rho = sigmoid(q.rho)
-    kl = float(_kl(q.mu, sigma, prior))
+    kl = _kl(q.mu, sigma, prior)
     grad = _kl_grad(q.mu, sigma, sig_rho, prior)
     grad *= kl_weight
     x, y = batch
     feat_ws = WeightSet.wrap(q.spec, q.mu + sigma * eps)
     ce, g_omega, grad_cls, _ = loss_and_gradients(feat_ws, classifier, x, y, classifier_grad)
-    n = g_omega.size
-    grad[:n] += g_omega
+    n = g_omega.shape[-1]
+    grad[..., :n] += g_omega
     g_rho = g_omega * eps
     g_rho *= sig_rho
-    grad[n:] += g_rho
+    grad[..., n:] += g_rho
     return ce + kl_weight * kl, grad, grad_cls, kl
 
 

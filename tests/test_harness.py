@@ -650,6 +650,17 @@ class TestDivergence:
         for sel in select_model(rows, overflowing_config):
             assert sel.n_diverged == int(sel.algorithm in aggregating)
 
+    def test_weights_that_overflow_only_when_scored_are_a_diverged_row(self):
+        # one erm step at this rate leaves finite weights whose scoring
+        # overflows; erm_bayesian's first step already overflows in training
+        config = default_benchmark_config()
+        train = dataclasses.replace(config.train, base_lr=1e150, erm_steps=1, bayes_steps=1, outer_iterations=1)
+        cfg = dataclasses.replace(config, algorithms=("erm", "erm_bayesian"), n_seeds=1, train=train)
+        rows = run_experiment(cfg)
+        assert [(r.algorithm, r.val_acc, r.test_acc) for r in rows] == [
+            ("erm", None, None), ("erm_bayesian", None, None)
+        ]
+
     def test_training_domain_row_is_empty_and_loses_selection(self, monkeypatch, tmp_path):
         cfg = tiny_config(algorithms=("ptg",), n_seeds=1, alpha_grid=(0.1, 0.5))
         diverge_on(monkeypatch, lambda n, config: config.alpha == 0.1)

@@ -25,7 +25,6 @@ from ptg.nets import (
     adam_step,
     backward,
     cross_entropy,
-    cross_entropy_value,
     forward,
     init_weights,
     loss_and_gradients,
@@ -212,15 +211,18 @@ class TestCrossEntropy:
     @pytest.mark.parametrize("classes", [2, 3, 5, 9])
     @pytest.mark.parametrize("n", [3, 7, 8, 192])
     def test_stacked_value_matches_separate_calls(self, classes, n):
+        # labels (n,) that all six models share, as finite differences pass them
         rng = np.random.default_rng(classes * n)
         logits = rng.standard_normal((6, n, classes)) * 30.0
         labels = rng.integers(0, classes, n)
-        values = cross_entropy_value(logits, labels)
-        assert values.shape == (6,)
+        values, grads = cross_entropy(logits, labels)
+        assert values.shape == (6,) and grads.shape == logits.shape
         for j in range(6):
-            assert_bits(values[j], np.float64(cross_entropy(logits[j], labels)[0]))
-        one = cross_entropy_value(logits[0], labels)  # unstacked logits give the scalar
-        assert_bits(one, np.float64(cross_entropy(logits[0], labels)[0]))
+            loss, grad = cross_entropy(logits[j], labels)
+            assert_bits(values[j], loss)
+            assert_bits(grads[j], grad)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, "):
+            cross_entropy(logits, np.full(n, classes))
 
     @pytest.mark.parametrize("classes", [2, 3, 9])
     @pytest.mark.parametrize("n", [3, 20, 64])
@@ -442,6 +444,32 @@ class TestElbo:
         assert frozen[2] is None
         for i in (0, 1, 3):
             assert_bits(frozen[i], full[i])
+
+    @pytest.mark.parametrize("classifier_grad", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_stacked_elbo_loss_matches_separate_calls(self, k, classifier_grad):
+        # k posteriors sharing one batch and one eps, as the grad-check sweep
+        # evaluates them: every row against its own call, under two priors
+        rng = np.random.default_rng(k)
+        spec = NetworkSpec((10, 32, 16))
+        cls = init_weights(NetworkSpec((16, 16, 2)), rng)
+        n = spec.param_count
+        thetas = np.concatenate([rng.standard_normal((k, n)) * 0.3, rng.uniform(-8.0, 2.0, (k, n))], axis=1)
+        x, y = rng.standard_normal((64, 10)), rng.integers(0, 2, 64)
+        for prior in (PriorSpec(), PriorSpec(0.3, 2.5)):
+            eps = rng.standard_normal(n)
+            stacked = GaussianVariational.wrap(spec, thetas)
+            losses, grads, grads_cls, kls = elbo_loss(stacked, cls, (x, y), 0.02, eps, prior, classifier_grad)
+            assert losses.shape == kls.shape == (k,) and grads.shape == (k, 2 * n)
+            assert (grads_cls is None) == (not classifier_grad)
+            for j in range(k):
+                q = GaussianVariational.wrap(spec, thetas[j])
+                want = elbo_loss(q, cls, (x, y), 0.02, eps, prior, classifier_grad)
+                for got, w in [(losses[j], want[0]), (grads[j], want[1]), (kls[j], want[3])]:
+                    assert_bits(got, w)
+                if classifier_grad:
+                    assert grads_cls.shape == (k, cls.spec.param_count)
+                    assert_bits(grads_cls[j], want[2])
 
     @pytest.mark.parametrize("dims", [(2, 2), (10, 32, 16)])
     def test_stacked_posterior_matches_separate_calls(self, dims):

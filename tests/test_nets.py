@@ -15,7 +15,6 @@ from ptg.nets import (
     adam_step,
     backward,
     cross_entropy,
-    cross_entropy_value,
     forward,
     init_weights,
     softmax,
@@ -201,7 +200,7 @@ class TestBackward:
 
             def loss_of(flats):  # one loss per row, from one stacked forward pass
                 out, _ = forward(WeightSet.wrap(spec, flats), x)
-                return cross_entropy_value(out, y)
+                return cross_entropy(out, y)[0]
 
             out, tape = forward(ws, x)
             _, d_logits = cross_entropy(out, y)
@@ -219,7 +218,7 @@ class TestBackward:
 
         def loss_of(flat_xs):  # one loss per row, from one stacked input batch
             out, _ = forward(ws, flat_xs.reshape(-1, 4, 3))
-            return cross_entropy_value(out, y)
+            return cross_entropy(out, y)[0]
 
         out, tape = forward(ws, x)
         _, d_logits = cross_entropy(out, y)

@@ -145,6 +145,15 @@ class TestPredict:
         x = np.random.default_rng(3).standard_normal((5, 4))
         np.testing.assert_array_equal(predict(q, cls, x), predict(feat, cls, x))
 
+    def test_posterior_mean_is_one_pass_whatever_mc_samples(self):
+        # without an rng every draw is the mean, so ten draws are one pass
+        feat, cls = init_pair(BLOBS_FEAT, BLOBS_CLS, seed=8)
+        q = init_from_deterministic(feat, 0.3)
+        x = np.random.default_rng(9).standard_normal((200, 10))
+        at_mean = softmax(forward(cls, forward(WeightSet.wrap(q.spec, q.mu), x)[0])[0])
+        assert predict(q, cls, x, mc_samples=10).tobytes() == at_mean.tobytes()
+        assert predict(q, cls, x).tobytes() == at_mean.tobytes()
+
     def test_replayed_eps_average(self):
         # the rng's draws, replayed one sample at a time through the
         # deterministic path

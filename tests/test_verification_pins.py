@@ -1,8 +1,8 @@
 """Bitwise pins of the verification paths against copies of their earlier code.
 
 The oracle gaps build one likelihood table and run both posterior routes on
-it, and the finite differences evaluate the loss value alone, at all the
-perturbed points of a block in one stacked pass.  Each must give the same
+it, and the finite differences evaluate the training losses themselves, at all
+the perturbed points of a block in one stacked pass.  Each must give the same
 bits as the code it replaced; the references below are the earlier
 implementations, kept verbatim: the coordinate-by-coordinate central
 difference and the sweeps that run the full composition at every point.
@@ -325,26 +325,6 @@ def test_oracle_errors_match_reference(causal, observations):
             assert same_bits(new(m, *args), want[1]), new.__name__
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_elbo_value_objective_matches_elbo_loss_bitwise(seed, monkeypatch):
-    evaluations = []
-    value = checks._elbo_value
-
-    def compared(q, classifier, x, y, kl_weight, eps, prior):
-        # a stack of 2n posteriors, one per perturbed point; each row against its own elbo_loss
-        got = value(q, classifier, x, y, kl_weight, eps, prior)
-        for flat, v in zip(q.flat, got):
-            qj = GaussianVariational.wrap(q.spec, flat)
-            want = elbo_loss(qj, classifier, (x, y), kl_weight, eps, prior)[0]
-            evaluations.append(v.hex() == want.hex())
-        return got
-
-    monkeypatch.setattr(checks, "_elbo_value", compared)
-    report = checks.run_elbo_checks(seed, 20)
-    assert evaluations and all(evaluations), f"{evaluations.count(False)} of {len(evaluations)} differ"
-    assert report == ref_run_elbo_checks(seed, 20)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grad_check_report_matches_reference(seed, capsys):
     assert main(["grad-check", "--seed", str(seed)]) == 0
@@ -440,7 +420,7 @@ def test_classifier_block_differences_match_the_full_composition_bitwise(seed, m
     for got in elbo_cls:
         q, cls, x, y, eps, klw, prior = ref_elbo_instance(rng)
         want = ref_central_difference(
-            lambda v: checks._elbo_value(q, WeightSet.wrap(cls.spec, v), x, y, klw, eps, prior),
+            lambda v: elbo_loss(q, WeightSet.wrap(cls.spec, v), (x, y), klw, eps, prior)[0],
             cls.flatten(),
         )
         assert want.tobytes() == got.tobytes()
