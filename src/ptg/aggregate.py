@@ -26,14 +26,13 @@ COV_EPSILON = 1e-8
 _COV_BIN_EDGES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, np.inf)
 
 
-def _stable_mean(stack: np.ndarray, ties: np.ndarray | None = None) -> np.ndarray:
+def _stable_mean(stack: np.ndarray) -> np.ndarray:
     """Row mean with order-independent rounding.
 
     Sorting each column before summation fixes the accumulation order, and
     columns where every row is identical return that value exactly (sum/N is
     not an identity in float64, e.g. three copies of 0.1).  Three rows (the
     shipped configs' domain count) take a min/max network with the same sum.
-    ties is that mask of identical columns, for a caller that already has it.
     """
     if stack.shape[0] == 3:
         a, b, c = stack
@@ -44,9 +43,7 @@ def _stable_mean(stack: np.ndarray, ties: np.ndarray | None = None) -> np.ndarra
     else:
         mean = np.sort(stack, axis=0).sum(axis=0)
     mean /= stack.shape[0]
-    if ties is None:
-        ties = np.logical_and.reduce(stack == stack[0], axis=0)
-    np.copyto(mean, stack[0], where=ties)
+    np.copyto(mean, stack[0], where=np.logical_and.reduce(stack == stack[0], axis=0))
     return mean
 
 
@@ -75,22 +72,25 @@ class AggregateResult:
 
 
 def moment_match(posteriors: Sequence[GaussianVariational]) -> AggregateResult:
-    """Fit one diagonal Gaussian to the equal-weight mixture of posteriors."""
-    spec = _check_common_spec([q.spec for q in posteriors])
-    mu_stack = np.stack([q.mu for q in posteriors])
-    rho_stack = np.stack([q.rho for q in posteriors])
-    sigma_stack = softplus(rho_stack)
+    """Fit one diagonal Gaussian to the equal-weight mixture of posteriors.
 
-    mu_ties = np.logical_and.reduce(mu_stack == mu_stack[0], axis=0)
-    mu = _stable_mean(mu_stack, mu_ties)
-    within = _stable_mean(sigma_stack**2)
-    between = _stable_mean((mu_stack - mu) ** 2)
+    One (D, 2P) stack holds every posterior's [mu | rho]; its rho half is
+    overwritten with sigma^2, so one _stable_mean call gives [mu | within].
+    """
+    spec = _check_common_spec([q.spec for q in posteriors])
+    stack = np.stack([q.flat for q in posteriors])
+    n = stack.shape[1] // 2
+    ties = np.logical_and.reduce(stack == stack[0], axis=0)
+    rho_0 = stack[0, n:].copy()
+    stack[:, n:] = softplus(stack[:, n:]) ** 2
+
+    mu, within = np.split(_stable_mean(stack), 2)
+    between = _stable_mean((stack[:, :n] - mu) ** 2)
     sigma = np.sqrt(within + between)
 
     # coordinates where every component is bitwise identical stay untouched,
     # including their rho encoding
-    ties = mu_ties & np.logical_and.reduce(rho_stack == rho_stack[0], axis=0)
-    rho = np.where(ties, rho_stack[0], softplus_inv(sigma))
+    rho = np.where(ties[:n] & ties[n:], rho_0, softplus_inv(sigma))
     return AggregateResult(
         q0=GaussianVariational.wrap(spec, np.concatenate([mu, rho])),
         within_var=within,

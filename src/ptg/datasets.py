@@ -34,6 +34,8 @@ INV_SEPARATION = 0.8
 SPUR_SEPARATION = 2.0
 DIRECTION_MIX = 1.0  # weight of the per-domain offset vs the common direction
 
+STATS_BLOCK_ROWS = 512  # rows per block in feature_stats
+
 
 _field_types = cache(get_type_hints)  # once per class: load_config is on the set-up path
 
@@ -289,10 +291,45 @@ def split_train_val(
     return replace(ds, x=ds.x[tr], y=ds.y[tr]), replace(ds, x=ds.x[va], y=ds.y[va])
 
 
-def feature_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std per column; constant columns get std 1."""
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+def feature_stats(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std per column over the rows of every part, each
+    an (n_i, d) array; constant columns get std 1.
+
+    The parts are never pooled.  One pass sums each column, and a second sums
+    each column's squared deviations from the mean, STATS_BLOCK_ROWS rows of
+    one part at a time, copied into one block buffer.  Each block's sum
+    starts from the running total, which is numpy's own row-by-row order for
+    an axis-0 sum, so with two or more columns the results equal
+    ``np.concatenate(parts).mean(axis=0)`` and ``.std(axis=0)``, bit for bit.
+    For one column numpy sums pairwise instead, and the two agree to roundoff.
+    A call holds one block and no pooled-size array whatever the row count.
+    """
+    if not parts or any(p.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+        raise ValueError("feature_stats needs one or more (n, d) arrays with one column count")
+    n = sum(p.shape[0] for p in parts)
+    if n == 0:
+        raise ValueError("feature_stats needs at least one row")
+    block = np.empty((min(n, STATS_BLOCK_ROWS), parts[0].shape[1]))
+
+    def column_sum(centre=None) -> np.ndarray:
+        """Sum over all rows of the row, or of (row - centre)^2 if given."""
+        total = None
+        for x in parts:
+            for lo in range(0, x.shape[0], STATS_BLOCK_ROWS):
+                rows = x[lo:lo + STATS_BLOCK_ROWS]
+                b = block[:rows.shape[0]]
+                if centre is None:
+                    np.copyto(b, rows)
+                else:
+                    np.subtract(rows, centre, out=b)
+                    b *= b
+                if total is not None:
+                    b[0] += total
+                total = np.add.reduce(b, axis=0)
+        return total
+
+    mean = column_sum() / n
+    std = np.sqrt(column_sum(mean) / n)
     return mean, np.where(std > 0.0, std, 1.0)
 
 

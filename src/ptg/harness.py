@@ -214,9 +214,9 @@ def prepare_split(
     the pooled training splits only.
 
     Each raw training domain is dropped once split_train_val has copied its
-    rows, and every returned array is fresh and standardized in place
-    (apply_stats), so at most one copy of a domain's rows outlives the pooled
-    statistics' buffer."""
+    rows, feature_stats reads the training splits where they lie, without
+    pooling them, and every returned array is fresh and standardized in place
+    (apply_stats), so this makes no array the size of the pooled training rows."""
     seed = data_seed(config, test_domain, rep)
     by_id = generate_domains(config, seed)
     test = by_id.pop(test_domain)
@@ -225,7 +225,7 @@ def prepare_split(
         tr, va = split_train_val(by_id.pop(i), config.split_ratio, derive_seed(seed, "split", i))
         trains.append(tr)
         vals.append(va)
-    mean, std = feature_stats(np.concatenate([t.x for t in trains], axis=0))
+    mean, std = feature_stats(*(t.x for t in trains))
     for ds in trains + vals + [test]:
         apply_stats(ds.x, mean, std)
     return trains, vals, test

@@ -20,6 +20,7 @@ block by block, so its memory is two blocks whatever the sample count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -116,11 +117,21 @@ def _exact_route(model: DiscreteGenerativeModel, table: np.ndarray, causal: int)
 
 
 def _aggregated_route(model: DiscreteGenerativeModel, table: np.ndarray, causal: int) -> np.ndarray:
-    """Per-variant posteriors from one table, averaged under the variant prior."""
-    out = np.zeros(model.n_omega)
-    for v in range(model.p_variant.size):
-        out += model.p_variant[v] * _bayes(model, table[:, causal, v])
-    return out
+    """Per-variant posteriors from one table, averaged under the variant prior.
+
+    Row v of joint is p(omega) * lik for variant v, laid out contiguously, so
+    its sum, the variant's evidence, is numpy's own sum of that one column
+    (as _bayes takes it); the weighted rows then add left to right.  A NaN
+    evidence is not zero evidence: it stays NaN, and so does the gap.
+    """
+    joint = np.ascontiguousarray(table[:, causal, :].T)
+    joint *= model.p_omega
+    z = np.add.reduce(joint, axis=1)
+    if (z <= 0.0).any():
+        raise ValueError("observation sequence has zero probability under this conditioning")
+    joint /= z[:, None]
+    joint *= model.p_variant[:, None]
+    return reduce(np.add, joint)
 
 
 def invariant_posterior_exact(

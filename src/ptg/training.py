@@ -413,16 +413,16 @@ def _aggregation_loop(domains, init_feat, init_cls, config, step, aggregate):
 
         merged = tuple(np.concatenate(part, axis=0) for part in zip(*drawn))
         loss, g_feat, g_cls, kl = step(f0, cls, merged, klw_m, config.prior, eps_m)
-        # dropped stays dropped this iteration: no gradient, and no drift from
-        # stale Adam momentum either
+        # dropped coordinates take no gradient; stale Adam momentum still moves
+        # them, but each iteration rebuilds f0, so only the returned one is re-zeroed
         if dropped is not None:
             g_feat[dropped] = 0.0
         adam_step(f0.flat, g_feat, st_0, lr)
-        if dropped is not None:
-            f0.flat[dropped] = 0.0
         adam_step(cls.flat, g_cls, st_c, lr)
         row.update(kl=kl, merged_loss=loss, dropped_count=dropped_count)
         history.append(row)
+    if dropped is not None:
+        f0.flat[dropped] = 0.0
     return f0, cls, history, FeaturizerBank(dict(zip(ids, per)), result)
 
 
@@ -455,8 +455,9 @@ def ptg_lite_train(
     toward the prior mean at weight kl_weight / (2 prior_std^2)); the shared
     featurizer is their coordinate mean with parameters zeroed where the
     coefficient of variation across domains exceeds beta.  A zeroed parameter
-    keeps gradient zero for the rest of the iteration, so the merged MAP step
-    on (shared featurizer, classifier) cannot resurrect it; the mask is
+    takes no gradient in the merged MAP step on (shared featurizer,
+    classifier), and the returned featurizer has it zeroed again after its
+    last step, so stale Adam momentum cannot resurrect it; the mask is
     recomputed at the next aggregation.
     """
     return _aggregation_loop(domains, init_feat, init_cls, config, _map_loss, _mask_point_estimates)

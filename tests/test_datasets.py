@@ -1,6 +1,7 @@
 """Synthetic domain families: geometry, seeding, splits, CSV round trip."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from ptg.datasets import (
     INV_SEPARATION,
     SPUR_SEPARATION,
+    STATS_BLOCK_ROWS,
     DomainDataset,
     DomainSpec,
     _spurious_center,
@@ -233,6 +235,47 @@ class TestStandardization:
         assert std[0] == 1.0
         z = apply_stats(x, mean, std)
         np.testing.assert_array_equal(z[:, 0], 0.0)
+
+    @pytest.mark.parametrize("cols", [2, 3, 10])
+    @pytest.mark.parametrize("rows", [(1,), (511,), (512,), (513,), (3200,),
+                                      (1, 511, 512), (513, 3200, 1), (3200, 3200, 3200)])
+    def test_parts_match_the_concatenation_bitwise(self, cols, rows):
+        # blocks of STATS_BLOCK_ROWS rows straddle every part boundary; column 0
+        # is constant and gets std 1, the others keep numpy's bits
+        rng = np.random.default_rng(cols * 10_000 + sum(rows))
+        parts = [rng.standard_normal((n, cols)) * rng.uniform(0.1, 50.0, cols)
+                 + rng.uniform(-20.0, 20.0, cols) for n in rows]
+        for part in parts:
+            part[:, 0] = 3.0
+        pooled = np.concatenate(parts)
+        mean, std = feature_stats(*parts)
+        want_std = pooled.std(axis=0)
+        assert want_std[0] == 0.0 and std[0] == 1.0
+        want_std[want_std == 0.0] = 1.0  # every column, once there is one row
+        assert mean.tobytes() == pooled.mean(axis=0).tobytes()
+        assert std.tobytes() == want_std.tobytes()
+        # the parts are only read
+        assert np.concatenate(parts).tobytes() == pooled.tobytes()
+
+    def test_streams_without_a_pooled_copy(self):
+        # three 3200 x 10 splits, as blobs-default trains on: a pooled copy or a
+        # deviation array would each take 768 KB; one block takes 40 KB
+        rng = np.random.default_rng(7)
+        parts = [rng.standard_normal((3200, 10)) for _ in range(3)]
+        feature_stats(*parts)  # warm any first-call allocations
+        tracemalloc.start()
+        try:
+            feature_stats(*parts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert STATS_BLOCK_ROWS * 10 * 8 < peak < 100_000
+
+    @pytest.mark.parametrize("parts", [(), (np.zeros((0, 2)),), (np.zeros((3, 2)), np.zeros((3, 3))),
+                                       (np.zeros(4),)])
+    def test_rejects_no_rows_or_mixed_columns(self, parts):
+        with pytest.raises(ValueError, match="feature_stats needs"):
+            feature_stats(*parts)
 
 
 class TestCsvRoundTrip:

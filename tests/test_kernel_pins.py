@@ -12,7 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ptg.aggregate import CovReport, coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
+from ptg.aggregate import (
+    AggregateResult,
+    CovReport,
+    coefficient_of_variation,
+    cov_dropout,
+    map_mean,
+    mean_and_cov,
+    moment_match,
+)
 from ptg.nets import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -54,6 +62,7 @@ from ptg.variational import (
     sample_weights,
     sigmoid,
     softplus,
+    softplus_inv,
 )
 
 
@@ -168,6 +177,29 @@ def ref_cov(stack, epsilon=1e-8):
     mean = ref_stable_mean(stack)
     std = np.sqrt(ref_stable_mean((stack - mean) ** 2))
     return std / (np.abs(mean) + epsilon)
+
+
+def ref_moment_match(posteriors):
+    """moment_match as it was before it stacked the packed [mu | rho] rows once,
+    with ref_stable_mean for _stable_mean (tests/test_aggregate.py pins the
+    two bitwise)."""
+    mu_stack = np.stack([q.mu for q in posteriors])
+    rho_stack = np.stack([q.rho for q in posteriors])
+    sigma_stack = softplus(rho_stack)
+
+    mu_ties = np.logical_and.reduce(mu_stack == mu_stack[0], axis=0)
+    mu = ref_stable_mean(mu_stack)
+    within = ref_stable_mean(sigma_stack**2)
+    between = ref_stable_mean((mu_stack - mu) ** 2)
+    sigma = np.sqrt(within + between)
+
+    ties = mu_ties & np.logical_and.reduce(rho_stack == rho_stack[0], axis=0)
+    rho = np.where(ties, rho_stack[0], softplus_inv(sigma))
+    return AggregateResult(
+        q0=GaussianVariational.wrap(posteriors[0].spec, np.concatenate([mu, rho])),
+        within_var=within,
+        between_var=between,
+    )
 
 
 def assert_bits(a, b):
@@ -505,6 +537,32 @@ class TestMeanAndCov:
             assert_bits(cov, coefficient_of_variation(models))
 
 
+class TestMomentMatch:
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_against_separate_mu_and_rho_stacks(self, rows):
+        rng = np.random.default_rng(rows)
+        spec = NetworkSpec((3, 4, 2))
+        n = spec.param_count
+        for _ in range(20):
+            stack = np.concatenate([rng.standard_normal((rows, n)) * 3.0,
+                                    rng.uniform(-12.0, 8.0, (rows, n))], axis=1)
+            stack[:, :4] = stack[0, :4]  # mu tied, rho not
+            stack[:, n:n + 4] = stack[0, n:n + 4]  # mu and rho tied
+            stack[:, n + 4:n + 8] = stack[0, n + 4:n + 8]  # rho tied, mu not
+            stack[:, [8, n + 8]] = stack[0, [8, n + 8]]  # mu and rho tied
+            stack[1, 9] = -0.0  # a signed zero among the means
+            stack[0, 9] = 0.0
+            stack[1:, n + 10] = np.nextafter(stack[0, n + 10], np.inf)  # rho one ulp apart
+            posteriors = [GaussianVariational.wrap(spec, r.copy()) for r in stack]
+            got, want = moment_match(posteriors), ref_moment_match(posteriors)
+            assert got.q0.spec is spec
+            assert_bits(got.q0.flat, want.q0.flat)
+            assert_bits(got.within_var, want.within_var)
+            assert_bits(got.between_var, want.between_var)
+            # the inputs are only read
+            assert_bits(np.stack([q.flat for q in posteriors]), stack)
+
+
 # The four training procedures as they were before erm/erm_bayesian and
 # ptg/ptg_lite were each merged into one loop: bodies verbatim, with the
 # private helpers they called copied alongside under ref_ names.
@@ -608,7 +666,7 @@ def ref_ptg_train(domains, init_q, init_cls, config, inspect=None):
             adam_step(per_q[i].flat, grad, states[i], lr)
             row[f"loss_{i}"] = loss
 
-        matched = moment_match([per_q[i] for i in ids])
+        matched = ref_moment_match([per_q[i] for i in ids])
         q0 = matched.q0
         if inspect is not None:
             inspect(it, q0.copy(), {i: per_q[i].copy() for i in ids})
@@ -705,7 +763,7 @@ def aggregate_bits(algorithm, per, config):
     per-domain models a loop returns: their aggregate, and the models."""
     models = [per[i] for i in sorted(per)]
     if algorithm == "ptg":
-        f0 = moment_match(models).q0
+        f0 = ref_moment_match(models).q0
     else:
         f0, _ = cov_dropout(*mean_and_cov(models), config.beta)
     return model_bits(f0), [(i, model_bits(m)) for i, m in per.items()]

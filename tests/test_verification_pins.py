@@ -276,6 +276,30 @@ def test_oracle_routes_match_reference_bitwise():
     assert min(c for c, _ in sizes) == 1 and min(v for _, v in sizes) == 1
 
 
+@pytest.mark.parametrize("n_omega", [7, 8, 9, 12, 17, 64])
+def test_aggregated_route_matches_reference_bitwise_on_wide_supports(n_omega):
+    # from 8 entries numpy sums a 1-d column pairwise, not left to right, and
+    # each variant's evidence must keep that order
+    rng = np.random.default_rng(n_omega)
+    for _ in range(20):
+        m = random_model(rng, n_omega=n_omega, n_causal=2, n_variant=int(rng.integers(1, 6)))
+        obs = [int(o) for o in rng.integers(0, 3, size=3)]
+        assert same_bits(
+            invariant_posterior_aggregated(m, 1, obs), ref_invariant_posterior_aggregated(m, 1, obs)
+        )
+        assert data_conditioned_gap(m, 1, obs) == ref_data_conditioned_gap(m, 1, obs)
+
+
+def test_a_nan_evidence_gives_a_nan_posterior_not_an_error():
+    m = random_model(np.random.default_rng(3), n_omega=4, n_causal=1, n_variant=3)
+    lik = m.likelihood.copy()
+    lik[2, 0, 1, 0] = np.nan
+    m = DiscreteGenerativeModel.wrap(m.p_omega, m.p_causal, m.p_variant, lik)
+    got = invariant_posterior_aggregated(m, 0, [0])
+    assert same_bits(got, ref_invariant_posterior_aggregated(m, 0, [0]))
+    assert np.isnan(got).all() and np.isnan(data_conditioned_gap(m, 0, [0]))
+
+
 def deaf_variant_model():
     """Variant 0 never emits symbol 1, variant 1 does: the exact route survives
     observing symbol 1, the per-variant route does not.  Symbol 2 is never
