@@ -5,9 +5,10 @@ mixture and fit a single diagonal Gaussian by moment matching.  Deterministic
 route: average the weight vectors and zero out coordinates whose relative
 spread across domains (coefficient of variation) exceeds a threshold.
 
-Both routes accumulate sums in a canonical per-coordinate order (sorted), so
-permuting the input domains gives bitwise-identical results, and coordinates
-where every domain agrees exactly pass through unchanged.
+Both routes add each coordinate's domain values in ascending order, put there
+by one min/max compare-exchange network for any domain count, so permuting the
+input domains gives bitwise-identical results, and coordinates where every
+domain agrees exactly pass through unchanged.
 """
 from __future__ import annotations
 
@@ -29,20 +30,18 @@ _COV_BIN_EDGES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, np.inf)
 def _stable_mean(stack: np.ndarray) -> np.ndarray:
     """Row mean with order-independent rounding.
 
-    Sorting each column before summation fixes the accumulation order, and
-    columns where every row is identical return that value exactly (sum/N is
-    not an identity in float64, e.g. three copies of 0.1).  Three rows (the
-    shipped configs' domain count) take a min/max network with the same sum.
+    An insertion network of min/max compare-exchanges puts each column in
+    ascending order, and the sorted rows are added first to last, as a column
+    sort followed by an axis-0 sum adds them, whatever the row count.  Columns
+    where every row is identical return that value exactly (sum/N is not an
+    identity in float64, e.g. three copies of 0.1).  The stack is only read.
     """
-    if stack.shape[0] == 3:
-        a, b, c = stack
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        mean = np.minimum(lo, c)
-        mean += np.minimum(np.maximum(lo, c), hi)
-        mean += np.maximum(hi, c)
-    else:
-        mean = np.sort(stack, axis=0).sum(axis=0)
-    mean /= stack.shape[0]
+    rows = list(stack)
+    for i in range(1, len(rows)):
+        for j in range(i, 0, -1):
+            a, b = rows[j - 1], rows[j]
+            rows[j - 1], rows[j] = np.minimum(a, b), np.maximum(a, b)
+    mean = sum(rows[1:], rows[0]) / len(rows)
     np.copyto(mean, stack[0], where=np.logical_and.reduce(stack == stack[0], axis=0))
     return mean
 

@@ -293,13 +293,15 @@ def split_train_val(
 
 def feature_stats(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std per column over the rows of every part, each
-    an (n_i, d) array; constant columns get std 1.
+    an (n_i, d) array.  A constant column (every row equal to the first) gets
+    that value as its mean and std 1, so apply_stats maps it to 0.
 
-    The parts are never pooled.  One pass sums each column, and a second sums
-    each column's squared deviations from the mean, STATS_BLOCK_ROWS rows of
-    one part at a time, copied into one block buffer.  Each block's sum
-    starts from the running total, which is numpy's own row-by-row order for
-    an axis-0 sum, so with two or more columns the results equal
+    The parts are never pooled.  One pass sums each column and finds the
+    constant ones, and a second sums each column's squared deviations from
+    the mean, STATS_BLOCK_ROWS rows of one part at a time, copied into one
+    block buffer.  Each block's sum starts from the running total, which is
+    numpy's own row-by-row order for an axis-0 sum, so with two or more
+    columns every non-constant column equals
     ``np.concatenate(parts).mean(axis=0)`` and ``.std(axis=0)``, bit for bit.
     For one column numpy sums pairwise instead, and the two agree to roundoff.
     A call holds one block and no pooled-size array whatever the row count.
@@ -310,9 +312,12 @@ def feature_stats(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         raise ValueError("feature_stats needs at least one row")
     block = np.empty((min(n, STATS_BLOCK_ROWS), parts[0].shape[1]))
+    first = next(x[0] for x in parts if x.shape[0])
+    constant = np.ones(parts[0].shape[1], dtype=bool)
 
     def column_sum(centre=None) -> np.ndarray:
-        """Sum over all rows of the row, or of (row - centre)^2 if given."""
+        """Sum over all rows of the row, or of (row - centre)^2 if given;
+        without a centre, also clear the columns that leave `first`."""
         total = None
         for x in parts:
             for lo in range(0, x.shape[0], STATS_BLOCK_ROWS):
@@ -320,6 +325,7 @@ def feature_stats(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 b = block[:rows.shape[0]]
                 if centre is None:
                     np.copyto(b, rows)
+                    np.logical_and(constant, (b == first).all(axis=0), out=constant)
                 else:
                     np.subtract(rows, centre, out=b)
                     b *= b
@@ -329,6 +335,7 @@ def feature_stats(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return total
 
     mean = column_sum() / n
+    np.copyto(mean, first, where=constant)  # x - mean is then exactly 0
     std = np.sqrt(column_sum(mean) / n)
     return mean, np.where(std > 0.0, std, 1.0)
 
@@ -366,19 +373,39 @@ def save_dataset_csv(ds: DomainDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> DomainDataset:
+    """The dataset save_dataset_csv wrote; a header without a feature column,
+    or a row without one field per header column or with a cell that does not
+    parse or names another domain, raises ValueError naming its line, and a
+    sidecar that is not a JSON object with the three keys save_dataset_csv
+    writes raises ValueError naming the sidecar."""
     path = Path(path)
-    with open(_sidecar_path(path)) as fh:
-        meta = json.load(fh)
+    sidecar = _sidecar_path(path)
+    with open(sidecar) as fh:
+        try:
+            meta = json.load(fh)
+            if not isinstance(meta, dict) or not {"domain_id", "invariant_cols",
+                                                  "spurious_cols"} <= meta.keys():
+                raise ValueError("a sidecar is a JSON object with keys domain_id,"
+                                 " invariant_cols and spurious_cols")
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise ValueError(f"{sidecar}: {exc}") from None
     xs, ys = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
+        d = len(next(reader, ())) - 2
+        if d < 1:
+            raise ValueError(f"{path}: the header must name features, label and domain_id")
         for row in reader:
-            xs.append([float(v) for v in row[:d]])
-            ys.append(int(row[d]))
+            where = f"{path} line {reader.line_num}"
+            if len(row) != d + 2:
+                raise ValueError(f"{where}: expected {d + 2} fields, got {len(row)}")
+            try:
+                xs.append([float(v) for v in row[:d]])
+                ys.append(int(row[d]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if row[d + 1] != meta["domain_id"]:
-                raise ValueError(f"row domain {row[d + 1]!r} does not match sidecar")
+                raise ValueError(f"{where}: row domain {row[d + 1]!r} does not match sidecar")
     return DomainDataset(
         domain_id=meta["domain_id"],
         x=np.asarray(xs, dtype=np.float64).reshape(len(ys), d),

@@ -207,15 +207,23 @@ def save_model(path, model: WeightSet | GaussianVariational) -> None:
 
 def load_model(path) -> WeightSet | GaussianVariational:
     """The model a save_model checkpoint holds, its kind read from the vector's
-    length: param_count values are a WeightSet, twice that a posterior."""
+    length: param_count values are a WeightSet, twice that a posterior.  Every
+    error the file's contents cause (JSON syntax, no "dims" or "flat" key, a
+    width that is not a positive integer, a vector of neither length or with a
+    non-finite value) raises ValueError as "<path>: <message>"."""
     with open(path) as fh:
-        payload = json.load(fh)
-    spec = NetworkSpec(tuple(payload["dims"]))
-    flat = np.asarray(payload["flat"], dtype=np.float64)
-    n = spec.param_count
-    if flat.shape == (n,):
-        return WeightSet.from_flat(spec, flat)
-    if flat.shape == (2 * n,):
-        return GaussianVariational(spec, flat[:n], flat[n:])
-    raise ValueError(f"a {spec.layer_dims} checkpoint holds {n} values (weights) or {2 * n}"
-                     f" (posterior), got shape {flat.shape}")
+        try:
+            payload = json.load(fh)
+            if not isinstance(payload, dict) or not {"dims", "flat"} <= payload.keys():
+                raise ValueError('a checkpoint is a JSON object with keys "dims" and "flat"')
+            spec = NetworkSpec(tuple(payload["dims"]))
+            flat = np.asarray(payload["flat"], dtype=np.float64)
+            n = spec.param_count
+            if flat.shape == (n,):
+                return WeightSet.from_flat(spec, flat)
+            if flat.shape == (2 * n,):
+                return GaussianVariational(spec, flat[:n], flat[n:])
+            raise ValueError(f"a {spec.layer_dims} checkpoint holds {n} values (weights) or"
+                             f" {2 * n} (posterior), got shape {flat.shape}")
+        except (TypeError, ValueError) as exc:  # json.JSONDecodeError included
+            raise ValueError(f"{path}: {exc}") from exc

@@ -1,6 +1,8 @@
 """Aggregation: moment matching, mean weights, CoV dropout."""
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,10 @@ class TestMomentMatch:
 
 
 def sorted_stable_mean(stack):
-    """_stable_mean by sort-then-sum for every row count, the reference the
-    three-row min/max network must reproduce."""
+    """_stable_mean by sort-then-sum, the reference the compare-exchange
+    network must reproduce.  numpy adds an axis-0 sum row by row once a stack
+    has two or more columns; a single column of eight or more rows it sums
+    pairwise, so the stacks below are at least two columns wide."""
     mean = np.sort(stack, axis=0).sum(axis=0) / stack.shape[0]
     ties = np.all(stack == stack[0], axis=0)
     return np.where(ties, stack[0], mean)
@@ -117,28 +121,31 @@ class TestStableMean:
     def assert_bitwise(a, b):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_three_rows_match_sort_bitwise(self):
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize("n_rows", range(1, 9))
+    def test_every_row_count_matches_sort_bitwise(self, n_rows):
+        rng = np.random.default_rng(20 + n_rows)
         values = np.array([0.0, -0.0, 0.1, -0.1, 1.0, 3.0, 1e-300, -1e300, 5e-324])
+        width = 4000
+        shared = rng.standard_normal((n_rows, width))
+        shared[:, ::2] = shared[0, ::2]  # every row agrees, in alternate columns
+        shared[n_rows // 2, ::4] = shared[0, ::4] + 1.0  # two values, one repeated
         cases = [
-            rng.standard_normal((3, 4000)),
+            rng.standard_normal((n_rows, width)),
             # mixed magnitudes, where the summation order changes the rounding
-            rng.standard_normal((3, 4000)) * 10.0 ** rng.integers(-12, 13, size=(3, 4000)),
-            # ties, two-way and three-way, and signed zeros, in every arrangement
-            rng.choice(values, size=(3, 4000)),
-            np.array([[-0.0, 0.0, 0.0, -0.0, 1.0], [0.0, -0.0, 0.0, 0.0, -0.0],
-                      [0.0, 0.0, -0.0, -0.0, 0.0]]),
+            rng.standard_normal((n_rows, width)) * 10.0 ** rng.integers(-12, 13, size=(n_rows, width)),
+            # two-way and all-row ties, and signed zeros, in every arrangement
+            rng.choice(values, size=(n_rows, width)),
+            shared,
+            rng.choice([0.0, -0.0], size=(n_rows, 2)),
         ]
+        orders = list(permutations(range(n_rows))) if n_rows <= 4 else [
+            rng.permutation(n_rows) for _ in range(6)]
         for stack in cases:
-            for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0]):
-                rows = stack[order]
+            for order in orders:
+                rows = stack[list(order)]
+                before = rows.copy()
                 self.assert_bitwise(_stable_mean(rows), sorted_stable_mean(rows))
-
-    def test_other_row_counts_keep_the_sort(self):
-        rng = np.random.default_rng(22)
-        for rows in (1, 2, 4, 5):
-            stack = rng.standard_normal((rows, 300))
-            self.assert_bitwise(_stable_mean(stack), sorted_stable_mean(stack))
+                self.assert_bitwise(rows, before)  # the stack is only read
 
 
 class TestMapMean:

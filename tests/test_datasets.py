@@ -229,12 +229,18 @@ class TestStandardization:
         assert apply_stats(x, mean, std) is x
         np.testing.assert_array_equal(x, expected)
 
-    def test_constant_column_maps_to_zero(self):
-        x = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
-        mean, std = feature_stats(x)
-        assert std[0] == 1.0
-        z = apply_stats(x, mean, std)
-        np.testing.assert_array_equal(z[:, 0], 0.0)
+    @pytest.mark.parametrize("value", [3.0, 0.1, 1.0 / 3.0])
+    @pytest.mark.parametrize("rows", [(20,), (100,), (7, 0, 600, 93)])
+    def test_constant_column_maps_to_zero(self, value, rows):
+        # 100 copies of 0.1 sum to a mean a few ulps off 0.1, which left a
+        # std of 1.9e-16 and mapped the column to 1.0, not 0
+        parts = [np.column_stack([np.full(n, value), np.arange(n, dtype=np.float64)])
+                 for n in rows]
+        mean, std = feature_stats(*parts)
+        assert mean[0] == value and std[0] == 1.0
+        for x in parts:
+            z = apply_stats(x, mean, std)
+            np.testing.assert_array_equal(z[:, 0], 0.0)
 
     @pytest.mark.parametrize("cols", [2, 3, 10])
     @pytest.mark.parametrize("rows", [(1,), (511,), (512,), (513,), (3200,),
@@ -292,6 +298,36 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.invariant_cols == ds.invariant_cols
         assert back.spurious_cols == ds.spurious_cols
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:],
+         r"x\.csv line 4: expected 6 fields, got 4"),
+        (lambda lines: lines[:2] + ["oops" + lines[2][lines[2].index(","):]] + lines[3:],
+         r"x\.csv line 3: could not convert string to float: 'oops'"),
+        (lambda lines: lines[:1] + [lines[1].replace(",x", ".5,x")] + lines[2:],
+         r"x\.csv line 2: invalid literal for int\(\) with base 10"),
+        (lambda lines: [], r"x\.csv: the header must name features, label and domain_id"),
+    ], ids=["short-row", "bad-feature", "bad-label", "empty-file"])
+    def test_malformed_rows_name_the_file_and_line(self, tmp_path, edit, message):
+        (ds,) = gen_spurious_blobs([DomainSpec("x", 5)], 2, 2, seed=0)
+        path = tmp_path / "x.csv"
+        save_dataset_csv(ds, path)
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=message):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"domain_id": "x", "invariant_cols": [0, 1]}', "a sidecar is a JSON object with keys"),
+        ('["x", [0, 1], [2, 3]]', "a sidecar is a JSON object with keys"),
+        ('{"domain_id": "x", ', "Expecting property name"),
+    ], ids=["missing-key", "list", "not-json"])
+    def test_malformed_sidecar_is_named(self, tmp_path, text, message):
+        (ds,) = gen_spurious_blobs([DomainSpec("x", 5)], 2, 2, seed=0)
+        path = tmp_path / "x.csv"
+        save_dataset_csv(ds, path)
+        (tmp_path / "x.meta.json").write_text(text)
+        with pytest.raises(ValueError, match=rf"x\.meta\.json: {message}"):
+            load_dataset_csv(path)
 
     def test_mismatched_domain_rejected(self, tmp_path):
         (ds,) = gen_spurious_blobs([DomainSpec("x", 5)], 2, 2, seed=0)

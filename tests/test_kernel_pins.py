@@ -179,6 +179,13 @@ def ref_cov(stack, epsilon=1e-8):
     return std / (np.abs(mean) + epsilon)
 
 
+def ref_mean_and_cov(weight_sets):
+    """mean_and_cov by ref_stable_mean and ref_cov (TestMeanAndCov pins the two
+    bitwise)."""
+    stack = np.stack([ws.flat for ws in weight_sets])
+    return WeightSet.wrap(weight_sets[0].spec, ref_stable_mean(stack)), ref_cov(stack)
+
+
 def ref_moment_match(posteriors):
     """moment_match as it was before it stacked the packed [mu | rho] rows once,
     with ref_stable_mean for _stable_mean (tests/test_aggregate.py pins the
@@ -524,7 +531,7 @@ class TestMeanAndCov:
     def test_against_map_mean_and_cov(self):
         rng = np.random.default_rng(6)
         spec = NetworkSpec((3, 4, 2))
-        for rows in (2, 3, 4):
+        for rows in (2, 3, 4, 5, 8):
             stack = rng.standard_normal((rows, spec.param_count))
             stack[:, :5] = stack[0, :5]  # coordinates every model agrees on
             stack[1, 5] = -0.0
@@ -538,7 +545,7 @@ class TestMeanAndCov:
 
 
 class TestMomentMatch:
-    @pytest.mark.parametrize("rows", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [2, 3, 4, 5, 8])
     def test_against_separate_mu_and_rho_stacks(self, rows):
         rng = np.random.default_rng(rows)
         spec = NetworkSpec((3, 4, 2))
@@ -711,7 +718,7 @@ def ref_ptg_lite_train(domains, init_feat, init_cls, config, inspect=None):
             adam_step(per_w[i].flat, g_feat, states[i], lr)
             row[f"loss_{i}"] = loss
 
-        f0, report = cov_dropout(*mean_and_cov([per_w[i] for i in ids]), config.beta)
+        f0, report = cov_dropout(*ref_mean_and_cov([per_w[i] for i in ids]), config.beta)
         if inspect is not None:
             inspect(it, f0.copy(), {i: per_w[i].copy() for i in ids})
 
@@ -765,7 +772,7 @@ def aggregate_bits(algorithm, per, config):
     if algorithm == "ptg":
         f0 = ref_moment_match(models).q0
     else:
-        f0, _ = cov_dropout(*mean_and_cov(models), config.beta)
+        f0, _ = cov_dropout(*ref_mean_and_cov(models), config.beta)
     return model_bits(f0), [(i, model_bits(m)) for i, m in per.items()]
 
 
@@ -776,7 +783,7 @@ def recorder(seen):
 
 
 @pytest.mark.parametrize("kl_weight", [0.1, None])
-@pytest.mark.parametrize("n_domains", [2, 3])
+@pytest.mark.parametrize("n_domains", [2, 3, 4])
 class TestMergedLoops:
     """erm/erm_bayesian and ptg/ptg_lite against the pre-merge loops, bitwise.
 
@@ -790,7 +797,7 @@ class TestMergedLoops:
     def setup_case(n_domains, kl_weight):
         specs = [
             DomainSpec(f"d{i}", n, spurious_correlation=r, noise_std=0.3)
-            for i, (n, r) in enumerate([(70, 0.9), (20, 0.7), (130, 0.8)][:n_domains])
+            for i, (n, r) in enumerate([(70, 0.9), (20, 0.7), (130, 0.8), (45, 0.6)][:n_domains])
         ]
         domains = gen_spurious_blobs(specs, d_inv=2, d_spur=2, seed=n_domains)[::-1]
         cfg = TrainConfig(

@@ -57,7 +57,7 @@ class TestSpecAndWeights:
         payload = json.loads(path.read_text())
         payload["dims"] = [3, 2.7]  # used to load as a 3 -> 2 net
         path.write_text(json.dumps(payload))
-        with pytest.raises(TypeError, match="layer dim 2.7 must be an integer"):
+        with pytest.raises(ValueError, match="w.json: layer dim 2.7 must be an integer"):
             load_model(path)
 
     def test_flatten_roundtrip(self):

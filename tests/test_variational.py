@@ -343,7 +343,21 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         payload["dims"][1] = dim
         path.write_text(json.dumps(payload))
-        with pytest.raises(TypeError, match=f"layer dim {dim!r} must be an integer"):
+        with pytest.raises(ValueError, match=f"model.json: layer dim {dim!r} must be an integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("payload", [{"flat": [0.0] * 17}, {"dims": [2, 3, 2]},
+                                         [[2, 3, 2], [0.0] * 17], None])
+    def test_refuses_a_payload_without_dims_and_flat(self, tmp_path, payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match='model.json: a checkpoint is a JSON object with keys'):
+            load_model(path)
+
+    def test_refuses_a_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"dims": [2, 3, 2], ')
+        with pytest.raises(ValueError, match="model.json: Expecting property name"):
             load_model(path)
 
 
