@@ -86,9 +86,7 @@ def _cmd_gen_data(args) -> int:
         out = _outdir(Path(args.out) / held_out)
         by_id = generate_domains(config, data_seed(config, held_out, 0))
         for domain_id in sorted(by_id):
-            path = out / f"{domain_id}.csv"
-            save_dataset_csv(by_id[domain_id], path)
-            print(f"wrote {path}")
+            print(f"wrote {save_dataset_csv(by_id[domain_id], out)}")
     return 0
 
 
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config's base seed")
         return p
 
-    p = sub.add_parser("gen-data", help="write a run's data as CSV plus sidecar per domain")
+    p = sub.add_parser("gen-data", help="write a run's data as one CSV per domain")
     base_seed(common(p, "data")).set_defaults(fn=_cmd_gen_data)
 
     p = sub.add_parser("train", help="one training run; writes checkpoints and a log")

@@ -14,7 +14,6 @@ field's annotation is its type, and its rules, if any, are its metadata.
 from __future__ import annotations
 
 import csv
-import json
 import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -348,68 +347,54 @@ def apply_stats(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sidecar_path(path) -> Path:
-    path = Path(path)
-    return path.with_suffix(".meta.json") if path.suffix == ".csv" else Path(str(path) + ".meta.json")
-
-
-def save_dataset_csv(ds: DomainDataset, path) -> None:
-    """One row per sample (features..., label, domain_id) plus a JSON sidecar
-    naming the invariant and spurious columns."""
-    path = Path(path)
-    header = [f"f{j}" for j in range(ds.n_features)] + ["label", "domain_id"]
+def save_dataset_csv(ds: DomainDataset, directory) -> Path:
+    """Write <directory>/<domain_id>.csv and return its path: a header naming
+    each feature column inv<j> or spur<j>, then label, and one row per sample
+    (features..., label)."""
+    path = Path(directory) / f"{ds.domain_id}.csv"
+    header = [f"{'spur' if j in ds.spurious_cols else 'inv'}{j}" for j in range(ds.n_features)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(header + ["label"])
         for i in range(ds.n_samples):
-            writer.writerow([repr(float(v)) for v in ds.x[i]] + [int(ds.y[i]), ds.domain_id])
-    meta = {
-        "domain_id": ds.domain_id,
-        "invariant_cols": list(ds.invariant_cols),
-        "spurious_cols": list(ds.spurious_cols),
-    }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh)
+            writer.writerow([repr(float(v)) for v in ds.x[i]] + [int(ds.y[i])])
+    return path
 
 
 def load_dataset_csv(path) -> DomainDataset:
-    """The dataset save_dataset_csv wrote; a header without a feature column,
-    or a row without one field per header column or with a cell that does not
-    parse or names another domain, raises ValueError naming its line, and a
-    sidecar that is not a JSON object with the three keys save_dataset_csv
-    writes raises ValueError naming the sidecar."""
+    """The dataset save_dataset_csv wrote, its domain id the file's stem; a
+    header other than the one save_dataset_csv writes raises ValueError naming
+    the file, and a row without one field per header column, with a cell that
+    does not parse, a feature that is not finite or a label outside
+    [0, N_CLASSES), one naming the file and line."""
     path = Path(path)
-    sidecar = _sidecar_path(path)
-    with open(sidecar) as fh:
-        try:
-            meta = json.load(fh)
-            if not isinstance(meta, dict) or not {"domain_id", "invariant_cols",
-                                                  "spurious_cols"} <= meta.keys():
-                raise ValueError("a sidecar is a JSON object with keys domain_id,"
-                                 " invariant_cols and spurious_cols")
-        except ValueError as exc:  # json.JSONDecodeError included
-            raise ValueError(f"{sidecar}: {exc}") from None
     xs, ys = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        d = len(next(reader, ())) - 2
-        if d < 1:
-            raise ValueError(f"{path}: the header must name features, label and domain_id")
+        header = next(reader, [])
+        d = len(header) - 1
+        inv = tuple(j for j, name in enumerate(header[:d]) if name == f"inv{j}")
+        spur = tuple(j for j, name in enumerate(header[:d]) if name == f"spur{j}")
+        if d < 1 or header[d:] != ["label"] or len(inv) + len(spur) != d:
+            raise ValueError(f"{path}: the header must name each feature column j"
+                             f" inv<j> or spur<j>, then label")
         for row in reader:
             where = f"{path} line {reader.line_num}"
-            if len(row) != d + 2:
-                raise ValueError(f"{where}: expected {d + 2} fields, got {len(row)}")
+            if len(row) != d + 1:
+                raise ValueError(f"{where}: expected {d + 1} fields, got {len(row)}")
             try:
                 xs.append([float(v) for v in row[:d]])
                 ys.append(int(row[d]))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            if row[d + 1] != meta["domain_id"]:
-                raise ValueError(f"{where}: row domain {row[d + 1]!r} does not match sidecar")
+            if not np.isfinite(xs[-1]).all():
+                raise ValueError(f"{where}: features must be finite, got {row[:d]}")
+            if not 0 <= ys[-1] < N_CLASSES:
+                raise ValueError(f"{where}: label must be in [0, {N_CLASSES}), got {ys[-1]}")
     return DomainDataset(
-        domain_id=meta["domain_id"],
+        domain_id=path.stem,
         x=np.asarray(xs, dtype=np.float64).reshape(len(ys), d),
         y=np.asarray(ys, dtype=np.int64),
-        invariant_cols=tuple(meta["invariant_cols"]),
-        spurious_cols=tuple(meta["spurious_cols"]),
+        invariant_cols=inv,
+        spurious_cols=spur,
     )

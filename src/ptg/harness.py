@@ -459,16 +459,17 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
 
 
 def read_results_csv(path) -> list[ResultRow]:
-    """Rows of a results.csv; a row without exactly one field per header
+    """Rows of a results.csv; a header other than RESULTS_HEADER raises
+    ValueError naming the file, and a row without exactly one field per header
     column, or with a cell that does not parse or breaks its field's rules
-    (check_field_types), raises ValueError naming its line."""
+    (check_field_types), one naming its line."""
     cell = lambda text: None if text == "" else float(text)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header {header}")
+            raise ValueError(f"{path}: unexpected results header {header}")
         for rec in reader:
             where = f"{path} line {reader.line_num}"
             if len(rec) != len(RESULTS_HEADER):

@@ -69,7 +69,8 @@ class TestGenData:
         assert sorted(p.name for p in out.iterdir()) == sorted(held_out)
         for h in held_out:
             want = generate_domains(config, derive_seed(config.base_seed, "data", h, 0))
-            assert sorted(p.name for p in (out / h).glob("*.csv")) == sorted(f"{i}.csv" for i in want)
+            # one file per domain and nothing beside it
+            assert sorted(p.name for p in (out / h).iterdir()) == sorted(f"{i}.csv" for i in want)
             for domain_id, ds in want.items():
                 got = load_dataset_csv(out / h / f"{domain_id}.csv")
                 np.testing.assert_array_equal(got.x.view(np.uint64), ds.x.view(np.uint64))

@@ -284,56 +284,52 @@ class TestStandardization:
             feature_stats(*parts)
 
 
+def _set_cell(lines, i, j, text):
+    """lines with cell j of line i replaced by text."""
+    row = lines[i].split(",")
+    row[j] = text
+    return lines[:i] + [",".join(row)] + lines[i + 1:]
+
+
 class TestCsvRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
         (ds,) = gen_spurious_blobs(
             [DomainSpec("rt", 40, spurious_correlation=0.5)], d_inv=2, d_spur=2, seed=5
         )
-        path = tmp_path / "rt.csv"
-        save_dataset_csv(ds, path)
-        assert (tmp_path / "rt.meta.json").exists()
+        path = save_dataset_csv(ds, tmp_path)
+        assert path == tmp_path / "rt.csv"
+        assert [p.name for p in tmp_path.iterdir()] == ["rt.csv"]
+        assert path.read_text().splitlines()[0] == "inv0,inv1,spur2,spur3,label"
         back = load_dataset_csv(path)
         assert back.domain_id == "rt"
-        np.testing.assert_array_equal(back.x, ds.x)
+        np.testing.assert_array_equal(back.x.view(np.uint64), ds.x.view(np.uint64))
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.invariant_cols == ds.invariant_cols
         assert back.spurious_cols == ds.spurious_cols
 
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:],
-         r"x\.csv line 4: expected 6 fields, got 4"),
-        (lambda lines: lines[:2] + ["oops" + lines[2][lines[2].index(","):]] + lines[3:],
+         r"x\.csv line 4: expected 5 fields, got 3"),
+        (lambda lines: _set_cell(lines, 2, 0, "oops"),
          r"x\.csv line 3: could not convert string to float: 'oops'"),
-        (lambda lines: lines[:1] + [lines[1].replace(",x", ".5,x")] + lines[2:],
+        (lambda lines: _set_cell(lines, 1, 4, "1.5"),
          r"x\.csv line 2: invalid literal for int\(\) with base 10"),
-        (lambda lines: [], r"x\.csv: the header must name features, label and domain_id"),
-    ], ids=["short-row", "bad-feature", "bad-label", "empty-file"])
+        (lambda lines: _set_cell(lines, 2, 0, "nan"), r"x\.csv line 3: features must be finite"),
+        (lambda lines: _set_cell(lines, 3, 1, "-inf"), r"x\.csv line 4: features must be finite"),
+        (lambda lines: _set_cell(lines, 1, 4, "2"),
+         r"x\.csv line 2: label must be in \[0, 2\), got 2"),
+        (lambda lines: _set_cell(lines, 5, 4, "-1"),
+         r"x\.csv line 6: label must be in \[0, 2\), got -1"),
+        (lambda lines: [], r"x\.csv: the header must name each feature column j inv<j> or spur<j>"),
+        (lambda lines: ["f0,f1,f2,f3,label"] + lines[1:], r"x\.csv: the header must name"),
+        (lambda lines: ["inv0,inv1,spur3,spur2,label"] + lines[1:], r"x\.csv: the header must name"),
+        (lambda lines: [lines[0] + ",domain_id"] + lines[1:], r"x\.csv: the header must name"),
+    ], ids=["short-row", "bad-feature", "bad-label", "nan-feature", "inf-feature", "label-2",
+            "negative-label", "empty-file", "unnamed-columns", "misnumbered-column",
+            "extra-column"])
     def test_malformed_rows_name_the_file_and_line(self, tmp_path, edit, message):
         (ds,) = gen_spurious_blobs([DomainSpec("x", 5)], 2, 2, seed=0)
-        path = tmp_path / "x.csv"
-        save_dataset_csv(ds, path)
+        path = save_dataset_csv(ds, tmp_path)
         path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
         with pytest.raises(ValueError, match=message):
-            load_dataset_csv(path)
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"domain_id": "x", "invariant_cols": [0, 1]}', "a sidecar is a JSON object with keys"),
-        ('["x", [0, 1], [2, 3]]', "a sidecar is a JSON object with keys"),
-        ('{"domain_id": "x", ', "Expecting property name"),
-    ], ids=["missing-key", "list", "not-json"])
-    def test_malformed_sidecar_is_named(self, tmp_path, text, message):
-        (ds,) = gen_spurious_blobs([DomainSpec("x", 5)], 2, 2, seed=0)
-        path = tmp_path / "x.csv"
-        save_dataset_csv(ds, path)
-        (tmp_path / "x.meta.json").write_text(text)
-        with pytest.raises(ValueError, match=rf"x\.meta\.json: {message}"):
-            load_dataset_csv(path)
-
-    def test_mismatched_domain_rejected(self, tmp_path):
-        (ds,) = gen_spurious_blobs([DomainSpec("x", 5)], 2, 2, seed=0)
-        path = tmp_path / "x.csv"
-        save_dataset_csv(ds, path)
-        sidecar = tmp_path / "x.meta.json"
-        sidecar.write_text(sidecar.read_text().replace('"x"', '"y"', 1))
-        with pytest.raises(ValueError):
             load_dataset_csv(path)

@@ -924,10 +924,10 @@ class TestResultsCsv:
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unexpected results header"):
             read_results_csv(path)
         path.write_text("")  # no header at all
-        with pytest.raises(ValueError, match="unexpected results header"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unexpected results header"):
             read_results_csv(path)
 
     def test_none_cells_round_trip(self, tmp_path):
