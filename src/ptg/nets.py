@@ -6,9 +6,9 @@ hidden layers and identity at the output; downstream code composes a sampled
 featurizer with a deterministic classifier head.
 
 The gradient step is the hot path, so four rules hold here.  Values are
-checked where they enter the package: constructors and ``from_flat`` (which
-checkpoints load through), the labels of ``cross_entropy`` and the gradient of
-``adam_step``.
+checked where they enter the package: each value object's one constructor
+(checkpoints load through ``WeightSet(spec, flat)``), the labels of
+``cross_entropy`` and the gradient of ``adam_step``.
 Values the package computed itself are adopted without a copy or a check
 (``WeightSet.wrap``).  Each fact is passed once: weights carry their spec, and
 the tape ``forward`` records holds the weights it ran, so ``backward`` needs
@@ -33,10 +33,12 @@ only where something reads it.  Adam runs at the fixed settings
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
+
+from .datasets import check_field_types
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,19 +47,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture of a dense net: layer widths input -> ... -> output, each
-    a positive integer (a bool or a float such as 2.5 is refused)."""
+    """Architecture of a dense net: two or more layer widths input -> ... ->
+    output, each an integer >= 1 (a bool or a float such as 2.5 is refused)."""
 
-    layer_dims: tuple[int, ...]
+    layer_dims: tuple[int, ...] = field(metadata={"ge": 1, "min_len": 2})
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise ValueError("need at least an input and an output dimension")
-        for d in self.layer_dims:
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-                raise TypeError(f"layer dim {d!r} must be an integer, got {self.layer_dims}")
-        if any(d < 1 for d in self.layer_dims):
-            raise ValueError(f"layer dims must be positive, got {self.layer_dims}")
+        check_field_types(self)
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
 
     @cached_property  # asked for on every forward, backward and Adam step
@@ -90,29 +86,25 @@ def finite_params(values) -> np.ndarray:
 
 @dataclass
 class WeightSet:
-    """Concrete weights for a NetworkSpec: per-layer (W, b) pairs.
+    """Concrete weights for a NetworkSpec, built from one flat vector.
 
     W has shape (d_in, d_out), b has shape (d_out,).  The flat order is
     W0.ravel(), b0, W1.ravel(), b1, ... which every consumer (sampling,
-    aggregation, checkpoints) relies on.  The set owns one float64 vector
-    ``flat`` in that order and every W and b is a view of it, so updating
-    ``flat`` in place updates the layers.  Values entering from outside are
-    checked; ``wrap`` adopts a vector this package computed itself, or a
-    (k, param_count) stack of them, one model per row.
+    aggregation, checkpoints) relies on.  ``WeightSet(spec, flat)`` copies
+    ``flat`` to float64 and checks its shape and finiteness; every W and b is
+    a view of that copy, so updating ``flat`` in place updates the layers.
+    ``wrap`` adopts a vector this package computed itself, or a
+    (k, param_count) stack of them, one model per row, unchecked.
     """
 
     spec: NetworkSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
 
     def __post_init__(self):
-        dims = self.spec.layer_dims
-        want = [((dims[i], dims[i + 1]), (dims[i + 1],)) for i in range(self.spec.n_layers)]
-        got = [(np.shape(w), np.shape(b)) for w, b in zip(self.weights, self.biases)]
-        if len(self.weights) != len(self.biases) or got != want:
-            raise ValueError(f"layer (W, b) shapes {got} do not match the spec's {want}")
-        parts = [a for w, b in zip(self.weights, self.biases) for a in (np.ravel(w), b)]
-        self._bind(finite_params(np.concatenate(parts)))
+        flat = np.array(self.flat, dtype=np.float64)
+        if flat.shape != (self.spec.param_count,):
+            raise ValueError(f"expected {self.spec.param_count} values, got shape {flat.shape}")
+        self._bind(finite_params(flat))
 
     def _bind(self, flat: np.ndarray) -> None:
         layers = self.spec.layer_slices
@@ -140,11 +132,8 @@ class WeightSet:
 
     @staticmethod
     def from_flat(spec: NetworkSpec, flat: np.ndarray) -> "WeightSet":
-        """Checked construction from a flat vector; the values are copied."""
-        flat = np.array(flat, dtype=np.float64)
-        if flat.shape != (spec.param_count,):
-            raise ValueError(f"expected {spec.param_count} values, got shape {flat.shape}")
-        return WeightSet.wrap(spec, finite_params(flat))
+        """WeightSet(spec, flat): checked, and the values are copied."""
+        return WeightSet(spec, flat)
 
     def copy(self) -> "WeightSet":
         return WeightSet.wrap(self.spec, self.flat.copy())
@@ -253,10 +242,9 @@ def loss_and_gradients(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for stability."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, as the exponential of cross_entropy's log-softmax:
+    a row's probability of its label is exp(-its loss), bit for bit."""
+    return np.exp(_log_softmax(logits))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

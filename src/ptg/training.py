@@ -64,9 +64,9 @@ class TrainConfig:
     data a step sees, so a full epoch weighs the regularizer once.  alpha
     scales the learning rate of the per-domain and merged refinement steps
     only; the baseline phases run at base_lr.  prior is the derived
-    PriorSpec(prior_mean, prior_std), built and validated once at construction;
-    it is not a field, so the fields are exactly the JSON keys.  PriorSpec
-    checks prior_std; every other range is declared in its field's metadata.
+    PriorSpec(prior_mean, prior_std), built once at construction; it is not a
+    field, so the fields are exactly the JSON keys.  Every range is declared
+    in its field's metadata.
     """
 
     outer_iterations: int = field(default=100, metadata={"ge": 1})
@@ -81,7 +81,7 @@ class TrainConfig:
     erm_steps: int = field(default=500, metadata={"ge": 0})
     bayes_steps: int = field(default=500, metadata={"ge": 0})
     prior_mean: float = 0.0
-    prior_std: float = 1.0
+    prior_std: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
         check_field_types(self)

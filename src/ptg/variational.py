@@ -12,10 +12,11 @@ flat and give one result per model, each with the bits of its own call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import check_field_types
 from .nets import NetworkSpec, WeightSet, finite_params, loss_and_gradients
 
 
@@ -49,16 +50,14 @@ def softplus_inv(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Isotropic Gaussian prior N(mean, std^2) shared by every parameter."""
+    """Isotropic Gaussian prior N(mean, std^2) shared by every parameter; a
+    finite mean and a finite std > 0, which check_field_types checks."""
 
     mean: float = 0.0
-    std: float = 1.0
+    std: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        if not np.isfinite(self.mean):
-            raise ValueError(f"prior mean must be finite, got {self.mean}")
-        if not (np.isfinite(self.std) and self.std > 0):
-            raise ValueError(f"prior std must be positive, got {self.std}")
+        check_field_types(self)
 
 
 @dataclass
@@ -220,7 +219,7 @@ def load_model(path) -> WeightSet | GaussianVariational:
             flat = np.asarray(payload["flat"], dtype=np.float64)
             n = spec.param_count
             if flat.shape == (n,):
-                return WeightSet.from_flat(spec, flat)
+                return WeightSet(spec, flat)
             if flat.shape == (2 * n,):
                 return GaussianVariational(spec, flat[:n], flat[n:])
             raise ValueError(f"a {spec.layer_dims} checkpoint holds {n} values (weights) or"

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 from collections import Counter
 from itertools import combinations
@@ -42,7 +44,7 @@ from ptg.harness import (
     write_results_csv,
     write_training_log,
 )
-from ptg.nets import TrainingDiverged
+from ptg.nets import NetworkSpec, TrainingDiverged
 from ptg.seeding import derive_seed
 from ptg.training import (
     MIN_TRAINING_DOMAINS,
@@ -257,6 +259,8 @@ _VALID = {
     ExperimentConfig: default_benchmark_config,
     DomainSpec: lambda: DomainSpec("a", 10),
     ResultRow: lambda: ResultRow("erm", "c", 0, None, None, 0.9, 0.8, 12),
+    NetworkSpec: lambda: NetworkSpec((3, 4, 2)),
+    PriorSpec: PriorSpec,
 }
 
 
@@ -287,6 +291,7 @@ class TestDeclaredBounds:
             ("TrainConfig", "erm_steps", "ge", 0), ("TrainConfig", "bayes_steps", "ge", 0),
             ("TrainConfig", "kl_weight", "ge", 0), ("TrainConfig", "beta", "gt", 0),
             ("TrainConfig", "base_lr", "gt", 0), ("TrainConfig", "sigma0", "gt", 0),
+            ("TrainConfig", "prior_std", "gt", 0),
             ("ExperimentConfig", "n_seeds", "ge", 1), ("ExperimentConfig", "alpha_grid", "ge", 0),
             ("ExperimentConfig", "beta_grid", "gt", 0), ("ExperimentConfig", "split_ratio", "gt", 0),
             ("ExperimentConfig", "split_ratio", "lt", 1), ("ExperimentConfig", "d_inv", "ge", 1),
@@ -310,19 +315,34 @@ class TestDeclaredBounds:
             ("ResultRow", "val_acc", "ge", 0), ("ResultRow", "val_acc", "le", 1),
             ("ResultRow", "test_acc", "ge", 0), ("ResultRow", "test_acc", "le", 1),
             ("ResultRow", "wall_ms", "ge", 0),
+            ("NetworkSpec", "layer_dims", "ge", 1), ("NetworkSpec", "layer_dims", "min_len", 2),
+            ("PriorSpec", "std", "gt", 0),
         }
+
+    def test_every_class_that_declares_rules_is_covered(self):
+        # found by scanning the package, so a class that gains a rule cannot
+        # slip past the generic tests below
+        declaring = set()
+        for info in pkgutil.iter_modules(ptg.__path__):
+            module = importlib.import_module(f"ptg.{info.name}")
+            declaring |= {cls for cls in vars(module).values()
+                          if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                          and cls.__module__ == module.__name__
+                          and any(f.metadata for f in dataclasses.fields(cls))}
+        assert declaring == set(_VALID)
 
     @pytest.mark.parametrize("cls, f, key, bound",
                              [b for b in _bounds() if b[2] in ("ge", "gt", "le", "lt")], ids=_RULE_IDS)
     def test_edge_and_the_nearest_value_past_it(self, cls, f, key, bound):
         # an inclusive bound takes its edge and refuses the nearest value outside;
         # an exclusive bound refuses its edge.  A tuple field holds the value
-        # after its default's first entry, so the bound must hold past entry 0.
+        # after its valid value's first entry, so the bound must hold past entry 0.
         kind = get_type_hints(cls)[f.name]
         if type(None) in get_args(kind):
             (kind,) = (k for k in get_args(kind) if k is not type(None))
         entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
-        wrap = (lambda v: (f.default[0], v)) if entry is not kind else (lambda v: v)
+        valid = getattr(_VALID[cls](), f.name)
+        wrap = (lambda v: (valid[0], v)) if entry is not kind else (lambda v: v)
         edge = entry(bound)
         if key in ("ge", "le"):
             assert getattr(_build(cls, f.name, wrap(edge)), f.name) == wrap(edge)

@@ -13,7 +13,7 @@ import pytest
 import ptg.training
 from ptg.aggregate import coefficient_of_variation, cov_dropout, map_mean, mean_and_cov, moment_match
 from ptg.datasets import DomainDataset, DomainSpec, gen_spurious_blobs, read_config
-from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, forward, softmax
+from ptg.nets import AdamState, NetworkSpec, WeightSet, adam_step, cross_entropy, forward, softmax
 from ptg.seeding import stream
 from ptg.training import (
     ALGORITHMS,
@@ -82,8 +82,9 @@ class TestTrainConfig:
         assert read_config(TrainConfig, asdict(cfg)) == cfg
 
     def test_zero_prior_std_raises_at_construction(self):
-        with pytest.raises(ValueError, match="prior std"):
+        with pytest.raises(ValueError) as ei:
             TrainConfig(prior_std=0)
+        assert str(ei.value) == "prior_std must be > 0, got 0"
 
     def test_prior_is_derived_from_the_flat_fields(self):
         cfg = TrainConfig(prior_mean=0.3, prior_std=2.0)
@@ -138,6 +139,17 @@ class TestPredict:
         h, _ = forward(feat, x)
         logits, _ = forward(cls, h)
         np.testing.assert_array_equal(probs, softmax(logits))
+
+    def test_label_probability_is_exp_of_minus_the_loss(self):
+        # predict and cross_entropy take one log-softmax, so a row's probability
+        # of its label is bitwise exp(-its loss)
+        feat, cls = init_pair(BLOBS_FEAT, BLOBS_CLS, seed=3)
+        rng = np.random.default_rng(4)
+        x, y = 3.0 * rng.standard_normal((200, 10)), rng.integers(0, 2, 200)
+        logits = forward(cls, forward(feat, x)[0])[0]
+        picked = predict(feat, cls, x)[np.arange(200), y]
+        from_loss = [np.exp(-cross_entropy(logits[i:i + 1], y[i:i + 1])[0]) for i in range(200)]
+        assert picked.tobytes() == np.array(from_loss).tobytes()
 
     def test_posterior_default_predicts_at_mean(self):
         feat, cls = init_pair(FEAT_SPEC, CLS_SPEC, seed=2)
