@@ -55,7 +55,7 @@ def _check_common_spec(specs: Sequence[NetworkSpec]) -> NetworkSpec:
     return first
 
 
-@dataclass
+@dataclass(eq=False)
 class AggregateResult:
     """Moment-matched posterior plus its variance split.
 
@@ -80,7 +80,7 @@ def moment_match(posteriors: Sequence[GaussianVariational]) -> AggregateResult:
     stack = np.stack([q.flat for q in posteriors])
     n = stack.shape[1] // 2
     ties = np.logical_and.reduce(stack == stack[0], axis=0)
-    rho_0 = stack[0, n:].copy()
+    rho = stack[0, n:].copy()
     stack[:, n:] = softplus(stack[:, n:]) ** 2
 
     mu, within = np.split(_stable_mean(stack), 2)
@@ -88,8 +88,10 @@ def moment_match(posteriors: Sequence[GaussianVariational]) -> AggregateResult:
     sigma = np.sqrt(within + between)
 
     # coordinates where every component is bitwise identical stay untouched,
-    # including their rho encoding
-    rho = np.where(ties[:n] & ties[n:], rho_0, softplus_inv(sigma))
+    # including their rho encoding, and are not inverted: their sigma^2 may
+    # underflow to 0, which softplus_inv refuses
+    moved = ~(ties[:n] & ties[n:])
+    rho[moved] = softplus_inv(sigma[moved])
     return AggregateResult(
         q0=GaussianVariational.wrap(spec, np.concatenate([mu, rho])),
         within_var=within,
@@ -131,7 +133,7 @@ def coefficient_of_variation(
     return mean_and_cov(weight_sets, epsilon)[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class CovReport:
     """What cov_dropout decided: the threshold, the mask, and the spread."""
 

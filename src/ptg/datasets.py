@@ -140,7 +140,7 @@ class DomainSpec:
         check_field_types(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class DomainDataset:
     """Feature matrix, integer labels and the invariant/spurious column split."""
 

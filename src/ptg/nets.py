@@ -84,7 +84,7 @@ def finite_params(values) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightSet:
     """Concrete weights for a NetworkSpec, built from one flat vector.
 
@@ -148,7 +148,7 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
     return WeightSet.wrap(spec, flat)
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardTape:
     """Intermediates recorded by forward() so backward() can replay them."""
 
@@ -300,7 +300,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First/second moment accumulators for a flat parameter vector."""
 

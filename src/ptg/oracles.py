@@ -40,7 +40,7 @@ def _check_pmf(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteGenerativeModel:
     """Finite tables: parameter prior, two independent domain factors, likelihood.
 

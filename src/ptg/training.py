@@ -63,10 +63,9 @@ class TrainConfig:
     kl_weight = None means 1 / (minibatches per epoch) computed from whichever
     data a step sees, so a full epoch weighs the regularizer once.  alpha
     scales the learning rate of the per-domain and merged refinement steps
-    only; the baseline phases run at base_lr.  prior is the derived
-    PriorSpec(prior_mean, prior_std), built once at construction; it is not a
-    field, so the fields are exactly the JSON keys.  Every range is declared
-    in its field's metadata.
+    only; the baseline phases run at base_lr.  prior is the PriorSpec every
+    step reads; in JSON it is the object {"mean": ..., "std": ...}.  Every
+    range is declared in its field's metadata (the prior's in PriorSpec's).
     """
 
     outer_iterations: int = field(default=100, metadata={"ge": 1})
@@ -80,12 +79,10 @@ class TrainConfig:
     seed: int = 0
     erm_steps: int = field(default=500, metadata={"ge": 0})
     bayes_steps: int = field(default=500, metadata={"ge": 0})
-    prior_mean: float = 0.0
-    prior_std: float = field(default=1.0, metadata={"gt": 0})
+    prior: PriorSpec = PriorSpec()
 
     def __post_init__(self):
         check_field_types(self)
-        object.__setattr__(self, "prior", PriorSpec(self.prior_mean, self.prior_std))
 
 
 class MinibatchStream:
@@ -140,7 +137,7 @@ def _check_domains(domains: Sequence[DomainDataset], minimum: int) -> list[Domai
     return sorted(domains, key=lambda d: d.domain_id)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeaturizerBank:
     """The rest of an aggregation run: per_domain maps each id to its row view
     of the (D, P) array the loop stepped, in id order; last_aggregate is the
@@ -452,7 +449,7 @@ def ptg_lite_train(
     """Deterministic aggregation: averaged point estimates with CoV dropout.
 
     Per-domain models take one MAP step each (cross-entropy plus the L2 pull
-    toward the prior mean at weight kl_weight / (2 prior_std^2)); the shared
+    toward prior.mean at weight kl_weight / (2 prior.std^2)); the shared
     featurizer is their coordinate mean with parameters zeroed where the
     coefficient of variation across domains exceeds beta.  A zeroed parameter
     takes no gradient in the merged MAP step on (shared featurizer,

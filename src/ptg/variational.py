@@ -60,7 +60,7 @@ class PriorSpec:
         check_field_types(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class GaussianVariational:
     """Factorized Gaussian over the flat weight vector of a NetworkSpec.
 

@@ -17,8 +17,9 @@ import pytest
 
 import ptg.harness
 import ptg.training
+from ptg.aggregate import AggregateResult, CovReport, cov_dropout, moment_match
 from ptg.cli import build_parser
-from ptg.datasets import DomainSpec, check_field_types, feature_stats, read_config, split_train_val
+from ptg.datasets import DomainDataset, DomainSpec, check_field_types, feature_stats, read_config, split_train_val
 from ptg.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -44,7 +45,8 @@ from ptg.harness import (
     write_results_csv,
     write_training_log,
 )
-from ptg.nets import NetworkSpec, TrainingDiverged
+from ptg.nets import AdamState, ForwardTape, NetworkSpec, TrainingDiverged, WeightSet, forward
+from ptg.oracles import DiscreteGenerativeModel, random_model
 from ptg.seeding import derive_seed
 from ptg.training import (
     MIN_TRAINING_DOMAINS,
@@ -54,12 +56,13 @@ from ptg.training import (
     accuracy,
     train_algorithm,
 )
-from ptg.variational import PriorSpec
+from ptg.variational import GaussianVariational, PriorSpec, init_from_deterministic
 
 REPO = Path(__file__).resolve().parents[1]
 # the layer widths as configs/default.json spells them, one entry a line
 FEAT_HIDDEN = '"feat_hidden": [\n    32,\n    16\n  ]'
 CLS_HIDDEN = '"cls_hidden": [\n    16\n  ]'
+PRIOR = '"prior": {\n      "mean": 0.0,\n      "std": 1.0\n    }'
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -162,7 +165,7 @@ class TestExperimentConfig:
         # the keys that are present are taken as given: a JSON integer is a number, nothing is coerced
         domain = read_config(DomainSpec, {"domain_id": "a", "n_samples": 10, "noise_std": 1})
         assert type(domain.n_samples) is int and type(domain.noise_std) is int
-        assert read_config(TrainConfig, {"prior_std": 2.0}).prior == PriorSpec(std=2.0)
+        assert read_config(TrainConfig, {"prior": {"std": 2.0}}).prior == PriorSpec(std=2.0)
         for bad in (20.7, 10.0, True, "20"):
             with pytest.raises(TypeError, match="n_samples must be an integer"):
                 read_config(DomainSpec, {"domain_id": "a", "n_samples": bad})
@@ -175,13 +178,14 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("where, key", [
         ("domain", "spurious_correlation"), ("domain", "rotation_deg"), ("domain", "noise_std"),
         ("train", "alpha"), ("train", "beta"), ("train", "base_lr"), ("train", "kl_weight"),
-        ("train", "sigma0"), ("train", "prior_mean"), ("train", "prior_std"),
+        ("train", "sigma0"), ("prior", "mean"), ("prior", "std"),
         ("top", "split_ratio"), ("top", "alpha_grid"), ("top", "beta_grid"),
     ])
     def test_non_finite_float_is_refused_naming_the_field(self, tmp_path, where, key, value):
         # json.load parses NaN, Infinity and -Infinity; no float field takes them
         obj = json.loads((REPO / "configs" / "default.json").read_text())
-        block = {"top": obj, "train": obj["train"], "domain": obj["domains"][0]}[where]
+        block = {"top": obj, "train": obj["train"], "prior": obj["train"]["prior"],
+                 "domain": obj["domains"][0]}[where]
         block[key] = [0.1, value] if key.endswith("_grid") else value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -208,10 +212,14 @@ class TestExperimentConfig:
         ('"train_a"', '"a\\\\b"', "domain_id must be free of ('/', '\\\\'), got 'a\\\\b'"),
         ('"train_a"', '"."', "domain_id must be none of ('.', '..'), got '.'"),
         ('"train_a"', '".."', "domain_id must be none of ('.', '..'), got '..'"),
+        # the prior is one nested object; the flat keys of the older format are refused
+        (PRIOR, '"prior_mean": 0.0,\n    "prior_std": 1.0',
+         "unknown train config keys ['prior_mean', 'prior_std']"),
+        ('"std": 1.0', '"std": 0', "std must be > 0, got 0"),
     ], ids=["json-syntax", "unknown-key", "out-of-range", "unknown-mode", "split-ratio", "d-inv",
             "zero-width", "no-featurizer-layer", "zero-width-head", "empty-split-side",
             "domain-named-merged", "repeated-algorithm", "domain-id-slash", "domain-id-backslash",
-            "domain-id-dot", "domain-id-dot-dot"])
+            "domain-id-dot", "domain-id-dot-dot", "old-prior-keys", "prior-std-zero"])
     def test_every_load_error_names_the_file(self, tmp_path, old, new, message):
         text = (REPO / "configs" / "default.json").read_text()
         assert text.count(old) == 1
@@ -264,6 +272,17 @@ _VALID = {
 }
 
 
+def _package_dataclasses() -> set[type]:
+    """Every dataclass the ptg package defines, found by scanning its modules."""
+    found = set()
+    for info in pkgutil.iter_modules(ptg.__path__):
+        module = importlib.import_module(f"ptg.{info.name}")
+        found |= {cls for cls in vars(module).values()
+                  if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                  and cls.__module__ == module.__name__}
+    return found
+
+
 def _bounds():
     """(class, field, key, rule) for every rule declared on a config field or a
     results.csv column."""
@@ -291,7 +310,6 @@ class TestDeclaredBounds:
             ("TrainConfig", "erm_steps", "ge", 0), ("TrainConfig", "bayes_steps", "ge", 0),
             ("TrainConfig", "kl_weight", "ge", 0), ("TrainConfig", "beta", "gt", 0),
             ("TrainConfig", "base_lr", "gt", 0), ("TrainConfig", "sigma0", "gt", 0),
-            ("TrainConfig", "prior_std", "gt", 0),
             ("ExperimentConfig", "n_seeds", "ge", 1), ("ExperimentConfig", "alpha_grid", "ge", 0),
             ("ExperimentConfig", "beta_grid", "gt", 0), ("ExperimentConfig", "split_ratio", "gt", 0),
             ("ExperimentConfig", "split_ratio", "lt", 1), ("ExperimentConfig", "d_inv", "ge", 1),
@@ -322,13 +340,8 @@ class TestDeclaredBounds:
     def test_every_class_that_declares_rules_is_covered(self):
         # found by scanning the package, so a class that gains a rule cannot
         # slip past the generic tests below
-        declaring = set()
-        for info in pkgutil.iter_modules(ptg.__path__):
-            module = importlib.import_module(f"ptg.{info.name}")
-            declaring |= {cls for cls in vars(module).values()
-                          if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-                          and cls.__module__ == module.__name__
-                          and any(f.metadata for f in dataclasses.fields(cls))}
+        declaring = {cls for cls in _package_dataclasses()
+                     if any(f.metadata for f in dataclasses.fields(cls))}
         assert declaring == set(_VALID)
 
     @pytest.mark.parametrize("cls, f, key, bound",
@@ -398,6 +411,57 @@ class TestDeclaredBounds:
             with pytest.raises(ValueError) as ei:
                 _build(cls, f.name, bad)
             assert str(ei.value) == f"{f.name} must be {sign} {rule}, got {bad!r}"
+
+
+def _holds_arrays(kind, holders: set[type]) -> bool:
+    return kind is np.ndarray or kind in holders or any(_holds_arrays(a, holders) for a in get_args(kind))
+
+
+def _array_holders() -> set[type]:
+    """The package's dataclasses with an ndarray in a field's annotation, or
+    one of these dataclasses, however deeply nested."""
+    classes, holders = _package_dataclasses(), set()
+    while True:
+        grown = {cls for cls in classes
+                 if any(_holds_arrays(get_type_hints(cls)[f.name], holders) for f in dataclasses.fields(cls))}
+        if grown == holders:
+            return holders
+        holders = grown
+
+
+_SPEC = NetworkSpec((2, 2))
+_weights = lambda: WeightSet(_SPEC, np.arange(6.0))
+_posterior = lambda: init_from_deterministic(_weights(), 0.1)
+_cov_report = lambda: cov_dropout(_weights(), np.zeros(6), 0.1)[1]
+# a fresh instance of every array holder on each call, so two calls give twins
+# that hold equal values in distinct arrays
+_ARRAY_HOLDERS = {
+    WeightSet: _weights,
+    ForwardTape: lambda: forward(_weights(), np.ones((3, 2)))[1],
+    AdamState: lambda: AdamState.zeros(6),
+    GaussianVariational: _posterior,
+    DomainDataset: lambda: DomainDataset("a", np.ones((2, 2)), np.array([0, 1]), (0,), (1,)),
+    AggregateResult: lambda: moment_match([_posterior(), _posterior()]),
+    CovReport: _cov_report,
+    FeaturizerBank: lambda: FeaturizerBank({"a": _weights()}, _cov_report()),
+    DiscreteGenerativeModel: lambda: random_model(np.random.default_rng(0)),
+}
+
+
+class TestArrayHolders:
+    def test_every_array_holder_compares_by_identity(self):
+        # found by scanning the package, so a new class that holds arrays must
+        # opt out of the generated __eq__, which compares arrays field by field
+        # and raises on their truth value
+        holders = _array_holders()
+        assert holders == set(_ARRAY_HOLDERS)
+        assert [cls.__name__ for cls in holders if cls.__eq__ is not object.__eq__] == []
+
+    @pytest.mark.parametrize("cls", list(_ARRAY_HOLDERS), ids=_RULE_IDS)
+    def test_equality_is_identity_and_never_raises(self, cls):
+        a, twin = _ARRAY_HOLDERS[cls](), _ARRAY_HOLDERS[cls]()
+        assert (a == a) is True and (a == twin) is False and (a != twin) is True
+        assert a in [twin, a] and a not in [twin]
 
 
 class TestGrid:

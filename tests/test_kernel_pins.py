@@ -868,7 +868,7 @@ class TestStackedDomainSteps:
         specs = [DomainSpec(f"d{i}", n, spurious_correlation=r, noise_std=0.3)
                  for i, (n, r) in enumerate(self.SIZES)]
         domains = gen_spurious_blobs(specs, d_inv=2, d_spur=2, seed=5)
-        cfg = TrainConfig(batch_size=32, prior_mean=0.1, prior_std=1.5)
+        cfg = TrainConfig(batch_size=32, prior=PriorSpec(0.1, 1.5))
         streams = [MinibatchStream(d.x, d.y, 32, stream(0, "batches", d.domain_id)) for d in domains]
         weights = [_auto_kl_weight(cfg, s) for s in streams]
         assert weights == [0.5, 1.0, 0.25, 1.0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,16 +83,16 @@ class TestTrainConfig:
 
     def test_zero_prior_std_raises_at_construction(self):
         with pytest.raises(ValueError) as ei:
-            TrainConfig(prior_std=0)
-        assert str(ei.value) == "prior_std must be > 0, got 0"
+            TrainConfig(prior=PriorSpec(std=0))
+        assert str(ei.value) == "std must be > 0, got 0"
 
-    def test_prior_is_derived_from_the_flat_fields(self):
-        cfg = TrainConfig(prior_mean=0.3, prior_std=2.0)
-        assert cfg.prior == PriorSpec(0.3, 2.0)
-        assert replace(TrainConfig(), prior_std=2.0).prior.std == 2.0
-        # the derived prior is no field, so it is no JSON key either
-        assert "prior" not in {f.name for f in fields(TrainConfig)}
-        assert asdict(cfg)["prior_mean"] == 0.3 and asdict(cfg)["prior_std"] == 2.0
+    def test_prior_is_a_field_that_replace_sets_and_asdict_nests(self):
+        cfg = replace(TrainConfig(), prior=PriorSpec(0.1, 2.0))
+        assert cfg.prior == PriorSpec(0.1, 2.0)
+        assert asdict(cfg)["prior"] == {"mean": 0.1, "std": 2.0}
+        assert read_config(TrainConfig, asdict(cfg)) == cfg
+        with pytest.raises(TypeError, match=r"^prior must be a PriorSpec, got \{'mean': 0.1, 'std': 2.0\}$"):
+            TrainConfig(prior={"mean": 0.1, "std": 2.0})
 
 
 class TestMinibatchStream:
@@ -377,8 +377,11 @@ class TestPtg:
         for i in a.per_domain:
             np.testing.assert_array_equal(a.per_domain[i].mu, b.per_domain[i].mu)
 
-    def test_alpha_zero_freezes_everything_bitwise(self):
-        domains, q_init, cls0 = ptg_setup(seed=13)
+    # at sigma0 1e-200 every sigma^2 underflows to 0, and a tied coordinate
+    # must still pass through moment matching untouched
+    @pytest.mark.parametrize("sigma0", [0.05, 1e-200])
+    def test_alpha_zero_freezes_everything_bitwise(self, sigma0):
+        domains, q_init, cls0 = ptg_setup(seed=13, sigma0=sigma0)
         cfg = replace(self.CFG, alpha=0.0, outer_iterations=3)
         q0, cls, history, bank = ptg_train(domains, q_init, cls0, cfg)
         np.testing.assert_array_equal(q0.mu, q_init.mu)
